@@ -2,10 +2,11 @@
 //! fault/kill/restore interleavings over the three applications (see
 //! `jbench::chaos` for the scenario generator and its oracles).
 //!
-//! The seeds run **sequentially inside one test** on purpose: the
-//! fault-injection registry is process-global, and arming a fault
-//! point replaces any prior plan for that point — parallel seeds
-//! would disarm each other.
+//! The seeds run **sequentially inside one test**. The
+//! fault-injection registry is process-global, but every scenario arms
+//! its faults under its own directory's path fragment, and re-arming
+//! replaces only the plan under the same fragment — so the tests of
+//! this file may run in parallel without disarming each other.
 
 #[test]
 fn pinned_chaos_seeds_hold_every_invariant() {

@@ -2,7 +2,7 @@
 //! plus the computation-sink machinery.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use faceted::{Faceted, FacetedList, Label, View};
 use form::{FacetedObject, FormDb, FormResult, GuardedRow};
@@ -18,7 +18,10 @@ use crate::model::{ModelDef, PolicyArgs, PolicyFn, Viewer};
 /// pair names where the check came from, so a checkpoint can persist
 /// the binding and a restore can re-attach the (unserializable)
 /// closure from the re-registered model.
-#[derive(Clone)]
+///
+/// Entries are shared behind an `Arc`: resolving a label looks its
+/// entry up and runs the check on it, which then costs one reference
+/// count bump rather than a copy of the row.
 pub(crate) struct PolicyEntry {
     pub(crate) check: PolicyFn,
     pub(crate) row: Row,
@@ -48,7 +51,7 @@ pub struct App {
     /// The faceted database.
     pub db: FormDb,
     models: BTreeMap<String, ModelDef>,
-    pub(crate) policies: RwLock<HashMap<Label, PolicyEntry>>,
+    pub(crate) policies: RwLock<HashMap<Label, Arc<PolicyEntry>>>,
     /// Labels allocated per object, in model-policy order — needed to
     /// rebuild facet structure on updates.
     object_labels: RwLock<HashMap<(String, i64), Vec<Label>>>,
@@ -329,13 +332,13 @@ impl App {
                 for (policy_ix, (fp, label)) in model.policies.iter().zip(&labels).enumerate() {
                     policies.insert(
                         *label,
-                        PolicyEntry {
+                        Arc::new(PolicyEntry {
                             check: fp.check.clone(),
                             row: row.clone(),
                             jid,
                             model: model.name.clone(),
                             policy_ix,
-                        },
+                        }),
                     );
                 }
             }
@@ -437,13 +440,13 @@ impl App {
         })?;
         self.policies.write().expect("policy lock").insert(
             label,
-            PolicyEntry {
+            Arc::new(PolicyEntry {
                 check: fp.check.clone(),
                 row: row.clone(),
                 jid,
                 model: model_name.to_owned(),
                 policy_ix,
-            },
+            }),
         );
         self.object_labels
             .write()
@@ -580,6 +583,17 @@ impl App {
         result
     }
 
+    /// The policy bound to `label`, if any. The lock is released
+    /// before the caller runs the check, which may itself resolve
+    /// labels.
+    pub(crate) fn policy(&self, label: Label) -> Option<Arc<PolicyEntry>> {
+        self.policies
+            .read()
+            .expect("policy lock")
+            .get(&label)
+            .cloned()
+    }
+
     /// Resolves the given labels (and, transitively, every label their
     /// policies mention — `closeK`) for a viewer, returning the
     /// maximal-true satisfying assignment.
@@ -596,13 +610,7 @@ impl App {
                 continue;
             }
             seen.push(label);
-            let entry = self
-                .policies
-                .read()
-                .expect("policy lock")
-                .get(&label)
-                .cloned();
-            let Some(entry) = entry else {
+            let Some(entry) = self.policy(label) else {
                 continue; // unconstrained label: defaults to shown
             };
             let mut args = PolicyArgs {

@@ -2156,31 +2156,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn checkpoint_reports_gc_of_dead_nodes() {
-        let dir = temp_dir("gc");
-        let app = note_app();
-        app.create("note", vec![Value::Int(1), Value::from("alive")])
-            .unwrap();
-        // Request-scoped garbage: DAGs built and dropped.
-        for i in 0..50 {
-            let v: faceted::Faceted<i64> = faceted::Faceted::split(
-                faceted::Label::from_index(2_000_000 + i),
-                faceted::Faceted::leaf(i64::from(i)),
-                faceted::Faceted::leaf(-1),
-            );
-            drop(v);
-        }
-        let stats = app.checkpoint_quiescent(&dir).unwrap();
-        assert!(
-            stats.gc_reclaimed >= 50,
-            "quiescent GC reclaims the dead DAGs, got {}",
-            stats.gc_reclaimed
-        );
-        assert!(stats.interner_nodes_after <= stats.interner_nodes_before);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// The filenames in `dir/chunks/` (content hashes) plus the
     /// manifest bytes.
     fn chunk_files(dir: &Path) -> std::collections::BTreeSet<String> {

@@ -7,7 +7,7 @@
 //! label's policy *once, eagerly*, pruning all other facets instead
 //! of carrying them through the whole computation.
 
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 
 use faceted::{Branch, Branches, Faceted, FacetedList, Label};
 use form::{FacetedObject, GuardedRow};
@@ -25,9 +25,9 @@ use crate::model::Viewer;
 #[derive(Clone, Debug)]
 pub struct Session {
     viewer: Viewer,
-    resolved: Branches,
-    decided: BTreeSet<Label>,
-    in_progress: BTreeSet<Label>,
+    /// Every label this session has touched: `Some(verdict)` once
+    /// resolved, `None` while its policy is still being evaluated.
+    verdicts: HashMap<Label, Option<bool>>,
 }
 
 impl Session {
@@ -36,9 +36,7 @@ impl Session {
     pub fn new(viewer: Viewer) -> Session {
         Session {
             viewer,
-            resolved: Branches::new(),
-            decided: BTreeSet::new(),
-            in_progress: BTreeSet::new(),
+            verdicts: HashMap::new(),
         }
     }
 
@@ -50,8 +48,16 @@ impl Session {
 
     /// The branches resolved so far (the pruning constraint).
     #[must_use]
-    pub fn constraint(&self) -> &Branches {
-        &self.resolved
+    pub fn constraint(&self) -> Branches {
+        let mut branches = Branches::new();
+        for (&label, verdict) in &self.verdicts {
+            match verdict {
+                Some(true) => branches.insert(Branch::pos(label)),
+                Some(false) => branches.insert(Branch::neg(label)),
+                None => {}
+            }
+        }
+        branches
     }
 
     /// Resolves one label for this viewer, caching the outcome.
@@ -61,62 +67,40 @@ impl Session {
     /// assumption only if the policy verdict is consistent with it —
     /// the maximal-true choice of the constraint semantics.
     pub fn resolve(&mut self, app: &App, label: Label) -> bool {
-        if self.decided.contains(&label) {
-            return self.resolved.contains(Branch::pos(label));
-        }
-        if self.in_progress.contains(&label) {
+        match self.verdicts.get(&label) {
+            Some(Some(verdict)) => return *verdict,
             // Optimistic self-reference: tentatively shown.
-            return true;
+            Some(None) => return true,
+            None => {}
         }
-        self.in_progress.insert(label);
+        self.verdicts.insert(label, None);
         let verdict = self.policy_verdict(app, label);
-        self.in_progress.remove(&label);
-        self.decided.insert(label);
-        self.resolved.insert(if verdict {
-            Branch::pos(label)
-        } else {
-            Branch::neg(label)
-        });
+        self.verdicts.insert(label, Some(verdict));
         verdict
     }
 
     fn policy_verdict(&mut self, app: &App, label: Label) -> bool {
-        let entry = app
-            .policies
-            .read()
-            .expect("policy lock")
-            .get(&label)
-            .cloned();
-        let Some(entry) = entry else {
+        let Some(entry) = app.policy(label) else {
             return true; // unconstrained labels are shown
         };
         let mut args = crate::model::PolicyArgs {
             row: &entry.row,
             jid: entry.jid,
-            viewer: &self.viewer.clone(),
+            viewer: &self.viewer,
             db: &app.db,
         };
-        let faceted_verdict = (entry.check)(&mut args);
         // The verdict may itself be faceted; resolve its labels
         // recursively and project.
-        let mut current = faceted_verdict;
+        let mut current = (entry.check)(&mut args);
         while let Some(k) = current.root_label() {
-            let polarity = if k == label {
-                // Self-reference: optimistic "shown"; verified below.
-                true
-            } else {
-                self.resolve(app, k)
-            };
+            // A self-reference is assumed shown. If the verdict under
+            // that assumption is "hidden", the assumption is refuted
+            // and the label resolves to hidden (the all-false side is
+            // always consistent).
+            let polarity = k == label || self.resolve(app, k);
             current = current.assume(k, polarity);
         }
-        let optimistic = *current.as_leaf().expect("fully resolved");
-        if optimistic {
-            true
-        } else {
-            // If the optimistic self-reference was refuted, fall back
-            // to hidden (the all-false side is always consistent).
-            false
-        }
+        *current.as_leaf().expect("fully resolved")
     }
 
     /// Resolves every label guarding the rows and returns the rows
@@ -164,15 +148,17 @@ impl Session {
     /// pruning filter, so subsequent queries skip inconsistent facet
     /// rows entirely.
     pub fn enable_db_pruning(&self, app: &mut App) {
-        app.db.set_pruning(Some(self.resolved.clone()));
+        app.db.set_pruning(Some(self.constraint()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{simple_policy, ModelDef};
+    use crate::model::{label_for, simple_policy, ModelDef};
     use microdb::{ColumnDef, ColumnType, Value};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn app_with_owner_policy() -> App {
         let mut app = App::new();
@@ -272,5 +258,118 @@ mod tests {
         let text = form::object_field(&obj, 1);
         let mut s = Session::new(Viewer::Anonymous);
         assert_eq!(s.view_value(&app, &text), Value::from("[private]"));
+    }
+
+    /// A policy that reads its own protected field: the owner column
+    /// of the live object, which is faceted on the policy's own label.
+    fn app_with_self_referential_policy() -> App {
+        let mut app = App::new();
+        let m = ModelDef::public(
+            "note",
+            vec![
+                ColumnDef::new("owner", ColumnType::Int),
+                ColumnDef::new("text", ColumnType::Str),
+            ],
+        )
+        .with_policy(label_for(
+            "note_self",
+            vec![0, 1],
+            |_| vec![Value::Int(-1), Value::from("[private]")],
+            |args| {
+                let viewer = args.viewer.user_jid();
+                let obj = args.db.get("note", args.jid).expect("note exists");
+                form::object_field(&obj, 0).map(&mut |owner| owner.as_int() == viewer)
+            },
+        ));
+        app.register_model(m).unwrap();
+        app
+    }
+
+    #[test]
+    fn self_referential_policy_matches_full_sink_resolution() {
+        let app = app_with_self_referential_policy();
+        let jid = app
+            .create("note", vec![Value::Int(7), Value::from("secret text")])
+            .unwrap();
+        let obj = app.get("note", jid).unwrap();
+        // The owner is shown the field; another user, an anonymous
+        // viewer and one whose id equals the public facet's owner are
+        // not.
+        for (viewer, shown) in [
+            (Viewer::User(7), true),
+            (Viewer::User(8), false),
+            (Viewer::User(-1), false),
+            (Viewer::Anonymous, false),
+        ] {
+            let full = app.show_object(&viewer, &obj);
+            let mut s = Session::new(viewer.clone());
+            let pruned = s.view_object(&app, &obj);
+            assert_eq!(full, pruned, "{viewer}");
+            let text = pruned.expect("object exists")[1].clone();
+            assert_eq!(text == Value::from("secret text"), shown, "{viewer}");
+        }
+    }
+
+    #[test]
+    fn each_label_is_checked_once_per_session() {
+        const NOTES: usize = 64;
+        let calls: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..NOTES).map(|_| AtomicUsize::new(0)).collect());
+        let counted = Arc::clone(&calls);
+        let mut app = App::new();
+        let m = ModelDef::public(
+            "note",
+            vec![
+                ColumnDef::new("owner", ColumnType::Int),
+                ColumnDef::new("text", ColumnType::Str),
+            ],
+        )
+        .with_policy(label_for(
+            "note_counted",
+            vec![1],
+            |_| vec![Value::from("[private]")],
+            move |args| {
+                // Jids count from 1.
+                let ix = usize::try_from(args.jid - 1).expect("jids start at 1");
+                counted[ix].fetch_add(1, Ordering::Relaxed);
+                // Shown to the owner, and to the owner of the next
+                // note if that note's text is shown: a faceted
+                // verdict that resolves another label, and around
+                // the ring, eventually this one again.
+                let viewer = args.viewer.user_jid();
+                if args.row[0].as_int() == viewer {
+                    return Faceted::leaf(true);
+                }
+                let next = i64::try_from((ix + 1) % NOTES + 1).expect("small");
+                let obj = args.db.get("note", next).expect("note exists");
+                form::object_field(&obj, 1).map(&mut |text| *text != Value::from("[private]"))
+            },
+        ));
+        app.register_model(m).unwrap();
+        for i in 0..NOTES {
+            let jid = app
+                .create(
+                    "note",
+                    vec![Value::Int(i as i64 % 8), Value::from(format!("n{i}"))],
+                )
+                .unwrap();
+            assert_eq!(jid, i as i64 + 1);
+        }
+
+        // One page: the list, then every object again, then one field
+        // of each — three uses of every label.
+        let mut s = Session::new(Viewer::User(3));
+        let rows = app.all("note").unwrap();
+        let listed = s.view_rows(&app, &rows).len();
+        assert_eq!(listed, NOTES);
+        for jid in 1..=NOTES as i64 {
+            let obj = app.get("note", jid).unwrap();
+            s.view_object(&app, &obj);
+            s.view_value(&app, &form::object_field(&obj, 1));
+        }
+        for (ix, n) in calls.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Relaxed), 1, "label of note {}", ix + 1);
+        }
+        assert_eq!(s.constraint().len(), NOTES);
     }
 }

@@ -212,11 +212,13 @@ pub fn parse_cookies(header: &str) -> BTreeMap<String, String> {
 }
 
 /// Reads one `\r\n`-terminated line, refusing to buffer more than
-/// `limit` bytes. `Ok(None)` means EOF before any byte.
+/// `limit` bytes. `Ok(None)` means EOF before any byte. `over_limit`
+/// is the status and reason of the error a too-long line gets; the
+/// error itself is built only then.
 fn read_line(
     reader: &mut impl BufRead,
     limit: usize,
-    over_limit: WireError,
+    over_limit: (u16, &'static str),
 ) -> Result<Option<String>, WireError> {
     let mut line: Vec<u8> = Vec::new();
     loop {
@@ -239,7 +241,7 @@ fn read_line(
                 }
                 line.push(byte[0]);
                 if line.len() > limit {
-                    return Err(over_limit);
+                    return Err(WireError::bad(over_limit.0, over_limit.1));
                 }
             }
             Err(e) if is_timeout(&e) => {
@@ -271,11 +273,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// [`WireError::Bad`] (with the status to answer) on malformed input;
 /// [`WireError::Io`] on transport failures.
 pub fn read_request(reader: &mut impl BufRead) -> Result<WireRequest, WireError> {
-    let Some(request_line) = read_line(
-        reader,
-        MAX_REQUEST_LINE,
-        WireError::bad(414, "request line too long"),
-    )?
+    let Some(request_line) = read_line(reader, MAX_REQUEST_LINE, (414, "request line too long"))?
     else {
         return Err(WireError::Closed);
     };
@@ -306,12 +304,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<WireRequest, WireError>
     // Headers.
     let mut headers: Vec<(String, String)> = Vec::new();
     loop {
-        let Some(line) = read_line(
-            reader,
-            MAX_HEADER_LINE,
-            WireError::bad(431, "header line too long"),
-        )?
-        else {
+        let Some(line) = read_line(reader, MAX_HEADER_LINE, (431, "header line too long"))? else {
             return Err(WireError::bad(400, "connection closed inside headers"));
         };
         if line.is_empty() {
@@ -519,11 +512,7 @@ impl WireResponse {
 /// malformed status line / headers, [`WireError::Io`] on transport
 /// failures.
 pub fn read_response(reader: &mut impl BufRead) -> Result<WireResponse, WireError> {
-    let Some(status_line) = read_line(
-        reader,
-        MAX_HEADER_LINE,
-        WireError::bad(400, "status line too long"),
-    )?
+    let Some(status_line) = read_line(reader, MAX_HEADER_LINE, (400, "status line too long"))?
     else {
         return Err(WireError::Closed);
     };
@@ -535,12 +524,7 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<WireResponse, WireErro
         .ok_or_else(|| WireError::bad(400, format!("malformed status line {status_line:?}")))?;
     let mut headers = Vec::new();
     loop {
-        let Some(line) = read_line(
-            reader,
-            MAX_HEADER_LINE,
-            WireError::bad(431, "header line too long"),
-        )?
-        else {
+        let Some(line) = read_line(reader, MAX_HEADER_LINE, (431, "header line too long"))? else {
             return Err(WireError::bad(400, "connection closed inside headers"));
         };
         if line.is_empty() {

@@ -17,8 +17,8 @@
 //!   hits whenever facet trees share structure (which hash-consing
 //!   makes pervasive: a faceted row count over `n` guarded rows
 //!   collapses from a `2^n`-leaf tree to an `O(n²)`-node DAG).
-//! * **Thread safety** — the store is `Arc`-backed and sharded behind
-//!   reader-writer locks, so `Faceted<T>` is `Send + Sync` and the
+//! * **Thread safety** — the store is sharded behind reader-writer
+//!   locks, so `Faceted<T>` is `Send + Sync` and the
 //!   concurrent request executor in the `jacqueline` crate can share
 //!   faceted state across worker threads.
 //!
@@ -30,6 +30,7 @@
 //! referenced outside the store.
 
 use std::any::{Any, TypeId};
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -319,28 +320,57 @@ impl<T: Facet> Store<T> {
     }
 }
 
+/// A registered store, type-erased. Stores are leaked on creation:
+/// they live for the rest of the process anyway, and a `'static`
+/// reference lets callers skip reference counting.
+type AnyStore = &'static (dyn Any + Send + Sync);
+
 /// The per-process registry of stores, one per leaf type.
-static STORES: OnceLock<RwLock<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>> = OnceLock::new();
+static STORES: OnceLock<RwLock<HashMap<TypeId, AnyStore>>> = OnceLock::new();
+
+thread_local! {
+    /// This thread's view of [`STORES`]: the stores it has touched.
+    /// Holds a handful of entries (one per leaf type in use), so a
+    /// linear scan beats hashing, and it needs no lock.
+    static LOCAL_STORES: RefCell<Vec<(TypeId, AnyStore)>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The (lazily created) store for leaf type `T`.
-pub(crate) fn store_of<T: Facet>() -> Arc<Store<T>> {
+///
+/// Every faceted constructor calls this, so the hot path is a scan of
+/// the calling thread's own cache; the global registry (and its lock)
+/// is consulted only on a thread's first touch of a leaf type.
+pub(crate) fn store_of<T: Facet>() -> &'static Store<T> {
+    let id = TypeId::of::<T>();
+    let store = LOCAL_STORES.with(|local| {
+        if let Some(&(_, store)) = local.borrow().iter().find(|(t, _)| *t == id) {
+            return store;
+        }
+        let store = registered_store::<T>();
+        local.borrow_mut().push((id, store));
+        store
+    });
+    store
+        .downcast_ref::<Store<T>>()
+        .expect("store registered under its own TypeId")
+}
+
+/// The registry's store for `T`, created on the first call from any
+/// thread.
+fn registered_store<T: Facet>() -> AnyStore {
     let registry = STORES.get_or_init(|| RwLock::new(HashMap::new()));
-    if let Some(store) = registry
+    if let Some(&store) = registry
         .read()
         .expect("faceted store registry poisoned")
         .get(&TypeId::of::<T>())
     {
-        return Arc::clone(store)
-            .downcast::<Store<T>>()
-            .expect("store registered under its own TypeId");
+        return store;
     }
-    let mut reg = registry.write().expect("faceted store registry poisoned");
-    let entry = reg
+    *registry
+        .write()
+        .expect("faceted store registry poisoned")
         .entry(TypeId::of::<T>())
-        .or_insert_with(|| Arc::new(Store::<T>::new()));
-    Arc::clone(entry)
-        .downcast::<Store<T>>()
-        .expect("store registered under its own TypeId")
+        .or_insert_with(|| Box::leak(Box::new(Store::<T>::new())))
 }
 
 #[cfg(test)]
@@ -386,5 +416,56 @@ mod tests {
         let reclaimed = collect_garbage::<GcProbe>();
         assert!(reclaimed >= 3, "two leaves and a split were dead");
         assert_eq!(intern_stats::<GcProbe>().leaves, 0);
+    }
+
+    #[test]
+    fn first_touch_race_yields_one_store() {
+        // A leaf type no other test touches, so every thread below
+        // meets its store for the first time at the barrier.
+        #[derive(Clone, PartialEq, Eq, Hash)]
+        struct RaceProbe(u64);
+        const THREADS: usize = 8;
+        const LEAVES: u64 = 32;
+        let barrier = std::sync::Barrier::new(THREADS);
+        let per_thread: Vec<Vec<Faceted<RaceProbe>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        (0..LEAVES)
+                            .map(|i| Faceted::leaf(RaceProbe(i)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let ids = |values: &[Faceted<RaceProbe>]| -> Vec<u64> {
+            values.iter().map(Faceted::node_id).collect()
+        };
+        for values in &per_thread[1..] {
+            assert_eq!(
+                ids(values),
+                ids(&per_thread[0]),
+                "threads agree on node ids"
+            );
+        }
+        // Threads that never built a RaceProbe see the same store.
+        let stats = std::thread::spawn(intern_stats::<RaceProbe>)
+            .join()
+            .unwrap();
+        assert_eq!(stats.leaves as u64, LEAVES);
+        assert_eq!(
+            std::thread::spawn(collect_garbage::<RaceProbe>)
+                .join()
+                .unwrap(),
+            0
+        );
+        drop(per_thread);
+        let reclaimed = std::thread::spawn(collect_garbage::<RaceProbe>)
+            .join()
+            .unwrap();
+        assert_eq!(reclaimed as u64, LEAVES);
+        assert_eq!(intern_stats::<RaceProbe>().leaves, 0);
     }
 }

@@ -233,9 +233,9 @@ impl<T: Facet> Faceted<T> {
     #[must_use]
     pub fn split(label: Label, high: Faceted<T>, low: Faceted<T>) -> Faceted<T> {
         let store = store_of::<T>();
-        let high = high.assume_in(&store, label, true);
-        let low = low.assume_in(&store, label, false);
-        Faceted::ite_in(&store, label, &high, &low)
+        let high = high.assume_in(store, label, true);
+        let low = low.assume_in(store, label, false);
+        Faceted::ite_in(store, label, &high, &low)
     }
 
     /// Internal: builds `if label then high else low` assuming `label`
@@ -315,7 +315,7 @@ impl<T: Facet> Faceted<T> {
     /// `label = polarity`, removing every decision on `label`.
     #[must_use]
     pub fn assume(&self, label: Label, polarity: bool) -> Faceted<T> {
-        self.assume_in(&store_of::<T>(), label, polarity)
+        self.assume_in(store_of::<T>(), label, polarity)
     }
 
     fn assume_in(&self, store: &Store<T>, label: Label, polarity: bool) -> Faceted<T> {
@@ -360,7 +360,7 @@ impl<T: Facet> Faceted<T> {
         let store = store_of::<T>();
         let mut cur = self.clone();
         for b in pc.iter() {
-            cur = cur.assume_in(&store, b.label(), b.is_positive());
+            cur = cur.assume_in(store, b.label(), b.is_positive());
         }
         cur
     }
@@ -411,7 +411,7 @@ impl<T: Facet> Faceted<T> {
             memo.insert(n.0.id, out.clone());
             out
         }
-        walk(self, &store_of::<U>(), f, &mut HashMap::new())
+        walk(self, store_of::<U>(), f, &mut HashMap::new())
     }
 
     /// Applies a binary function across two faceted values, aligning
@@ -468,7 +468,7 @@ impl<T: Facet> Faceted<T> {
             memo.insert((a.0.id, b.0.id), out.clone());
             out
         }
-        walk(self, other, &store_of::<V>(), f, &mut HashMap::new())
+        walk(self, other, store_of::<V>(), f, &mut HashMap::new())
     }
 
     /// Monadic bind: substitutes a faceted computation for every leaf

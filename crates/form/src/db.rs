@@ -437,8 +437,7 @@ impl FormDb {
     fn decoded_rows(&self, table: &str, t: &Table) -> FormResult<FacetedList<GuardedRow>> {
         let generation = t.generation();
         if self.cache_enabled {
-            self.try_delta_advance(table, t);
-            if let Some(rows) = self.current_snapshot(table, generation) {
+            if let Some(rows) = self.fresh_snapshot(table, t) {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(rows); // O(1): shared storage
             }
@@ -476,6 +475,17 @@ impl FormDb {
         slot.rows.clone()
     }
 
+    /// The cached decoded snapshot of `table` at its current
+    /// generation, repairing a stale slot from the change journal
+    /// first if needed. A warm hit costs one shared-lock probe.
+    fn fresh_snapshot(&self, table: &str, t: &Table) -> Option<FacetedList<GuardedRow>> {
+        let generation = t.generation();
+        self.current_snapshot(table, generation).or_else(|| {
+            self.try_delta_advance(table, t);
+            self.current_snapshot(table, generation)
+        })
+    }
+
     /// Delta maintenance: when `table`'s cache slot is stale but the
     /// table's change journal still covers the window between the
     /// slot's generation and the present, repair the slot in place —
@@ -494,13 +504,26 @@ impl FormDb {
             return;
         }
         let generation = t.generation();
-        let mut cache = self.decoded.write().expect("decode cache lock");
-        let Some(slot) = cache.get_mut(table) else {
-            return;
-        };
-        if slot.generation >= generation {
+        // Decide staleness under the shared lock first, so concurrent
+        // readers of a warm table never queue on each other. Only a
+        // stale slot takes the exclusive lock, and re-checks there:
+        // another reader may have repaired it in between.
+        let current = self
+            .decoded
+            .read()
+            .expect("decode cache lock")
+            .get(table)
+            .is_none_or(|slot| slot.generation >= generation);
+        if current {
             return;
         }
+        let mut cache = self.decoded.write().expect("decode cache lock");
+        let Some(slot) = cache
+            .get_mut(table)
+            .filter(|slot| slot.generation < generation)
+        else {
+            return;
+        };
         let Some(deltas) = t.deltas_since(slot.generation) else {
             return; // window slid past the slot: full decode rebuilds
         };
@@ -627,8 +650,7 @@ impl FormDb {
         let full_selection =
             indices.len() == t.len() && indices.iter().enumerate().all(|(p, &i)| p == i);
         if self.cache_enabled {
-            self.try_delta_advance(table, &t);
-            if let Some(decoded) = self.current_snapshot(table, t.generation()) {
+            if let Some(decoded) = self.fresh_snapshot(table, &t) {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 drop(t);
                 if full_selection {
@@ -912,14 +934,19 @@ impl FormDb {
     ) -> FormResult<FacetedObject> {
         crate::touched::note_read(table);
         if self.cache_enabled && prune.is_none() {
-            let generation = {
+            let (generation, cached) = {
                 let t = self.db.table(table)?;
-                // Repair the slot before probing the object layer, so
-                // memos of objects the write did not touch stay warm.
-                self.try_delta_advance(table, &t);
-                t.generation()
+                let generation = t.generation();
+                // On a miss, repair a stale slot before probing again,
+                // so memos of objects the write did not touch stay
+                // warm.
+                let cached = self.cached_object(table, generation, jid).or_else(|| {
+                    self.try_delta_advance(table, &t);
+                    self.cached_object(table, generation, jid)
+                });
+                (generation, cached)
             };
-            if let Some(obj) = self.cached_object(table, generation, jid) {
+            if let Some(obj) = cached {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(obj);
             }
@@ -1696,6 +1723,74 @@ mod tests {
         assert_eq!(after.misses, stats.misses, "no full re-decode");
         assert_eq!(after.delta_applies, stats.delta_applies + 1);
         assert_eq!(after.hits, stats.hits + 1, "served as a cache hit");
+    }
+
+    #[test]
+    fn concurrent_readers_advance_a_stale_slot_once_per_write() {
+        // Readers on a warm table race one writer: every query checks
+        // the slot under the shared lock and only a stale one takes
+        // the exclusive lock and re-checks. The writer waits for the
+        // readers to catch up after each insert, so every write meets
+        // the whole pack of readers at once; a reader that skipped the
+        // re-check would apply the window again (an extra apply, or
+        // duplicated rows).
+        const WRITES: u64 = 200;
+        let mut db = FormDb::new();
+        db.create_table("t", vec![ColumnDef::new("v", ColumnType::Int)])
+            .unwrap();
+        let k = db.fresh_label("k");
+        let object = |v: i64| {
+            Faceted::split(
+                k,
+                Faceted::leaf(Some(vec![Value::Int(v)])),
+                Faceted::leaf(Some(vec![Value::Int(-1)])),
+            )
+        };
+        for v in 0..64 {
+            db.insert("t", &object(v)).unwrap();
+        }
+        let _ = db.all("t").unwrap();
+        let _ = db.get("t", 1).unwrap();
+        let before = db.decode_cache_stats();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for reader in 0..4_i64 {
+                let (db, done) = (&db, &done);
+                scope.spawn(move || {
+                    let mut i = 0_i64;
+                    while !done.load(Ordering::Relaxed) {
+                        i += 1;
+                        match reader {
+                            0 | 1 => assert!(db.all("t").unwrap().len() >= 128),
+                            2 => assert!(db.get("t", 1 + i % 64).is_ok()),
+                            _ => {
+                                assert!(!db.filter_eq("t", "v", Value::Int(-1)).unwrap().is_empty())
+                            }
+                        }
+                    }
+                });
+            }
+            for v in 0..WRITES {
+                db.insert("t", &object(64 + v as i64)).unwrap();
+                let generation = db.raw_ref().generation("t").unwrap();
+                while db.cached_generation("t") != Some(generation) {
+                    std::thread::yield_now();
+                }
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        let all = db.all("t").unwrap();
+        assert_eq!(all.len(), db.physical_rows("t").unwrap());
+        let rows = |list: &FacetedList<GuardedRow>| -> Vec<GuardedRow> {
+            list.iter().map(|(_, r)| r.clone()).collect()
+        };
+        assert_eq!(
+            rows(&all),
+            rows(&db.clone().all("t").unwrap()),
+            "the repaired snapshot equals a cold decode"
+        );
+        let applies = db.decode_cache_stats().delta_applies - before.delta_applies;
+        assert_eq!(applies, WRITES, "one delta apply per write");
     }
 
     #[test]

@@ -71,7 +71,7 @@ static PLANS: Mutex<Vec<Plan>> = Mutex::new(Vec::new());
 
 /// Arms `point` to fail with `kind` on its `skip`-th subsequent call
 /// (0 = the very next one), at any path. Re-arming a point replaces
-/// its plan. One-shot: after firing, the point succeeds again until
+/// its plan (per path filter, see [`arm_at`]). One-shot: after firing, the point succeeds again until
 /// re-armed.
 pub fn arm(point: FaultPoint, skip: u64, kind: FaultKind) {
     arm_plan(point, skip, kind, None);
@@ -80,14 +80,18 @@ pub fn arm(point: FaultPoint, skip: u64, kind: FaultKind) {
 /// Like [`arm`], but the fault only fires at sites whose file path
 /// contains `path_substr`. Tests that share a process (the default
 /// cargo test runner) MUST use this with a unique temp-dir fragment,
-/// or an armed fault can fire inside an unrelated test's I/O.
+/// or an armed fault can fire inside an unrelated test's I/O. Plans
+/// under different fragments coexist; re-arming replaces only the
+/// plan with the same point and fragment.
 pub fn arm_at(point: FaultPoint, skip: u64, kind: FaultKind, path_substr: &str) {
     arm_plan(point, skip, kind, Some(path_substr.to_owned()));
 }
 
 fn arm_plan(point: FaultPoint, skip: u64, kind: FaultKind, path_filter: Option<String>) {
     let mut plans = PLANS.lock().expect("fault registry poisoned");
-    plans.retain(|p| p.point != point);
+    // Replace only this filter's plan: a test re-arming its own
+    // directory must not disarm another test's.
+    plans.retain(|p| p.point != point || p.path_filter != path_filter);
     plans.push(Plan {
         point,
         kind,
@@ -205,6 +209,31 @@ mod tests {
         );
         assert_eq!(
             check(FaultPoint::CheckpointPostRename, at),
+            Some(FaultKind::ShortWrite)
+        );
+    }
+
+    #[test]
+    fn plans_under_different_fragments_coexist() {
+        // Two tests arming the same point under their own directories
+        // must not disarm each other.
+        let d = Path::new("/tmp/faults-unit-d/checkpoint.snap");
+        let e = Path::new("/tmp/faults-unit-e/checkpoint.snap");
+        arm_at(
+            FaultPoint::RestoreRead,
+            0,
+            FaultKind::Error,
+            "faults-unit-d",
+        );
+        arm_at(
+            FaultPoint::RestoreRead,
+            0,
+            FaultKind::ShortWrite,
+            "faults-unit-e",
+        );
+        assert_eq!(check(FaultPoint::RestoreRead, d), Some(FaultKind::Error));
+        assert_eq!(
+            check(FaultPoint::RestoreRead, e),
             Some(FaultKind::ShortWrite)
         );
     }
