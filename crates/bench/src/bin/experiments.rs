@@ -1417,7 +1417,7 @@ fn served_overhead(cfg: &Config, report: &mut Report) {
 ///
 /// * `e2e` — completion minus *scheduled* arrival (includes client-
 ///   side waiting for a free connection: the open-loop number);
-/// * `queue` — the executor job queue wait, from `X-Queue-Us`;
+/// * `queue` — the admission-permit wait, from `X-Queue-Us`;
 /// * `service` — controller execution, from `X-Service-Us`.
 fn open_loop_load(cfg: &Config, report: &mut Report) {
     println!("\n==== Open-loop load: conference page mix over HTTP ====");

@@ -2,7 +2,7 @@
 //! run the scripted request sequence (login → list → submit →
 //! policy-denied view), and assert every status and body — a fast,
 //! deterministic end-to-end probe of the whole socket stack
-//! (wire parsing → session auth → executor job queue → serialize).
+//! (wire parsing → session auth → admission + dispatch → serialize).
 //!
 //! Exits non-zero (panics) on the first mismatch, so the CI step
 //! fails loudly.

@@ -56,9 +56,10 @@ use crate::rendercache::{FragmentedPage, Lookup, RenderCacheStatus, RenderKey, S
 /// chain, and holders of the exclusive global lock take nothing else,
 /// so the acquisition order is a total order and deadlock is
 /// impossible. (The lock-table map itself is extended only by
-/// [`RequestLocks::ensure`] at `run` start, while the extender holds
-/// no other lock; requests hold the map's read guard for their
-/// duration, which a concurrent `ensure` simply waits out.)
+/// [`RequestLocks::ensure`] at `run`, service or server start, while
+/// the extender holds no other lock; requests hold the map's read
+/// guard for their duration, which a concurrent `ensure` simply waits
+/// out.)
 /// Data-level safety never depends on footprints (the storage layer
 /// locks per table internally); footprints buy *request-level
 /// isolation* — a reader cannot observe half of a declared write's
@@ -79,8 +80,9 @@ enum TableGuard<'a> {
 
 impl RequestLocks {
     /// Makes sure every name has a lock, before any of them is taken
-    /// (called once per `run`, never during a request).
-    fn ensure<I: IntoIterator<Item = String>>(&self, names: I) {
+    /// (called once per `run` and when a service or server starts,
+    /// never during a request).
+    pub(crate) fn ensure<I: IntoIterator<Item = String>>(&self, names: I) {
         let mut map = self.tables.write().expect("lock-table map");
         for name in names {
             map.entry(name).or_default();
@@ -405,6 +407,26 @@ impl Executor {
         }
     }
 
+    /// [`Executor::dispatch_traced`], timed: `queued` runs from
+    /// `arrived` to the start of dispatch (whatever wait the caller
+    /// imposed), `service` covers the dispatch itself.
+    pub(crate) fn serve_timed(
+        app: &App,
+        router: &Router,
+        request: &Request,
+        arrived: Instant,
+    ) -> ServedResponse {
+        let started = Instant::now();
+        let (response, render_cache) =
+            Executor::dispatch_traced(app, router, &app.request_locks, request);
+        ServedResponse {
+            response,
+            queued: started.duration_since(arrived),
+            service: started.elapsed(),
+            render_cache,
+        }
+    }
+
     /// Renders a fragment-registered page **fragment-wise**: the
     /// shell plus every fragment of the table in first-appearance jid
     /// order, each through full faceted projection under the
@@ -613,17 +635,17 @@ impl Executor {
     }
 }
 
-/// A response that went through the [`ExecutorService`] job queue,
-/// annotated with where its latency went: queue wait (submit →
-/// worker pickup) vs service time (controller under footprint
-/// locks). The HTTP server exports both as `X-Queue-Us` /
-/// `X-Service-Us` response headers, which is what the open-loop load
-/// harness aggregates into percentiles.
+/// A dispatched response annotated with where its latency went: the
+/// wait before dispatch (in the [`ExecutorService`] job queue, or for
+/// one of the HTTP server's admission permits) vs service time
+/// (controller under footprint locks). The HTTP server exports both
+/// as `X-Queue-Us` / `X-Service-Us` response headers, which is what
+/// the open-loop load harness aggregates into percentiles.
 #[derive(Clone, Debug)]
 pub struct ServedResponse {
     /// The controller's response.
     pub response: Response,
-    /// Time the request sat in the job queue.
+    /// Time the request waited before dispatch.
     pub queued: Duration,
     /// Time the request spent executing (including footprint-lock
     /// acquisition — lock contention is service time, not queueing).
@@ -639,23 +661,13 @@ struct RequestJob {
     reply: mpsc::SyncSender<ServedResponse>,
 }
 
-/// A unit of worker work: an ordinary request, or a scheduled
-/// checkpoint riding the same queue — a checkpoint is dispatched by
-/// whichever worker pops it, exactly like a request, and takes its
-/// quiescent point through the ordinary footprint-lock protocol.
-enum Job {
-    Request(Box<RequestJob>),
-    Checkpoint,
-}
-
-/// When the [`ExecutorService`] enqueues an automatic checkpoint:
-/// after `every_records` WAL records have accumulated since the last
-/// truncation, or `every` wall-clock time since the last scheduled
-/// checkpoint — whichever fires first. Both `None` disables
-/// scheduling. Policies are evaluated after each served request (the
-/// executor is the scheduling substrate; an idle service takes no
-/// checkpoints), and at most one scheduled checkpoint is queued or
-/// running at a time.
+/// When a scheduled checkpoint runs: after `every_records` WAL
+/// records have accumulated since the last truncation, or `every`
+/// wall-clock time since the last scheduled checkpoint — whichever
+/// fires first. Both `None` disables scheduling. The policy is
+/// evaluated after each served request, on the thread that served it
+/// (an idle server takes no checkpoints), and at most one scheduled
+/// checkpoint runs at a time.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint once this many WAL records sit above the last
@@ -675,22 +687,78 @@ impl CheckpointPolicy {
     }
 }
 
-/// The scheduling state behind a [`CheckpointPolicy`].
-struct Scheduler {
+/// The scheduling state behind a [`CheckpointPolicy`], shared by the
+/// threads that serve requests: the HTTP server's connection workers
+/// and the [`ExecutorService`] workers both call
+/// [`CheckpointScheduler::after_request`] once a response is on its
+/// way.
+pub(crate) struct CheckpointScheduler {
     policy: CheckpointPolicy,
-    /// When the last scheduled checkpoint finished (or the service
+    /// When the last scheduled checkpoint finished (or the scheduler
     /// started) — the time-based trigger's reference point.
     last: Mutex<Instant>,
-    /// One scheduled checkpoint queued or running at a time: set by
-    /// the CAS in [`ExecutorService::maybe_enqueue_checkpoint`],
-    /// cleared when the checkpoint job finishes.
+    /// One scheduled checkpoint at a time: set by the CAS in
+    /// [`CheckpointScheduler::after_request`], cleared when the
+    /// checkpoint finishes.
     in_flight: AtomicBool,
+}
+
+impl CheckpointScheduler {
+    /// A scheduler for `policy`, or `None` when it has no trigger.
+    pub(crate) fn new(policy: CheckpointPolicy) -> Option<CheckpointScheduler> {
+        policy.is_enabled().then(|| CheckpointScheduler {
+            policy,
+            last: Mutex::new(Instant::now()),
+            in_flight: AtomicBool::new(false),
+        })
+    }
+
+    /// The post-request hook: if the policy says a checkpoint is due
+    /// and none is running, runs `checkpoint_scheduled` into the
+    /// app's persistence directory on the calling thread. The caller
+    /// holds no request lock; the checkpoint takes its quiescent
+    /// point through the ordinary footprint-lock protocol. Errors are
+    /// swallowed — a failed checkpoint leaves the logs for the next
+    /// attempt, and scheduling must never take a serving thread down.
+    /// While the app is degraded nothing runs: pressure cannot drain
+    /// while writes are shed, and clearing that mode is the
+    /// operator's `admin/checkpoint` call, not a background task.
+    pub(crate) fn after_request(&self, app: &App) {
+        if app.is_degraded() {
+            return;
+        }
+        let due_records = self
+            .policy
+            .every_records
+            .is_some_and(|n| app.wal_pressure().0 >= n);
+        let due_time = self
+            .policy
+            .every
+            .is_some_and(|d| self.last.lock().expect("scheduler clock").elapsed() >= d);
+        if !(due_records || due_time) {
+            return;
+        }
+        if self
+            .in_flight
+            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return; // another thread is checkpointing
+        }
+        if let Some(dir) = app.persist_dir() {
+            if let Ok(Some(_)) = app.checkpoint_scheduled(&dir) {
+                app.scheduled_checkpoints.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        *self.last.lock().expect("scheduler clock") = Instant::now();
+        self.in_flight.store(false, Ordering::Release);
+    }
 }
 
 struct ServiceShared {
     app: Arc<App>,
     router: Arc<Router>,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<RequestJob>>,
     ready: Condvar,
     shutdown: AtomicBool,
     /// Jobs the queue will hold before [`ExecutorService::submit`]
@@ -700,20 +768,21 @@ struct ServiceShared {
     /// Requests shed because the queue was full.
     sheds: AtomicUsize,
     /// Automatic checkpoint scheduling, when configured.
-    scheduler: Option<Scheduler>,
+    scheduler: Option<CheckpointScheduler>,
 }
 
 /// The executor's **job-queue mode**: a persistent worker pool
 /// serving requests submitted one at a time, instead of
 /// [`Executor::run`]'s pre-collected batches.
 ///
-/// This is what a socket front-end needs: each accepted connection
-/// [`submit`](ExecutorService::submit)s requests as they arrive on
-/// the wire and the fixed pool dispatches them under the same
-/// footprint locks batch mode uses — connections never spawn
-/// threads, and a burst of arrivals queues instead of oversubscribing
-/// the machine. Responses carry queue-wait and service timings for
-/// the load harness.
+/// Callers [`submit`](ExecutorService::submit) requests one at a time
+/// and the fixed pool dispatches them under the same footprint locks
+/// batch mode uses; a burst of submissions queues instead of
+/// oversubscribing the machine. Responses carry queue-wait and service
+/// timings. The HTTP [`Server`](crate::Server) does not hop through
+/// this queue — its connection workers dispatch inline — but the
+/// chaos harness's flood stage and the benchmark's traced pipeline
+/// drive the queue directly.
 ///
 /// # Examples
 ///
@@ -771,9 +840,10 @@ impl ExecutorService {
 
     /// [`ExecutorService::start_bounded`] plus automatic checkpoint
     /// scheduling: when `policy` has a trigger and the app has a
-    /// persistence directory ([`App::enable_persistence`]), workers
-    /// enqueue a checkpoint job through the ordinary queue whenever
-    /// the policy says one is due. The checkpoint runs
+    /// persistence directory ([`App::enable_persistence`]), the worker
+    /// that just replied runs a checkpoint whenever the policy says
+    /// one is due — the same post-request hook the HTTP server's
+    /// connection workers call. The checkpoint runs
     /// [`App::checkpoint_quiescent`] — incremental after the first —
     /// and truncates the WAL, resetting the record trigger.
     ///
@@ -796,11 +866,7 @@ impl ExecutorService {
             shutdown: AtomicBool::new(false),
             max_queue: max_queue.max(1),
             sheds: AtomicUsize::new(0),
-            scheduler: policy.is_enabled().then(|| Scheduler {
-                policy,
-                last: Mutex::new(Instant::now()),
-                in_flight: AtomicBool::new(false),
-            }),
+            scheduler: CheckpointScheduler::new(policy),
         });
         let workers = (0..threads.max(1))
             .map(|i| {
@@ -818,7 +884,6 @@ impl ExecutorService {
     }
 
     fn worker(shared: &ServiceShared) {
-        let locks = &shared.app.request_locks;
         loop {
             let job = {
                 let mut queue = shared.queue.lock().expect("job queue");
@@ -832,96 +897,15 @@ impl ExecutorService {
                     queue = shared.ready.wait(queue).expect("job queue");
                 }
             };
-            match job {
-                Job::Request(job) => {
-                    let picked_up = Instant::now();
-                    let queued = picked_up.duration_since(job.enqueued);
-                    let (response, render_cache) =
-                        Executor::dispatch_traced(&shared.app, &shared.router, locks, &job.request);
-                    let served = ServedResponse {
-                        response,
-                        queued,
-                        service: picked_up.elapsed(),
-                        render_cache,
-                    };
-                    // The submitter may have hung up (a dropped
-                    // connection); that loses the response, not the
-                    // worker.
-                    let _ = job.reply.send(served);
-                    ExecutorService::maybe_enqueue_checkpoint(shared);
-                }
-                Job::Checkpoint => ExecutorService::run_scheduled_checkpoint(shared),
+            let served =
+                Executor::serve_timed(&shared.app, &shared.router, &job.request, job.enqueued);
+            // The submitter may have hung up (a dropped connection);
+            // that loses the response, not the worker.
+            let _ = job.reply.send(served);
+            if let Some(scheduler) = &shared.scheduler {
+                scheduler.after_request(&shared.app);
             }
         }
-    }
-
-    /// Evaluated by a worker after each served request: if the
-    /// scheduling policy says a checkpoint is due and none is already
-    /// queued or running, push a checkpoint job. Runs outside any
-    /// lock the request held; the CAS on `in_flight` makes the check
-    /// race-free across workers.
-    fn maybe_enqueue_checkpoint(shared: &ServiceShared) {
-        let Some(sched) = &shared.scheduler else {
-            return;
-        };
-        if shared.app.is_degraded() {
-            // Pressure can't drain while writes are shed, and the
-            // checkpoint job would skip anyway (see
-            // `App::checkpoint_scheduled`) — don't churn the queue.
-            return;
-        }
-        let due_records = sched
-            .policy
-            .every_records
-            .is_some_and(|n| shared.app.wal_pressure().0 >= n);
-        let due_time = sched
-            .policy
-            .every
-            .is_some_and(|d| sched.last.lock().expect("scheduler clock").elapsed() >= d);
-        if !(due_records || due_time) {
-            return;
-        }
-        if sched
-            .in_flight
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return; // one scheduled checkpoint at a time
-        }
-        {
-            let mut queue = shared.queue.lock().expect("job queue");
-            if shared.shutdown.load(Ordering::Acquire) {
-                sched.in_flight.store(false, Ordering::Release);
-                return;
-            }
-            // The checkpoint job bypasses the submit() bound: it
-            // *reduces* pending durability debt, and there is at most
-            // one.
-            queue.push_back(Job::Checkpoint);
-        }
-        shared.ready.notify_one();
-    }
-
-    /// Runs a scheduled checkpoint job: `checkpoint_scheduled` into
-    /// the app's persistence directory (a no-op while degraded —
-    /// clearing that flag is the operator's `admin/checkpoint` call,
-    /// not a background task). Errors are swallowed — a failed
-    /// checkpoint leaves the logs for the next attempt; scheduling
-    /// must never take a worker down.
-    fn run_scheduled_checkpoint(shared: &ServiceShared) {
-        let Some(sched) = &shared.scheduler else {
-            return;
-        };
-        if let Some(dir) = shared.app.persist_dir() {
-            if let Ok(Some(_)) = shared.app.checkpoint_scheduled(&dir) {
-                shared
-                    .app
-                    .scheduled_checkpoints
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        *sched.last.lock().expect("scheduler clock") = Instant::now();
-        sched.in_flight.store(false, Ordering::Release);
     }
 
     /// Enqueues a request; the returned channel yields the response
@@ -963,14 +947,14 @@ impl ExecutorService {
                 });
                 return rx;
             }
-            queue.push_back(Job::Request(Box::new(job)));
+            queue.push_back(job);
         }
         self.shared.ready.notify_one();
         rx
     }
 
-    /// Submits and blocks for the response (the connection handler's
-    /// path).
+    /// Submits and blocks for the response (the chaos harness's and
+    /// the traced benchmark pipeline's path).
     ///
     /// # Panics
     ///
@@ -1029,7 +1013,7 @@ impl ExecutorService {
                 // footprint violation); keep joining the rest.
             }
         }
-        let drained: Vec<Job> = self
+        let drained: Vec<RequestJob> = self
             .shared
             .queue
             .lock()
@@ -1037,9 +1021,6 @@ impl ExecutorService {
             .drain(..)
             .collect();
         for job in drained {
-            // A drained checkpoint job has no reply channel and no
-            // caller: it is simply dropped.
-            let Job::Request(job) = job else { continue };
             let _ = job.reply.send(ServedResponse {
                 response: Response {
                     status: 503,

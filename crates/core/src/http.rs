@@ -115,8 +115,8 @@ impl Response {
 
     /// A 503 response with `Retry-After: 1` — the server is
     /// *temporarily* unable to take the request (read-only degraded
-    /// mode, a full job queue) and the client should back off and
-    /// retry, not treat the failure as permanent.
+    /// mode, a full admission or job queue) and the client should
+    /// back off and retry, not treat the failure as permanent.
     #[must_use]
     pub fn unavailable(message: &str) -> Response {
         Response::with_status(503, message.to_owned()).with_header("Retry-After", "1")

@@ -13,30 +13,38 @@
 //!    malformed input with the wire layer's status, and resolves the
 //!    viewer through the [`Authenticator`] — an invalid session token
 //!    is a `403` before any controller runs;
-//! 3. the authenticated request is **submitted to the executor's job
-//!    queue** ([`ExecutorService`]), which dispatches it under the
-//!    route's footprint locks on the shared [`App`] and reports how
-//!    long it queued vs. executed (`X-Queue-Us` / `X-Service-Us`
-//!    response headers — the open-loop load harness reads these);
-//! 4. the response is serialized back; the connection stays open for
-//!    the next request unless the peer (or HTTP/1.0) asked to close.
+//! 3. the authenticated request passes the **admission gate** — at
+//!    most [`ServerConfig::executor_threads`] requests dispatch at
+//!    once, at most [`ServerConfig::queue_depth`] more wait for a
+//!    permit, and the rest are shed with `503 Retry-After: 1` — and
+//!    the same worker then dispatches it itself
+//!    (`Executor::dispatch_traced`) under the route's footprint
+//!    locks on the shared [`App`]; there is no hand-off to another
+//!    thread. How long it waited vs. executed goes out as
+//!    `X-Queue-Us` / `X-Service-Us` response headers (the open-loop
+//!    load harness reads these);
+//! 4. the response is serialized back, then the post-request hook
+//!    runs a scheduled checkpoint if the [`crate::CheckpointPolicy`]
+//!    says one is due; the connection stays open for the next request
+//!    unless the peer (or HTTP/1.0) asked to close.
 //!
 //! [`Server::shutdown`] stops accepting, unblocks parked readers by
-//! shutting their sockets down, drains the executor queue, and joins
-//! every thread — tests and the bench harness start and stop servers
-//! dozens of times per process.
+//! shutting their sockets down, and joins every thread — tests and
+//! the bench harness start and stop servers dozens of times per
+//! process.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::app::App;
 use crate::auth::{AuthOutcome, Authenticator};
-use crate::executor::ExecutorService;
+use crate::executor::{CheckpointScheduler, Executor, ServedResponse};
 use crate::http::{Request, Response, Router};
+use crate::rendercache::RenderCacheStatus;
 use crate::wire::{self, WireError, WireRequest};
 
 /// Everything one served application needs: the shared [`App`], its
@@ -72,8 +80,8 @@ pub struct ServerConfig {
     /// Connection-handler pool size (how many sockets are read
     /// concurrently).
     pub conn_threads: usize,
-    /// Executor worker-pool size (how many requests execute
-    /// concurrently).
+    /// Admission permits: how many requests dispatch concurrently.
+    /// Connection workers past this many wait for a permit.
     pub executor_threads: usize,
     /// Socket read timeout. Doubles as the **keep-alive idle
     /// window**: a connection with no next request inside this
@@ -86,9 +94,9 @@ pub struct ServerConfig {
     /// is dropped — without it, one dead reader pins a connection
     /// worker forever.
     pub write_timeout: Duration,
-    /// The executor job-queue bound (see
-    /// [`ExecutorService::start_bounded`]): submissions past this
-    /// depth are shed with `503 Retry-After: 1` instead of queueing.
+    /// How many requests may wait for an admission permit: a request
+    /// arriving while this many already wait is shed with
+    /// `503 Retry-After: 1` instead of waiting.
     pub queue_depth: usize,
     /// Automatic checkpoint policy (see
     /// [`crate::CheckpointPolicy`]). The default is disabled: no
@@ -110,9 +118,71 @@ impl Default for ServerConfig {
     }
 }
 
+/// How long the accept loop sleeps after a failed `accept`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// The admission gate: a counting semaphore of `permits` with a
+/// bounded line of waiters. Requests past the line are shed.
+struct Admission {
+    permits: usize,
+    max_waiting: usize,
+    /// `(dispatching, waiting)`.
+    state: Mutex<(usize, usize)>,
+    freed: Condvar,
+    sheds: AtomicUsize,
+}
+
+/// A held admission permit, returned on drop.
+struct Permit<'a>(&'a Admission);
+
+impl Admission {
+    fn new(permits: usize, max_waiting: usize) -> Admission {
+        Admission {
+            permits: permits.max(1),
+            max_waiting,
+            state: Mutex::new((0, 0)),
+            freed: Condvar::new(),
+            sheds: AtomicUsize::new(0),
+        }
+    }
+
+    /// Takes a permit, waiting for one if all are held; `None` (the
+    /// request is shed) when the line of waiters is already full.
+    fn enter(&self) -> Option<Permit<'_>> {
+        let mut state = self.state.lock().expect("admission gate");
+        if state.0 >= self.permits {
+            if state.1 >= self.max_waiting {
+                drop(state);
+                self.sheds.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+            state.1 += 1;
+            while state.0 >= self.permits {
+                state = self.freed.wait(state).expect("admission gate");
+            }
+            state.1 -= 1;
+        }
+        state.0 += 1;
+        Some(Permit(self))
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.state.lock().expect("admission gate");
+        state.0 -= 1;
+        let waiting = state.1 > 0;
+        drop(state);
+        if waiting {
+            self.0.freed.notify_one();
+        }
+    }
+}
+
 struct ServerShared {
     site: Site,
-    service: ExecutorService,
+    admission: Admission,
+    checkpoints: Option<CheckpointScheduler>,
     config: ServerConfig,
     conns: Mutex<VecDeque<TcpStream>>,
     conn_ready: Condvar,
@@ -147,16 +217,11 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let service = ExecutorService::start_scheduled(
-            Arc::clone(&site.app),
-            Arc::clone(&site.router),
-            config.executor_threads,
-            config.queue_depth,
-            config.checkpoint,
-        );
+        site.app.request_locks.ensure(site.router.declared_tables());
         let shared = Arc::new(ServerShared {
             site,
-            service,
+            admission: Admission::new(config.executor_threads, config.queue_depth),
+            checkpoints: CheckpointScheduler::new(config.checkpoint),
             config,
             conns: Mutex::new(VecDeque::new()),
             conn_ready: Condvar::new(),
@@ -201,6 +266,13 @@ impl Server {
         &self.shared.site
     }
 
+    /// Requests shed by the admission gate (answered `503` without
+    /// dispatch) since start.
+    #[must_use]
+    pub fn sheds(&self) -> usize {
+        self.shared.admission.sheds.load(Ordering::Relaxed)
+    }
+
     fn accept_loop(listener: &TcpListener, shared: &ServerShared) {
         loop {
             match listener.accept() {
@@ -218,6 +290,10 @@ impl Server {
                     if shared.shutdown.load(Ordering::Acquire) {
                         break;
                     }
+                    // A persistent error (out of file descriptors)
+                    // fails every retry at once: back off instead of
+                    // spinning a core until it clears.
+                    std::thread::sleep(ACCEPT_BACKOFF);
                 }
             }
         }
@@ -244,6 +320,15 @@ impl Server {
             let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
             if let Ok(clone) = stream.try_clone() {
                 shared.open.lock().expect("open registry").insert(id, clone);
+            }
+            // `Server::shutdown` sets the flag before it drains `open`,
+            // so a socket registered after that drain sees the flag
+            // here: close it rather than park its reader for a whole
+            // read_timeout.
+            if shared.shutdown.load(Ordering::Acquire) {
+                shared.open.lock().expect("open registry").remove(&id);
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
             }
             Server::handle_connection(shared, stream);
             shared.open.lock().expect("open registry").remove(&id);
@@ -288,6 +373,9 @@ impl Server {
             {
                 return;
             }
+            if let Some(checkpoints) = &shared.checkpoints {
+                checkpoints.after_request(&shared.site.app);
+            }
             if !keep_alive {
                 let _ = writer.shutdown(Shutdown::Both);
                 return;
@@ -295,7 +383,8 @@ impl Server {
         }
     }
 
-    /// Authenticates and dispatches one parsed request.
+    /// Authenticates, admits and dispatches one parsed request on the
+    /// calling connection worker.
     fn respond(shared: &ServerShared, wire_request: WireRequest) -> Response {
         let viewer = match shared.site.auth.authenticate(&wire_request) {
             AuthOutcome::Anonymous => crate::Viewer::Anonymous,
@@ -325,16 +414,30 @@ impl Server {
             viewer,
             params: wire_request.params,
         };
-        let served = shared.service.serve(request);
-        // Timing and cache-status headers are appended *after* the
-        // executor round-trip, so a render-cache hit still reports its
-        // own fresh queue/service numbers instead of replaying the
-        // ones stored with the page.
+        let served = Server::dispatch(shared, &request);
+        // Timing and cache-status headers are appended *after*
+        // dispatch, so a render-cache hit still reports its own fresh
+        // queue/service numbers instead of replaying the ones stored
+        // with the page.
         served
             .response
             .with_header("X-Queue-Us", &served.queued.as_micros().to_string())
             .with_header("X-Service-Us", &served.service.as_micros().to_string())
             .with_header("X-Render-Cache", served.render_cache.as_str())
+    }
+
+    /// Runs one request under an admission permit, or sheds it.
+    fn dispatch(shared: &ServerShared, request: &Request) -> ServedResponse {
+        let arrived = Instant::now();
+        let Some(_permit) = shared.admission.enter() else {
+            return ServedResponse {
+                response: Response::unavailable("server overloaded: the admission queue is full"),
+                queued: Duration::ZERO,
+                service: Duration::ZERO,
+                render_cache: RenderCacheStatus::Bypass,
+            };
+        };
+        Executor::serve_timed(&shared.site.app, &shared.site.router, request, arrived)
     }
 
     /// Stops the server: no new connections, parked readers unblocked,
@@ -360,7 +463,6 @@ impl Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.shared.service.shutdown();
     }
 }
 
@@ -371,8 +473,10 @@ mod tests {
     use crate::wire::read_response;
     use microdb::{ColumnDef, ColumnType, Value};
     use std::io::BufRead;
+    use std::sync::mpsc;
 
-    fn note_site() -> Site {
+    /// The `note` model, with no rows.
+    fn note_app() -> App {
         let mut app = App::new();
         app.register_model(
             ModelDef::public(
@@ -390,10 +494,10 @@ mod tests {
             )),
         )
         .unwrap();
-        for i in 0..3 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        app
+    }
+
+    fn note_router() -> Router {
         let mut router = Router::new();
         router.route_read_tables("notes", &["note"], |app: &App, req| {
             let rows = app.all("note").unwrap_or_default();
@@ -413,7 +517,16 @@ mod tests {
                 Err(e) => Response::error(&e.to_string()),
             }
         });
-        Site::new(app, router)
+        router
+    }
+
+    fn note_site() -> Site {
+        let app = note_app();
+        for i in 0..3 {
+            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
+                .unwrap();
+        }
+        Site::new(app, note_router())
     }
 
     fn test_server(site: Site) -> Server {
@@ -656,6 +769,202 @@ mod tests {
         let mut line = String::new();
         let got = buffered.read_line(&mut line);
         assert!(matches!(got, Ok(0) | Err(_)), "server closed idle conn");
+    }
+
+    /// The inline path: a request runs on the connection worker that
+    /// read it, not on a thread it was handed to.
+    #[test]
+    fn requests_run_on_connection_workers() {
+        let mut router = note_router();
+        router.route_read("whoami", |_, _| {
+            Response::ok(std::thread::current().name().unwrap_or("?").to_owned())
+        });
+        let server = test_server(Site::new(note_app(), router));
+        let response = send(
+            server.addr(),
+            "GET /whoami HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        );
+        assert_eq!(response.status, 200);
+        assert!(
+            response.text().starts_with("http-conn-"),
+            "served on {:?}",
+            response.text()
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn admission_sheds_a_flood_with_retry_after_and_recovers() {
+        // One permit and one waiter, eight connection workers. A
+        // parked request holds the permit; of a flood of fifteen more,
+        // exactly one may wait and the other fourteen must be shed at
+        // once — never queued past the bound, never another status.
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let entered_tx = Mutex::new(entered_tx);
+        let release_rx = Mutex::new(release_rx);
+        let mut router = note_router();
+        router.route_read("park", move |_, _| {
+            entered_tx.lock().unwrap().send(()).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
+            Response::ok("parked".into())
+        });
+        let server = Server::bind(
+            Site::new(note_app(), router),
+            "127.0.0.1:0",
+            ServerConfig {
+                conn_threads: 8,
+                executor_threads: 1,
+                queue_depth: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.addr();
+        let park = "GET /park HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
+        let holder = std::thread::spawn(move || send(addr, park));
+        entered_rx.recv().unwrap();
+        let flood = 15;
+        let (done_tx, done_rx) = mpsc::channel();
+        let clients: Vec<_> = (0..flood)
+            .map(|_| {
+                let done_tx = done_tx.clone();
+                std::thread::spawn(move || done_tx.send(send(addr, park)).unwrap())
+            })
+            .collect();
+        for _ in 1..flood {
+            let shed = done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a flood request queued past the bound instead of shedding");
+            assert_eq!(shed.status, 503, "{}", shed.text());
+            assert_eq!(shed.header("retry-after"), Some("1"));
+        }
+        assert_eq!(
+            server.sheds(),
+            flood - 1,
+            "the shed counter matches the wire"
+        );
+        // Release the permit holder, then the waiter it admits.
+        release_tx.send(()).unwrap();
+        release_tx.send(()).unwrap();
+        assert_eq!(holder.join().unwrap().text(), "parked");
+        let waiter = done_rx.recv().unwrap();
+        assert_eq!((waiter.status, waiter.text()), (200, "parked".to_owned()));
+        for client in clients {
+            client.join().unwrap();
+        }
+        let after = send(
+            addr,
+            "GET /notes HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        );
+        assert_eq!(after.status, 200, "the gate admits again once drained");
+        assert_eq!(server.sheds(), flood - 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn start_connect_shutdown_cycles_stay_under_read_timeout() {
+        // A socket a worker registers after shutdown has drained the
+        // open registry must still be closed at once; otherwise its
+        // reader parks for the full read_timeout and shutdown with it.
+        // The pause before shutdown sweeps across the accept → pick
+        // up → register sequence, so some cycle lands in that window
+        // whenever it is wide enough to matter.
+        for cycle in 0..20 {
+            let server = Server::bind(
+                note_site(),
+                "127.0.0.1:0",
+                ServerConfig {
+                    conn_threads: 2,
+                    executor_threads: 1,
+                    read_timeout: Duration::from_secs(5),
+                    ..ServerConfig::default()
+                },
+            )
+            .unwrap();
+            let conn = TcpStream::connect(server.addr()).unwrap();
+            std::thread::sleep(Duration::from_micros(250 * cycle));
+            let started = Instant::now();
+            server.shutdown();
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "shutdown took {:?}",
+                started.elapsed()
+            );
+            drop(conn);
+        }
+    }
+
+    #[test]
+    fn scheduled_checkpoints_run_after_served_writes() {
+        let dir = std::env::temp_dir().join(format!("jacq_server_sched_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut app = note_app();
+        app.enable_persistence(&dir).unwrap();
+        let server = Server::bind(
+            Site::new(app, note_router()),
+            "127.0.0.1:0",
+            ServerConfig {
+                conn_threads: 2,
+                executor_threads: 2,
+                read_timeout: Duration::from_millis(500),
+                checkpoint: crate::CheckpointPolicy {
+                    every_records: Some(4),
+                    every: None,
+                },
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let token = server.site().auth.login(Viewer::User(2));
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let writes = 16;
+        let mut acked = Vec::new();
+        for i in 0..writes {
+            let body = format!("text=w{i}");
+            stream
+                .write_all(
+                    format!(
+                        "POST /note/add HTTP/1.1\r\nHost: t\r\nCookie: session={token}\r\n\
+                         Content-Type: application/x-www-form-urlencoded\r\n\
+                         Content-Length: {}\r\n\r\n{body}",
+                        body.len()
+                    )
+                    .as_bytes(),
+                )
+                .unwrap();
+            let response = read_response(&mut reader).unwrap();
+            assert_eq!(response.status, 200, "{}", response.text());
+            acked.push(response.text().parse::<i64>().unwrap());
+        }
+        drop((stream, reader));
+        let app = Arc::clone(&server.site().app);
+        assert!(
+            app.scheduled_checkpoint_count() >= 1,
+            "record pressure above the policy threshold must trigger a checkpoint"
+        );
+        server.shutdown();
+        let (records, _) = app.wal_pressure();
+        assert!(
+            records < writes,
+            "the WAL must have been compacted at a checkpoint (records={records})"
+        );
+        let mut restored = note_app();
+        restored.restore_from(&dir).unwrap();
+        let jids: std::collections::BTreeSet<i64> = restored
+            .all("note")
+            .unwrap()
+            .iter()
+            .map(|(_, row)| row.jid)
+            .collect();
+        for jid in acked {
+            assert!(
+                jids.contains(&jid),
+                "acknowledged note {jid} lost in restore"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -8,7 +8,7 @@
 //! `application/x-www-form-urlencoded` POST bodies — into a
 //! [`WireRequest`]; [`Response::serialize`] renders the framework's
 //! [`Response`] back into bytes. The [`server`](crate::server) module
-//! glues the two around the executor's job queue.
+//! glues the two around inline dispatch on its connection workers.
 //!
 //! Hard limits (request-line length, header count/size, body size)
 //! are enforced *during* parsing, so a hostile peer cannot make the

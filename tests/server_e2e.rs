@@ -1,6 +1,6 @@
 //! Live-socket end-to-end tests: every page of every case-study app,
 //! served over a **real TCP round-trip** (parse → authenticate →
-//! executor job queue → serialize), must render **byte-identical**
+//! admission + dispatch → serialize), must render **byte-identical**
 //! bodies to in-process `Router::handle` dispatch — across the same
 //! all-pages × all-viewers grid the differential suite pins against
 //! the hand-coded baselines. Plus: concurrent keep-alive clients
