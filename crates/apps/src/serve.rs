@@ -13,9 +13,9 @@
 //! # Persistence
 //!
 //! The `*_site_persistent` constructors wrap an app with the durable
-//! checkpoint machinery: the write log and meta journal attach to a
-//! checkpoint directory and the router gains the `admin/checkpoint`
-//! route (see [`jacqueline::checkpoint`]). The matching
+//! checkpoint machinery: the write log attaches to a checkpoint
+//! directory and the router gains the `admin/checkpoint` route (see
+//! [`jacqueline::checkpoint`]). The matching
 //! `*_site_restored` constructors are **boot-from-checkpoint**: a
 //! blank app registers the same models, restores the checkpoint (plus
 //! log replay), and comes back serving byte-identical pages to every
@@ -101,15 +101,15 @@ pub fn health_site(app: App) -> Site {
     site_with_login(app, health::router(), "individual")
 }
 
-/// Wraps an app + router with persistence: logs attached to `dir`,
+/// Wraps an app + router with persistence: the log attached to `dir`,
 /// an initial checkpoint taken, `admin/checkpoint` registered, login
 /// wired over `user_table`.
 ///
 /// The initial checkpoint matters twice over: state that predates
 /// `enable_persistence` (seed data, a freshly restored snapshot) is
-/// in neither log, so without it a crash before the first
+/// not in the log, so without it a crash before the first
 /// `admin/checkpoint` would leave the directory unrestorable — and
-/// on the restore path it compacts the replayed logs into a clean
+/// on the restore path it compacts the replayed log into a clean
 /// baseline.
 fn persistent_site(
     mut app: App,
@@ -137,12 +137,12 @@ fn restored_site(
     persistent_site(app, router, user_table, dir)
 }
 
-/// [`conference_site`] plus persistence: write log + meta journal in
-/// `dir`, and the `admin/checkpoint` route.
+/// [`conference_site`] plus persistence: the write log in `dir`, and
+/// the `admin/checkpoint` route.
 ///
 /// # Errors
 ///
-/// I/O errors attaching the logs.
+/// I/O errors attaching the log.
 pub fn conference_site_persistent(app: App, dir: impl AsRef<Path>) -> form::FormResult<Site> {
     persistent_site(app, conf::router(), "user_profile", dir.as_ref())
 }
@@ -164,7 +164,7 @@ pub fn conference_site_restored(dir: impl AsRef<Path>) -> form::FormResult<Site>
 ///
 /// # Errors
 ///
-/// I/O errors attaching the logs.
+/// I/O errors attaching the log.
 pub fn courses_site_persistent(app: App, dir: impl AsRef<Path>) -> form::FormResult<Site> {
     persistent_site(app, courses::router(), "cuser", dir.as_ref())
 }
@@ -184,7 +184,7 @@ pub fn courses_site_restored(dir: impl AsRef<Path>) -> form::FormResult<Site> {
 ///
 /// # Errors
 ///
-/// I/O errors attaching the logs.
+/// I/O errors attaching the log.
 pub fn health_site_persistent(app: App, dir: impl AsRef<Path>) -> form::FormResult<Site> {
     persistent_site(app, health::router(), "individual", dir.as_ref())
 }

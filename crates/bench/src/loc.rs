@@ -168,6 +168,53 @@ pub fn print_comparison(
     Ok(())
 }
 
+/// Non-blank lines across every `.rs` file under `dir`, recursing
+/// into subdirectories except `target` and hidden ones, and except
+/// any name in `skip` (the root package skips the member crates and
+/// the out-of-workspace directories).
+fn non_blank_rust_lines(dir: &Path, skip: &[&str]) -> std::io::Result<usize> {
+    let mut total = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if path.is_dir() {
+            if name != "target" && !name.starts_with('.') && !skip.contains(&name) {
+                total += non_blank_rust_lines(&path, &[])?;
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path)?;
+            total += text.lines().filter(|l| !l.trim().is_empty()).count();
+        }
+    }
+    Ok(total)
+}
+
+/// Non-blank Rust lines per workspace crate — sources, tests,
+/// benches and examples — in name order, with the root package
+/// (`src/`, `tests/`, `examples/`) first. `vendor/` and `perfbench/`
+/// are not the reproduction's own code and are left out.
+///
+/// # Errors
+///
+/// I/O errors walking the tree.
+pub fn workspace_loc(root: &Path) -> std::io::Result<Vec<(String, usize)>> {
+    let mut out = vec![(
+        "(root package)".to_owned(),
+        non_blank_rust_lines(root, &["crates", "vendor", "perfbench"])?,
+    )];
+    let mut crates: Vec<_> = std::fs::read_dir(root.join("crates"))?
+        .map(|e| e.map(|e| e.path()))
+        .collect::<Result<_, _>>()?;
+    crates.sort();
+    for dir in crates.into_iter().filter(|d| d.is_dir()) {
+        let name = dir
+            .file_name()
+            .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+        out.push((format!("crates/{name}"), non_blank_rust_lines(&dir, &[])?));
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

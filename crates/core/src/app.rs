@@ -62,23 +62,16 @@ pub struct App {
     /// the executor under footprint locks (see
     /// [`rendercache`](crate::rendercache)).
     pub(crate) render_cache: crate::rendercache::RenderCache,
-    /// The append-only metadata journal, when persistence is enabled
-    /// (see [`App::enable_persistence`](crate::checkpoint)).
-    pub(crate) journal: Option<std::sync::Arc<crate::checkpoint::MetaJournal>>,
-    /// Orders concurrent `create`s' (label allocation, journal
-    /// append) pairs so journal records stay in label-index order —
-    /// taken only while the journal is attached.
-    create_order: std::sync::Mutex<()>,
     /// `Some(reason)` while the app is in **read-only degraded mode**:
-    /// a durable write failed (WAL or meta-journal append — disk full,
-    /// I/O error), the in-memory mutation was rolled back, and the
-    /// executor answers write routes `503 Retry-After` until a
-    /// successful checkpoint re-establishes durability and clears the
-    /// flag. Reads keep serving throughout — they are exactly as
-    /// consistent as before the fault.
+    /// a durable write failed (a WAL append — disk full, I/O error),
+    /// the in-memory mutation was rolled back, and the executor
+    /// answers write routes `503 Retry-After` until a successful
+    /// checkpoint re-establishes durability and clears the flag.
+    /// Reads keep serving throughout — they are exactly as consistent
+    /// as before the fault.
     degraded: RwLock<Option<String>>,
     /// The persistence directory [`App::enable_persistence`] attached
-    /// its logs to — where scheduled checkpoints land.
+    /// its log to — where scheduled checkpoints land.
     pub(crate) persist_dir: RwLock<Option<std::path::PathBuf>>,
     /// Bumped by every mutation of checkpointable app metadata (label
     /// allocation + policy binding + jid-cursor movement, i.e. every
@@ -109,8 +102,6 @@ impl App {
             object_labels: RwLock::new(HashMap::new()),
             request_locks: crate::executor::RequestLocks::default(),
             render_cache: crate::rendercache::RenderCache::new(),
-            journal: None,
-            create_order: std::sync::Mutex::new(()),
             degraded: RwLock::new(None),
             persist_dir: RwLock::new(None),
             meta_epoch: std::sync::atomic::AtomicU64::new(0),
@@ -141,17 +132,17 @@ impl App {
     }
 
     /// Leaves degraded mode — called after a successful checkpoint
-    /// has re-established durability (the logs are freshly truncated,
+    /// has re-established durability (the log is freshly compacted,
     /// so the next append starts clean).
     pub(crate) fn clear_degraded(&self) {
         *self.degraded.write().expect("degraded flag") = None;
     }
 
     /// Inspects a write result: a persistence error (`DbError::
-    /// Persist` — a failed WAL or journal append) flips the app into
-    /// read-only degraded mode. Logic errors (type mismatches, unknown
-    /// tables …) are the caller's bug, not a storage fault, and leave
-    /// the mode untouched.
+    /// Persist` — a failed WAL append) flips the app into read-only
+    /// degraded mode. Logic errors (type mismatches, unknown tables …)
+    /// are the caller's bug, not a storage fault, and leave the mode
+    /// untouched.
     fn note_write_result<T>(&self, result: &FormResult<T>) {
         if let Err(form::FormError::Db(microdb::DbError::Persist(reason))) = result {
             self.enter_degraded(reason.clone());
@@ -270,9 +261,9 @@ impl App {
     /// # Errors
     ///
     /// Propagates insertion errors. A *persistence* failure (the WAL
-    /// or meta-journal append) additionally flips the app into
-    /// read-only degraded mode — the in-memory state was rolled back,
-    /// so reads stay consistent while the executor sheds writes.
+    /// append) additionally flips the app into read-only degraded
+    /// mode — the rows and policy bindings were rolled back, so reads
+    /// stay consistent while the executor sheds writes.
     pub fn create(&self, model_name: &str, row: Row) -> FormResult<i64> {
         let result = self.create_impl(model_name, row);
         self.note_write_result(&result);
@@ -282,68 +273,24 @@ impl App {
     fn create_impl(&self, model_name: &str, row: Row) -> FormResult<i64> {
         let model = self.model(model_name).clone();
         let jid = self.db.reserve_jid(&model.name);
-        // The jid cursor moved (and labels/bindings may follow): the
+        // The jid cursor moved (and labels/bindings follow): the
         // checkpointed app-meta chunk is stale.
         self.meta_epoch
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // Label allocation + journal append happen under one guard
-        // (when persistence is on): two concurrent creates on
-        // disjoint footprints would otherwise interleave allocation
-        // and journaling, producing records out of label-index order
-        // — which the strictly sequential journal replay rejects.
-        // Only the cheap bookkeeping sits inside the guard; facet
-        // construction below runs unlocked.
-        let labels: Vec<Label> = {
-            let _order = self
-                .journal
-                .as_ref()
-                .map(|_| self.create_order.lock().expect("create-order lock"));
-            let labels: Vec<Label> = model
-                .policies
-                .iter()
-                .map(|fp| {
-                    self.db
-                        .fresh_label(&format!("{model_name}.{}", fp.label_name))
-                })
-                .collect();
-            if let Some(journal) = &self.journal {
-                // Journal the metadata *before* the rows hit the
-                // write log: a crash between the two strands metadata
-                // without rows (harmless), never rows whose label
-                // indices the restored registry has not allocated
-                // (aliasing). The in-memory policy bindings are
-                // inserted only *after* the append succeeds, so a
-                // failed append (disk full) aborts the create without
-                // leaking phantom bindings into the policies map —
-                // and into every future checkpoint.
-                let registry = self.db.labels();
-                journal.append(&crate::checkpoint::CreateRecord {
-                    model: model.name.clone(),
-                    jid,
-                    labels: labels
-                        .iter()
-                        .map(|l| (l.index(), registry.name(*l).to_owned()))
-                        .collect(),
-                    row: row.clone(),
-                })?;
-            }
-            {
-                let mut policies = self.policies.write().expect("policy lock");
-                for (policy_ix, (fp, label)) in model.policies.iter().zip(&labels).enumerate() {
-                    policies.insert(
-                        *label,
-                        Arc::new(PolicyEntry {
-                            check: fp.check.clone(),
-                            row: row.clone(),
-                            jid,
-                            model: model.name.clone(),
-                            policy_ix,
-                        }),
-                    );
-                }
-            }
-            labels
-        };
+        let labels: Vec<Label> = model
+            .policies
+            .iter()
+            .map(|fp| {
+                self.db
+                    .fresh_label(&format!("{model_name}.{}", fp.label_name))
+            })
+            .collect();
+        // Bind before the rows land: a reader must never find a facet
+        // row whose label has no policy (an unbound label defaults to
+        // shown).
+        for (policy_ix, label) in labels.iter().enumerate() {
+            self.bind_policy(*label, model_name, policy_ix, jid, &row)?;
+        }
         let mut object: FacetedObject = Faceted::leaf(Some(row.clone()));
         for (fp, label) in model.policies.iter().zip(&labels) {
             let public_values = (fp.public_view)(&row);
@@ -364,11 +311,27 @@ impl App {
             });
             object = Faceted::split(*label, object, public_side);
         }
-        self.object_labels
-            .write()
-            .expect("object-labels lock")
-            .insert((model.name.clone(), jid), labels);
-        self.db.insert_with_jid(&model.name, jid, &object)?;
+        // The labels and the creation-time row go into the rows' own
+        // write-log record: durable together or not at all.
+        let create = {
+            let registry = self.db.labels();
+            microdb::CreateMeta {
+                jid,
+                labels: labels
+                    .iter()
+                    .map(|l| (l.index(), registry.name(*l).to_owned()))
+                    .collect(),
+                row,
+            }
+        };
+        if let Err(e) = self.db.insert_created(&model.name, &create, &object) {
+            // Nothing of the object became durable: take its bindings
+            // back so no checkpoint exports them. The labels stay
+            // allocated — skipped indices are harmless, reused ones
+            // are not.
+            self.unbind_object(model_name, jid);
+            return Err(e);
+        }
         Ok(jid)
     }
 
@@ -415,9 +378,9 @@ impl App {
     /// Re-attaches one persisted policy binding: the check closure
     /// comes from this app's registered model (closures cannot be
     /// serialized; the `(model, policy index)` pair is their stable
-    /// name), everything else from the checkpoint. Also appends the
-    /// label to the object's label list — callers bind in ascending
-    /// label-index order, which per object is model-policy order.
+    /// name), everything else from the checkpoint or the create. Also
+    /// appends the label to the object's label list (once — binding
+    /// is idempotent) — callers bind in model-policy order.
     pub(crate) fn bind_policy(
         &self,
         label: Label,
@@ -448,15 +411,33 @@ impl App {
                 policy_ix,
             }),
         );
-        self.object_labels
-            .write()
-            .expect("object-labels lock")
+        let mut object_labels = self.object_labels.write().expect("object-labels lock");
+        let labels = object_labels
             .entry((model_name.to_owned(), jid))
-            .or_default()
-            .push(label);
+            .or_default();
+        if !labels.contains(&label) {
+            labels.push(label);
+        }
         self.meta_epoch
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Drops an object's policy bindings and label list — the undo of
+    /// [`App::bind_policy`] for a create whose rows never landed.
+    fn unbind_object(&self, model_name: &str, jid: i64) {
+        let labels = self
+            .object_labels
+            .write()
+            .expect("object-labels lock")
+            .remove(&(model_name.to_owned(), jid))
+            .unwrap_or_default();
+        let mut policies = self.policies.write().expect("policy lock");
+        for label in labels {
+            policies.remove(&label);
+        }
+        self.meta_epoch
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Updates columns of an object, preserving its labels and

@@ -4,36 +4,45 @@
 //!
 //! # What a checkpoint contains
 //!
-//! One atomic file (`checkpoint.snap`, written to a temp name and
-//! renamed into place) holding four sections:
+//! A persistence directory holds a small root manifest
+//! (`checkpoint.snap`, written to a temp name, fsynced and renamed
+//! into place), a content-addressed store of chunk files (`chunks/`,
+//! see [`microdb::chunkstore`]) that the manifest names by hash, and
+//! the write log (`wal.log`). The manifest and its chunks hold:
 //!
-//! 1. the **database snapshot** ([`microdb::Snapshot`]): schemas,
-//!    rows, hash-index declarations, auto-increment cursors, and the
-//!    per-table generation stamps;
-//! 2. the **FORM metadata** ([`form::FormMeta`]): label-registry
-//!    names in allocation order and per-table `jid` cursors — the
-//!    state that keeps restored label indices from ever being
-//!    re-allocated;
-//! 3. the **policy bindings**: for every live label, which model
-//!    policy it re-binds to plus the creation-time row snapshot the
-//!    check closes over (§2.1.2 — policies are evaluated against the
-//!    creation-time row and the output-time database, so both halves
-//!    must survive);
-//! 4. the **facet DAGs** of every logical object, exported through
-//!    the interner's topological node table
-//!    ([`faceted::export_nodes`]): restore re-interns them, so a
-//!    rebooted process starts with the same node sharing (and a warm
-//!    object cache) instead of re-deriving every DAG from rows.
+//! 1. the **tables**: per table the manifest records the schema,
+//!    hash-index declarations, auto-increment cursor and generation
+//!    stamp, plus the ordered list of row chunks;
+//! 2. one **app-meta chunk**: the FORM metadata ([`form::FormMeta`]:
+//!    label-registry names in allocation order and per-table `jid`
+//!    cursors — the state that keeps restored label indices from ever
+//!    being re-allocated) and the **policy bindings**: for every live
+//!    label, which model policy it re-binds to plus the creation-time
+//!    row the check closes over (§2.1.2 — policies are evaluated
+//!    against the creation-time row and the output-time database, so
+//!    both halves must survive);
+//! 3. the **facet DAGs** of every logical object, in object-group
+//!    chunks of 32 jids exported through the interner's topological
+//!    node table ([`faceted::export_nodes`]): restore re-interns them,
+//!    so a rebooted process starts with the same node sharing (and a
+//!    warm object cache) instead of re-deriving every DAG from rows.
+//!
+//! Every checkpoint after the first into a directory is incremental:
+//! chunks a table generation or the metadata epoch proves clean are
+//! carried over by hash, not rewritten.
 //!
 //! # Between checkpoints
 //!
-//! [`App::enable_persistence`] attaches two append-only logs to the
-//! checkpoint directory: the storage engine's row-level write log
-//! (`wal.log`, see [`microdb::wal`]) and the application's meta
-//! journal (`meta.log`), which records each `create`'s label
-//! allocations and policy bindings *before* its rows are written —
-//! so a crash can strand rows without metadata only in the harmless
-//! direction (metadata without rows), never label-index aliasing.
+//! [`App::enable_persistence`] attaches the storage engine's write
+//! log (`wal.log`, see [`microdb::wal`]): the one change stream. Each
+//! committed batch appends one record of its row deltas, and a
+//! `create`'s record also carries the labels it allocated and its
+//! creation-time row ([`microdb::CreateMeta`]) — so a create's policy
+//! bindings and its rows survive a crash together or not at all.
+//! Restore loads the checkpoint, then replays the log: rows
+//! physically, creates by importing each label at its recorded index
+//! and re-binding its policies. Each checkpoint compacts the log down
+//! to the records newer than the generations it captured.
 //!
 //! # Quiescence and garbage collection
 //!
@@ -64,8 +73,7 @@ use microdb::faults::{self, FaultKind, FaultPoint};
 use microdb::snapshot::{
     decode_value, encode_column, encode_value, escape_token, parse_column, unescape_token,
 };
-use microdb::wal::LineLog;
-use microdb::{Row, Snapshot, TableSnapshot, Value, WriteLog};
+use microdb::{CreateMeta, Row, Snapshot, TableSnapshot, Value, WriteLog};
 
 use crate::app::App;
 use crate::http::{Response, Router};
@@ -73,10 +81,15 @@ use crate::model::Viewer;
 
 /// The atomic checkpoint file inside a persistence directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.snap";
-/// The storage engine's append-only row log.
+/// The storage engine's append-only write log.
 pub const WAL_FILE: &str = "wal.log";
-/// The application's append-only metadata journal.
-pub const META_LOG_FILE: &str = "meta.log";
+
+/// Unbound label indices a replayed create may skip past the
+/// registry's end. A failed create leaves one per model policy, and a
+/// failed append puts a served app into read-only degraded mode until
+/// a checkpoint absorbs them, so an index further out is corruption —
+/// and must not size the registry's allocation.
+const MAX_LABEL_GAP: usize = 1 << 16;
 
 fn persist_err(what: impl fmt::Display) -> FormError {
     FormError::Db(microdb::DbError::Persist(what.to_string()))
@@ -142,14 +155,14 @@ pub struct RestoreStats {
     pub tables: usize,
     /// Physical rows restored from the snapshot section.
     pub rows: usize,
-    /// Policy bindings restored (snapshot section + journal replay).
+    /// Policy bindings restored (app-meta chunk + replayed creates).
     pub policies: usize,
     /// Facet DAGs re-interned into the warm object cache.
     pub objects_primed: usize,
-    /// Row-log records replayed on top of the snapshot.
+    /// Write-log records replayed on top of the snapshot.
     pub wal_applied: usize,
-    /// Journal `create` records replayed.
-    pub journal_applied: usize,
+    /// Replayed records that created an object.
+    pub creates_applied: usize,
 }
 
 impl fmt::Display for RestoreStats {
@@ -157,137 +170,14 @@ impl fmt::Display for RestoreStats {
         write!(
             f,
             "restore: tables={} rows={} policies={} objects_primed={} \
-             wal_applied={} journal_applied={}",
+             wal_applied={} creates_applied={}",
             self.tables,
             self.rows,
             self.policies,
             self.objects_primed,
             self.wal_applied,
-            self.journal_applied
+            self.creates_applied
         )
-    }
-}
-
-// ---------------------------------------------------------------------
-// The meta journal: append-only `create` records between checkpoints.
-// ---------------------------------------------------------------------
-
-/// One journal record: everything [`App::create`] changes outside the
-/// database — the labels it allocated (index + stored name) and the
-/// creation-time row its policies close over.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct CreateRecord {
-    pub(crate) model: String,
-    pub(crate) jid: i64,
-    /// `(label index, stored name)` per model policy, in policy order.
-    pub(crate) labels: Vec<(u32, String)>,
-    pub(crate) row: Row,
-}
-
-fn encode_create(record: &CreateRecord) -> String {
-    let mut out = String::from("create ");
-    out.push_str(&escape_token(&record.model));
-    out.push_str(&format!(" {} {}", record.jid, record.labels.len()));
-    for (ix, name) in &record.labels {
-        out.push_str(&format!(" {ix} {}", escape_token(name)));
-    }
-    out.push_str(&format!(" {}", record.row.len()));
-    for v in &record.row {
-        out.push(' ');
-        out.push_str(&encode_value(v));
-    }
-    out.push_str(" .");
-    out
-}
-
-fn decode_create(line: &str) -> FormResult<CreateRecord> {
-    let bad = |what: &str| persist_err(format!("bad meta-journal record: {what} in {line:?}"));
-    let mut tokens = line.split_whitespace();
-    if tokens.next() != Some("create") {
-        return Err(bad("unknown record kind"));
-    }
-    let mut next = |what: &str| tokens.next().ok_or_else(|| bad(what));
-    let model = unescape_token(next("model")?)?;
-    let jid: i64 = next("jid")?.parse().map_err(|_| bad("jid"))?;
-    let n_labels: usize = next("label count")?
-        .parse()
-        .map_err(|_| bad("label count"))?;
-    let mut labels = Vec::with_capacity(n_labels);
-    for _ in 0..n_labels {
-        let ix: u32 = next("label index")?
-            .parse()
-            .map_err(|_| bad("label index"))?;
-        labels.push((ix, unescape_token(next("label name")?)?));
-    }
-    let n_values: usize = next("value count")?
-        .parse()
-        .map_err(|_| bad("value count"))?;
-    let mut row = Row::with_capacity(n_values);
-    for _ in 0..n_values {
-        row.push(decode_value(next("value")?)?);
-    }
-    if next("terminator")? != "." {
-        return Err(bad("missing terminator"));
-    }
-    if tokens.next().is_some() {
-        return Err(bad("trailing tokens"));
-    }
-    Ok(CreateRecord {
-        model,
-        jid,
-        labels,
-        row,
-    })
-}
-
-/// The append-only application-metadata journal: [`CreateRecord`]s
-/// over the storage engine's shared [`LineLog`] machinery (flushed
-/// appends, truncation after checkpoints, torn-tail detection — one
-/// implementation for both logs).
-#[derive(Debug)]
-pub(crate) struct MetaJournal {
-    log: LineLog,
-}
-
-impl MetaJournal {
-    pub(crate) fn open(path: impl AsRef<Path>) -> std::io::Result<MetaJournal> {
-        Ok(MetaJournal {
-            log: LineLog::open(path)?,
-        })
-    }
-
-    pub(crate) fn append(&self, record: &CreateRecord) -> FormResult<()> {
-        self.log
-            .append_line(&encode_create(record))
-            .map_err(|e| persist_err(format!("meta journal append: {e}")))
-    }
-
-    pub(crate) fn truncate(&self) -> std::io::Result<()> {
-        self.log.truncate()
-    }
-
-    /// Reads the records at `path`; a torn final line (no trailing
-    /// newline) is discarded, corruption elsewhere is an error. A
-    /// missing file yields no records.
-    pub(crate) fn read_records(path: &Path) -> FormResult<Vec<CreateRecord>> {
-        let Some((lines, complete_tail)) = LineLog::read_lines(path)
-            .map_err(|e| persist_err(format!("meta journal read: {e}")))?
-        else {
-            return Ok(Vec::new());
-        };
-        let mut records = Vec::with_capacity(lines.len());
-        for (i, line) in lines.iter().enumerate() {
-            match decode_create(line) {
-                Ok(r) => records.push(r),
-                Err(e) => {
-                    if i + 1 == lines.len() && !complete_tail {
-                        break; // torn tail: the crash was mid-append
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(records)
     }
 }
 
@@ -793,14 +683,14 @@ pub(crate) fn write_manifest_file(path: &Path, text: &str) -> FormResult<()> {
     // The atomic step: readers see either the old checkpoint or the
     // complete new one, never a torn file.
     std::fs::rename(&tmp, path).map_err(io_err)?;
-    // Make the rename itself durable before the caller truncates the
-    // logs: without the directory fsync, a power loss could persist
-    // the truncations but not the rename, leaving the *old* snapshot
-    // next to *empty* logs — silently dropping every write since the
-    // previous checkpoint.
+    // Make the rename itself durable before the caller compacts the
+    // log: without the directory fsync, a power loss could persist
+    // the compaction but not the rename, leaving the *old* snapshot
+    // next to an *empty* log — silently dropping every write since
+    // the previous checkpoint.
     File::open(dir).and_then(|d| d.sync_all()).map_err(io_err)?;
     // Injected crash point: die *after* the rename but before the
-    // caller truncates the logs — the new snapshot and the old logs
+    // caller compacts the log — the new snapshot and the old log
     // overlap, and replay idempotence (generation stamps) must absorb
     // every doubly-recorded write.
     if faults::check(FaultPoint::CheckpointPostRename, path).is_some() {
@@ -850,14 +740,14 @@ pub(crate) fn read_manifest_file(path: &Path) -> FormResult<Manifest> {
 // ---------------------------------------------------------------------
 
 impl App {
-    /// Attaches the persistence logs (`wal.log` + `meta.log`) in
-    /// `dir`, creating the directory if needed. From this point every
-    /// row-level write and every `create`'s metadata append durable
-    /// records, superseded at each checkpoint.
+    /// Attaches the write log (`wal.log`) in `dir`, creating the
+    /// directory if needed. From this point every committed write —
+    /// a `create`'s metadata included — appends a durable record,
+    /// superseded at each checkpoint.
     ///
     /// # Errors
     ///
-    /// I/O errors opening the logs.
+    /// I/O errors opening the log.
     pub fn enable_persistence(&mut self, dir: impl AsRef<Path>) -> FormResult<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)
@@ -865,9 +755,6 @@ impl App {
         let wal = WriteLog::open(dir.join(WAL_FILE))
             .map_err(|e| persist_err(format!("open write log: {e}")))?;
         self.db.attach_wal(Arc::new(wal));
-        let journal = MetaJournal::open(dir.join(META_LOG_FILE))
-            .map_err(|e| persist_err(format!("open meta journal: {e}")))?;
-        self.journal = Some(Arc::new(journal));
         // Remember the durable home: the scheduler checkpoints here.
         *self.persist_dir.write().expect("persist dir") = Some(dir.to_path_buf());
         Ok(())
@@ -895,7 +782,7 @@ impl App {
     /// point** (no concurrent writers): snapshots the database,
     /// exports FORM metadata, policy bindings and every object's
     /// facet DAG, atomically replaces `dir/checkpoint.snap`,
-    /// truncates the attached logs (the checkpoint supersedes them),
+    /// compacts the attached log (the checkpoint supersedes it),
     /// and finally runs the interner's garbage collector — the
     /// quiescent point is exactly when dead nodes from completed
     /// requests are collectable.
@@ -1104,11 +991,11 @@ impl App {
         stats.chunks_reused = chunk_stats.reused;
         write_manifest_file(&dir.join(CHECKPOINT_FILE), &manifest.to_text())?;
 
-        // The durable manifest + chunks now cover everything the logs
-        // recorded up to the captured generation vector — compact the
-        // row log down to records newer than it (at a quiescent point
-        // that is all of them, so the file empties) and drop the meta
-        // journal.
+        // The durable manifest + chunks now cover everything the log
+        // recorded up to the captured generation vector — compact it
+        // down to records newer than that (at a quiescent point that
+        // is all of them, so the file empties). A create's metadata
+        // goes with its rows.
         let floor: BTreeMap<String, u64> = manifest
             .tables
             .iter()
@@ -1118,13 +1005,8 @@ impl App {
             wal.compact(&floor)
                 .map_err(|e| persist_err(format!("compact write log: {e}")))?;
         }
-        if let Some(journal) = &self.journal {
-            journal
-                .truncate()
-                .map_err(|e| persist_err(format!("truncate meta journal: {e}")))?;
-        }
         // Durability is re-established: the checkpoint holds every
-        // acknowledged write and the logs start clean, so a read-only
+        // acknowledged write and the log starts clean, so a read-only
         // degraded app (a failed append flipped the flag; the failed
         // write was rolled back) can take writes again.
         self.clear_degraded();
@@ -1227,11 +1109,12 @@ impl App {
 
     /// Restores this application from `dir`'s checkpoint: the
     /// snapshot is loaded (label registry first, so no index can
-    /// alias), the meta journal and row log are replayed on top, the
-    /// policy bindings re-bind to this app's registered models, and
-    /// the exported facet DAGs are re-interned into the warm object
-    /// cache. The app must already have its models registered — the
-    /// same application code that produced the checkpoint.
+    /// alias), the policy bindings re-bind to this app's registered
+    /// models, the write log is replayed on top — rows, and each
+    /// replayed create's labels and bindings — and the exported facet
+    /// DAGs are re-interned into the warm object cache. The app must
+    /// already have its models registered — the same application
+    /// code that produced the checkpoint.
     ///
     /// # Errors
     ///
@@ -1318,52 +1201,31 @@ impl App {
             stats.policies += 1;
         }
 
-        // 3. Journal replay: creates that happened after the
-        //    checkpoint. Labels import in allocation order (creates
-        //    journal under the app's create-order guard), then bind
-        //    exactly like step 2. A label already present in the
-        //    restored registry means the checkpoint raced ahead of
-        //    the journal truncate and step 2 restored its binding —
-        //    re-binding would push duplicate entries into the
-        //    object's label list, so those are skipped wholesale.
-        for record in MetaJournal::read_records(&dir.join(META_LOG_FILE))? {
-            let mut replayed_any = false;
-            for (policy_ix, (ix, name)) in record.labels.iter().enumerate() {
-                if (*ix as usize) < self.db.labels().len() {
-                    continue; // checkpointed: binding restored in step 2
-                }
-                let imported = self.db.import_label(name);
-                if imported.index() != *ix {
-                    return Err(persist_err(format!(
-                        "meta journal out of order: expected label {ix}, got {}",
-                        imported.index()
-                    )));
-                }
-                self.bind_policy(imported, &record.model, policy_ix, record.jid, &record.row)?;
-                stats.policies += 1;
-                replayed_any = true;
-            }
-            self.db.bump_next_jid(&record.model, record.jid + 1);
-            if replayed_any {
-                stats.journal_applied += 1;
-            }
+        // 3. Write-log replay on the raw engine: records the snapshot
+        //    already contains skip by generation, the rest apply
+        //    physically. Each replayed create then imports its labels
+        //    at their recorded indices — creates that never became
+        //    durable leave unbound placeholders, so nothing depends on
+        //    the order creates of different tables were logged in —
+        //    and binds them exactly like step 2.
+        let replay = WriteLog::replay(dir.join(WAL_FILE), self.db.raw_ref())?;
+        stats.wal_applied = replay.applied;
+        for (model, create) in &replay.creates {
+            self.replay_create(model, create)?;
+            stats.policies += create.labels.len();
+            stats.creates_applied += 1;
         }
 
-        // 4. Row-log replay on the raw engine (generation stamps skip
-        //    anything the snapshot already contains).
-        let replay = WriteLog::replay(dir.join(WAL_FILE), self.db.raw())?;
-        stats.wal_applied = replay.applied;
-
-        // 5. Defensive jid floor: even without a journal, cursors
-        //    never fall below what the restored rows prove was
-        //    allocated.
+        // 4. Defensive jid floor: cursors never fall below what the
+        //    restored rows prove was allocated (objects inserted
+        //    without a create record included).
         for model in self.model_names() {
             if let Some(max) = self.db.object_jids(&model)?.last() {
                 self.db.bump_next_jid(&model, max + 1);
             }
         }
 
-        // 6. Warm start: re-intern the exported facet DAGs and prime
+        // 5. Warm start: re-intern the exported facet DAGs and prime
         //    the object cache, group chunk by group chunk — but only
         //    for models whose restored generation still matches the
         //    manifest (a WAL-replayed write supersedes the exported
@@ -1392,14 +1254,14 @@ impl App {
             }
         }
 
-        // 7. Seed the clean-chunk memory from the *manifest* (not the
+        // 6. Seed the clean-chunk memory from the *manifest* (not the
         //    live tables): the row journal restarts right after each
         //    table's restored generation, so the next checkpoint's
-        //    delta walk covers everything the logs replayed on top.
+        //    delta walk covers everything the log replayed on top.
         //    The app-meta chunk stays reusable only if nothing
         //    replayed at all.
-        let app_meta_epoch = (stats.journal_applied == 0 && stats.wal_applied == 0)
-            .then(|| self.meta_epoch.load(Ordering::Acquire));
+        let app_meta_epoch =
+            (stats.wal_applied == 0).then(|| self.meta_epoch.load(Ordering::Acquire));
         *self.ckpt_memory.lock().expect("checkpoint memory") = Some(CheckpointMemory {
             dir: dir.to_path_buf(),
             app_meta_epoch,
@@ -1436,6 +1298,24 @@ impl App {
             last_incremental: false,
         });
         Ok(stats)
+    }
+
+    /// Re-applies one replayed create's metadata: each label imported
+    /// at its recorded index and bound to its model policy, and the
+    /// model's jid cursor moved past the object.
+    fn replay_create(&self, model: &str, create: &CreateMeta) -> FormResult<()> {
+        for (policy_ix, (ix, name)) in create.labels.iter().enumerate() {
+            let allocated = self.db.labels().len();
+            if *ix as usize > allocated + MAX_LABEL_GAP {
+                return Err(persist_err(format!(
+                    "write log imports label {ix}, far past the {allocated} labels allocated"
+                )));
+            }
+            let label = self.db.import_label(*ix, name);
+            self.bind_policy(label, model, policy_ix, create.jid, &create.row)?;
+        }
+        self.db.bump_next_jid(model, create.jid + 1);
+        Ok(())
     }
 }
 
@@ -1621,7 +1501,7 @@ mod tests {
         app.create("note", vec![Value::Int(0), Value::from("pre")])
             .unwrap();
         app.checkpoint_quiescent(&dir).unwrap();
-        // Post-checkpoint state lives only in the logs.
+        // Post-checkpoint state lives only in the log.
         app.create("note", vec![Value::Int(1), Value::from("post")])
             .unwrap();
         app.update_fields("note", 1, &[(1, Value::from("PRE"))], &Default::default())
@@ -1629,11 +1509,11 @@ mod tests {
 
         let mut restored = note_app();
         let stats = restored.restore_from(&dir).unwrap();
-        assert_eq!(stats.journal_applied, 1, "one post-checkpoint create");
+        assert_eq!(stats.creates_applied, 1, "one post-checkpoint create");
         assert!(stats.wal_applied >= 2, "create rows + update rows");
         assert_eq!(grid(&restored, 3), grid(&app, 3));
         // The restored app allocates *fresh* labels/jids past both
-        // the checkpoint and the logs.
+        // the checkpoint and the log.
         let j = restored
             .create("note", vec![Value::Int(2), Value::from("fresh")])
             .unwrap();
@@ -1745,11 +1625,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Concurrent creates must leave the meta journal replayable:
-    /// label allocation and the journal append happen under one
-    /// guard, so records can never appear out of label-index order
-    /// (which the strictly sequential replay would reject, bricking
-    /// restore).
+    /// Concurrent creates must leave the write log replayable: their
+    /// records can land out of label-index order, and replay imports
+    /// each label at its recorded index instead of relying on order.
     #[test]
     fn concurrent_creates_keep_the_journal_replayable() {
         let dir = temp_dir("concurrent_creates");
@@ -1774,7 +1652,7 @@ mod tests {
         });
         let mut restored = note_app();
         let stats = restored.restore_from(&dir).unwrap();
-        assert_eq!(stats.journal_applied as i64, threads * per_thread);
+        assert_eq!(stats.creates_applied as i64, threads * per_thread);
         assert_eq!(grid(&restored, threads), grid(&app, threads));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1787,10 +1665,8 @@ mod tests {
         app.create("note", vec![Value::Int(0), Value::from("x")])
             .unwrap();
         assert!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len() > 0);
-        assert!(std::fs::metadata(dir.join(META_LOG_FILE)).unwrap().len() > 0);
         app.checkpoint_quiescent(&dir).unwrap();
         assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
-        assert_eq!(std::fs::metadata(dir.join(META_LOG_FILE)).unwrap().len(), 0);
         // No stray tmp files: the write was renamed into place.
         let stray: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -1852,7 +1728,7 @@ mod tests {
     /// Tentpole scenario: an injected crash *before* the tmp→snap
     /// rename must leave the previous checkpoint file the valid one —
     /// restore still reproduces the full pre-crash state from the old
-    /// snapshot plus the (untruncated) logs, and a retried checkpoint
+    /// snapshot plus the (uncompacted) log, and a retried checkpoint
     /// succeeds.
     #[test]
     fn pre_rename_crash_leaves_the_previous_checkpoint_valid() {
@@ -1874,13 +1750,13 @@ mod tests {
         );
         let err = app.checkpoint_quiescent(&dir).unwrap_err();
         assert!(err.to_string().contains("injected"), "{err}");
-        // The old snapshot + the untouched logs restore everything.
+        // The old snapshot + the untouched log restore everything.
         let mut restored = note_app();
         restored.restore_from(&dir).unwrap();
         assert_eq!(grid(&restored, 3), before, "no acknowledged write lost");
 
         // The fault was one-shot: the retried checkpoint goes through
-        // and truncates the logs.
+        // and compacts the log.
         app.checkpoint_quiescent(&dir).unwrap();
         assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
         let mut again = note_app();
@@ -1890,10 +1766,10 @@ mod tests {
     }
 
     /// Tentpole scenario: an injected crash *after* the rename but
-    /// before the log truncation leaves the new snapshot next to logs
-    /// that double-record its writes — replay idempotence (generation
-    /// stamps, label-index skips) must absorb the overlap so nothing
-    /// applies twice.
+    /// before the log compaction leaves the new snapshot next to a log
+    /// that double-records its writes — replay idempotence (generation
+    /// stamps; a skipped create's metadata skips with its rows) must
+    /// absorb the overlap so nothing applies twice.
     #[test]
     fn post_rename_crash_overlap_is_absorbed_by_replay() {
         let dir = temp_dir("postrename");
@@ -1911,9 +1787,8 @@ mod tests {
         );
         let err = app.checkpoint_quiescent(&dir).unwrap_err();
         assert!(err.to_string().contains("injected"), "{err}");
-        // The rename happened, the truncation did not: overlap.
+        // The rename happened, the compaction did not: overlap.
         assert!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len() > 0);
-        assert!(std::fs::metadata(dir.join(META_LOG_FILE)).unwrap().len() > 0);
 
         let mut restored = note_app();
         restored.restore_from(&dir).unwrap();
@@ -2357,6 +2232,148 @@ mod tests {
         let stats = app.checkpoint_quiescent(&dir).unwrap();
         assert!(stats.incremental);
         assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn registry_len(app: &App) -> usize {
+        app.db.labels().len()
+    }
+
+    /// Regression: a create whose WAL append fails allocates labels
+    /// that never become durable. The next, acknowledged create's
+    /// labels sit past that gap; restore must accept the gap, not
+    /// refuse the whole directory, and show the acknowledged object.
+    #[test]
+    fn failed_create_leaves_a_label_gap_that_restore_accepts() {
+        let dir = temp_dir("label_gap");
+        let mut app = note_app();
+        app.enable_persistence(&dir).unwrap();
+        for i in 0..2 {
+            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
+                .unwrap();
+        }
+        app.checkpoint_quiescent(&dir).unwrap();
+        let checkpointed_labels = registry_len(&app);
+
+        faults::arm_at(
+            FaultPoint::WalAppend,
+            0,
+            FaultKind::Error,
+            "jacq_ckpt_label_gap",
+        );
+        let err = app
+            .create("note", vec![Value::Int(7), Value::from("lost")])
+            .unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        let acked = app
+            .create("note", vec![Value::Int(8), Value::from("acked")])
+            .unwrap();
+        let acked_label = app.get("note", acked).unwrap().labels()[0];
+        assert!(
+            acked_label.index() as usize > checkpointed_labels,
+            "the acknowledged create's label sits past the failed one's"
+        );
+
+        let mut restored = note_app();
+        let stats = restored.restore_from(&dir).unwrap();
+        assert_eq!(stats.creates_applied, 1);
+        assert_eq!(grid(&restored, 9), grid(&app, 9));
+        let mine = page(&restored, &Viewer::User(8));
+        assert!(mine.contains("acked") && !mine.contains("lost"), "{mine}");
+        // The acknowledged label kept its index; the failed create's
+        // index is an unbound placeholder, and allocation continues
+        // past both.
+        assert_eq!(
+            restored.get("note", acked).unwrap().labels(),
+            vec![acked_label]
+        );
+        assert!(restored.policy(acked_label).is_some());
+        let skipped = faceted::Label::from_index(acked_label.index() - 1);
+        assert!(restored.policy(skipped).is_none());
+        assert_eq!(restored.db.labels().name(skipped), "");
+        assert_eq!(registry_len(&restored), acked_label.index() as usize + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A create whose record fails to append leaves nothing behind
+    /// after a restore: no rows, no labels, no policy bindings — and
+    /// none in the live app either, apart from its spent label index.
+    #[test]
+    fn failed_create_record_leaves_no_rows_labels_or_bindings() {
+        let dir = temp_dir("create_fault");
+        let mut app = note_app();
+        app.enable_persistence(&dir).unwrap();
+        app.create("note", vec![Value::Int(1), Value::from("kept")])
+            .unwrap();
+        app.checkpoint_quiescent(&dir).unwrap();
+        let bindings = app.export_policy_bindings();
+        let labels = registry_len(&app);
+
+        faults::arm_at(
+            FaultPoint::WalAppend,
+            0,
+            FaultKind::Error,
+            "jacq_ckpt_create_fault",
+        );
+        assert!(app
+            .create("note", vec![Value::Int(1), Value::from("lost")])
+            .is_err());
+        assert_eq!(app.export_policy_bindings(), bindings, "no phantom binding");
+        assert_eq!(app.db.object_jids("note").unwrap(), vec![1]);
+        assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
+
+        let mut restored = note_app();
+        let stats = restored.restore_from(&dir).unwrap();
+        assert_eq!((stats.wal_applied, stats.creates_applied), (0, 0));
+        assert_eq!(restored.db.object_jids("note").unwrap(), vec![1]);
+        assert_eq!(registry_len(&restored), labels);
+        assert_eq!(restored.export_policy_bindings(), bindings);
+        assert!(!page(&restored, &Viewer::User(1)).contains("lost"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A corrupted label index in a create record fails the restore
+    /// cleanly instead of sizing a huge registry allocation.
+    #[test]
+    fn far_out_label_index_in_the_log_is_rejected() {
+        let dir = temp_dir("far_label");
+        let mut app = note_app();
+        app.enable_persistence(&dir).unwrap();
+        app.checkpoint_quiescent(&dir).unwrap();
+        app.create("note", vec![Value::Int(1), Value::from("x")])
+            .unwrap();
+        let text = std::fs::read_to_string(dir.join(WAL_FILE)).unwrap();
+        // Object 1's only label sits at index 0: move it far out.
+        let corrupt = text.replacen(" c 1 1 0 ", " c 1 1 4000000000 ", 1);
+        assert_ne!(corrupt, text);
+        std::fs::write(dir.join(WAL_FILE), corrupt).unwrap();
+        let mut restored = note_app();
+        let err = restored.restore_from(&dir).unwrap_err();
+        assert!(
+            matches!(&err, FormError::Db(microdb::DbError::Persist(m)) if m.contains("label")),
+            "{err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every create — rows and metadata — is exactly one WAL record.
+    #[test]
+    fn each_create_appends_exactly_one_wal_record() {
+        let dir = temp_dir("one_record");
+        let mut app = note_app();
+        app.enable_persistence(&dir).unwrap();
+        for i in 0..5 {
+            let (records, _) = app.wal_pressure();
+            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
+                .unwrap();
+            assert_eq!(app.wal_pressure().0, records + 1);
+        }
+        let text = std::fs::read_to_string(dir.join(WAL_FILE)).unwrap();
+        for line in text.lines() {
+            let record = microdb::BatchRecord::parse(line).unwrap();
+            let create = record.create.expect("a create carries its metadata");
+            assert_eq!(create.labels.len(), 1, "one label per note policy");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

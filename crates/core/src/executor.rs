@@ -718,7 +718,7 @@ impl CheckpointScheduler {
     /// app's persistence directory on the calling thread. The caller
     /// holds no request lock; the checkpoint takes its quiescent
     /// point through the ordinary footprint-lock protocol. Errors are
-    /// swallowed — a failed checkpoint leaves the logs for the next
+    /// swallowed — a failed checkpoint leaves the log for the next
     /// attempt, and scheduling must never take a serving thread down.
     /// While the app is degraded nothing runs: pressure cannot drain
     /// while writes are shed, and clearing that mode is the

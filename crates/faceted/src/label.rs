@@ -164,24 +164,32 @@ impl LabelRegistry {
     #[must_use]
     pub fn from_names<I: IntoIterator<Item = String>>(names: I) -> LabelRegistry {
         let mut reg = LabelRegistry::new();
-        for name in names {
-            let _ = reg.import(&name);
+        for (ix, name) in names.into_iter().enumerate() {
+            let ix = u32::try_from(ix).expect("label space exhausted");
+            let _ = reg.import_at(ix, &name);
         }
         reg
     }
 
-    /// Appends one *stored* (already-uniquified) name verbatim,
-    /// returning its label — the replay path of the persistence
-    /// layer. Unlike [`LabelRegistry::fresh`] this never α-renames:
-    /// it must reproduce the exporting registry's state bit for bit.
-    /// Restoring a label index that is still unallocated here is the
-    /// caller's invariant (the meta log records allocations in
-    /// order).
-    pub fn import(&mut self, stored_name: &str) -> Label {
-        let id = u32::try_from(self.names.len()).expect("label space exhausted");
-        let label = Label(id);
-        self.by_name.insert(stored_name.to_owned(), label);
-        self.names.push(stored_name.to_owned());
+    /// Records one *stored* (already-uniquified) name verbatim at
+    /// label index `index`, returning the label — the replay path of
+    /// the persistence layer. Unlike [`LabelRegistry::fresh`] this
+    /// never α-renames: it must reproduce the exporting registry's
+    /// state bit for bit. Indices between the current end and `index`
+    /// are filled with unbound placeholders (empty names, kept out of
+    /// name lookups): labels some allocation took but never made
+    /// durable, which must stay allocated so no later label reuses
+    /// their index.
+    pub fn import_at(&mut self, index: u32, stored_name: &str) -> Label {
+        let label = Label(index);
+        let ix = index as usize;
+        if self.names.len() <= ix {
+            self.names.resize(ix + 1, String::new());
+        }
+        self.names[ix] = stored_name.to_owned();
+        if !stored_name.is_empty() {
+            self.by_name.insert(stored_name.to_owned(), label);
+        }
         label
     }
 }
@@ -250,5 +258,23 @@ mod tests {
         // restored label index can ever be reused.
         let mut back = back;
         assert_eq!(back.fresh("post-restore").index(), 3);
+    }
+
+    #[test]
+    fn import_at_fills_gaps_with_unbound_placeholders() {
+        let mut reg = LabelRegistry::from_names(vec!["a".to_owned()]);
+        // Index 1 was allocated by a create that never became durable.
+        let c = reg.import_at(2, "c");
+        assert_eq!(c.index(), 2);
+        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.name(Label::from_index(1)), "");
+        assert_eq!(reg.get(""), None, "placeholders stay out of lookups");
+        assert_eq!(reg.get("c"), Some(c));
+        // The placeholder keeps its index allocated; a later import
+        // may still claim it.
+        assert_eq!(reg.fresh("d").index(), 3);
+        let b = reg.import_at(1, "b");
+        assert_eq!(reg.get("b"), Some(b));
+        assert_eq!(reg.len(), 4);
     }
 }

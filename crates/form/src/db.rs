@@ -8,8 +8,8 @@ use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use faceted::{Branches, FacetedList, Label, LabelRegistry};
 use microdb::{
-    ColumnDef, ColumnType, Database, Operand, Predicate, Query, Row, RowDelta, Schema, SortOrder,
-    Statement, Table, Value,
+    ColumnDef, ColumnType, CreateMeta, Database, Operand, Predicate, Query, Row, RowDelta, Schema,
+    SortOrder, Statement, Table, Value,
 };
 
 use crate::error::{FormError, FormResult};
@@ -357,37 +357,46 @@ impl FormDb {
     /// Schema-validation errors from the engine.
     pub fn insert(&self, table: &str, object: &FacetedObject) -> FormResult<i64> {
         let jid = self.reserve_jid(table);
-        self.insert_with_jid(table, jid, object)?;
+        self.write_rows(table, jid, object, Vec::new(), None)?;
         Ok(jid)
     }
 
-    /// Inserts a faceted object under a pre-reserved `jid`.
+    /// Inserts a newly created faceted object under its pre-reserved
+    /// `create.jid`, logging `create` — the labels the creation
+    /// allocated and the row its policies close over — in the same
+    /// write-log record as the object's rows: a crash or a failed
+    /// append keeps both or neither.
     ///
     /// # Errors
     ///
-    /// Schema-validation errors from the engine.
-    pub fn insert_with_jid(&self, table: &str, jid: i64, object: &FacetedObject) -> FormResult<()> {
-        self.write_rows(table, jid, object)
-    }
-
-    fn write_rows(&self, table: &str, jid: i64, object: &FacetedObject) -> FormResult<()> {
-        self.write_rows_with_prelude(table, jid, object, Vec::new())
+    /// Schema-validation errors from the engine, or
+    /// [`microdb::DbError::Persist`] from the log append (the rows are
+    /// rolled back).
+    pub fn insert_created(
+        &self,
+        table: &str,
+        create: &CreateMeta,
+        object: &FacetedObject,
+    ) -> FormResult<()> {
+        self.write_rows(table, create.jid, object, Vec::new(), Some(create))
     }
 
     /// The marshalling loop behind every object write: `prelude`
     /// statements (e.g. [`FormDb::save`]'s delete of the old rows),
     /// then one insert per reachable facet leaf, applied and logged
-    /// as a *single atomic batch* under one table write lock. A
+    /// as a *single atomic batch* under one table write lock (with
+    /// `create`, the creation metadata, in the same record). A
     /// failure anywhere — a bad row, a full disk on the WAL append —
     /// rolls the whole object write back, so neither memory nor the
     /// log ever holds a torn object and reads keep serving the intact
     /// pre-write state.
-    fn write_rows_with_prelude(
+    fn write_rows(
         &self,
         table: &str,
         jid: i64,
         object: &FacetedObject,
         prelude: Vec<Statement>,
+        create: Option<&CreateMeta>,
     ) -> FormResult<()> {
         crate::touched::note_write(table);
         let mut stmts = prelude;
@@ -404,7 +413,7 @@ impl FormDb {
         // atomically, records stay in generation order, and replay is
         // byte-deterministic.
         let mut t = self.db.table_mut(table)?;
-        self.db.apply_batch_locked(&mut t, &stmts)?;
+        self.db.apply_batch_locked(&mut t, &stmts, create)?;
         // Writers pay for index maintenance so the shared-access query
         // plan (`&self`) always finds fresh indexes.
         t.refresh_indexes();
@@ -1013,14 +1022,14 @@ impl FormDb {
         if let Some(stmts) = self.in_place_save_stmts(table, jid, &merged)? {
             crate::touched::note_write(table);
             let mut t = self.db.table_mut(table)?;
-            self.db.apply_batch_locked(&mut t, &stmts)?;
+            self.db.apply_batch_locked(&mut t, &stmts, None)?;
             t.refresh_indexes();
             return Ok(());
         }
         // Delete-then-reinsert as ONE atomic batch: a failure (e.g. a
         // WAL append on a full disk) must not leave the object
         // deleted-but-not-rewritten in memory or in the log.
-        self.write_rows_with_prelude(
+        self.write_rows(
             table,
             jid,
             &merged,
@@ -1028,6 +1037,7 @@ impl FormDb {
                 table: table.to_owned(),
                 pred: Predicate::eq(Operand::col(JID), Operand::lit(jid)),
             }],
+            None,
         )
     }
 
@@ -1039,8 +1049,7 @@ impl FormDb {
     /// row), or the object has no stored rows yet.
     ///
     /// Each statement targets one stored row by `(jid, jvars)` and
-    /// reassigns every user column, so the batch replays to the same
-    /// physical state the live table reached — row order included.
+    /// reassigns every user column in place, so row order is kept.
     fn in_place_save_stmts(
         &self,
         table: &str,
@@ -1116,7 +1125,7 @@ impl FormDb {
     // -----------------------------------------------------------------
 
     /// Attaches an append-only write log to the storage engine: every
-    /// row-level write (FORM marshalling included) appends a durable
+    /// committed write (each object write one batch) appends a durable
     /// record. See [`microdb::WriteLog`].
     pub fn attach_wal(&mut self, wal: std::sync::Arc<microdb::WriteLog>) {
         self.db.attach_wal(wal);
@@ -1141,14 +1150,15 @@ impl FormDb {
         *self.next_jid.lock().expect("jid lock") = meta.next_jid.clone();
     }
 
-    /// Appends one stored label name to the registry — the meta-log
-    /// replay path (allocations recorded after the last checkpoint).
-    /// Returns the label the name now maps to.
-    pub fn import_label(&self, stored_name: &str) -> Label {
+    /// Restores one stored label name at its recorded index — the
+    /// write-log replay path for labels allocated after the last
+    /// checkpoint (see [`LabelRegistry::import_at`]). Returns the
+    /// label.
+    pub fn import_label(&self, index: u32, stored_name: &str) -> Label {
         self.labels
             .write()
             .expect("labels lock")
-            .import(stored_name)
+            .import_at(index, stored_name)
     }
 
     /// Advances a table's `jid` cursor to at least `next` (replay of
@@ -1972,10 +1982,12 @@ mod tests {
         // persisted index, no jid collision.
         assert_eq!(fresh.fresh_label("next").index(), 2);
         assert_eq!(fresh.reserve_jid("event"), 2);
-        // import_label + bump_next_jid are the meta-log replay hooks.
-        let replayed = fresh.import_label("replayed.label");
-        assert_eq!(replayed.index(), 3);
+        // import_label + bump_next_jid are the write-log replay hooks:
+        // a label lands at its recorded index, past a gap if need be.
+        let replayed = fresh.import_label(5, "replayed.label");
+        assert_eq!(replayed.index(), 5);
         assert_eq!(fresh.labels().name(replayed), "replayed.label");
+        assert_eq!(fresh.labels().len(), 6, "indices 3 and 4 hold placeholders");
         fresh.bump_next_jid("event", 9);
         assert_eq!(fresh.reserve_jid("event"), 9);
         fresh.bump_next_jid("event", 3); // never regresses
@@ -2028,9 +2040,9 @@ mod tests {
         let (mut db, k, jid) = event_db();
         let baseline = db.raw_ref().snapshot();
         db.attach_wal(std::sync::Arc::new(microdb::WriteLog::open(&path).unwrap()));
-        // A guarded save = delete + re-inserted facet rows, logged as
-        // ONE atomic batch record so a failed append can never leave
-        // a torn object in the log.
+        // A guarded save rewrites several facet rows, logged as ONE
+        // atomic batch record so a failed append can never leave a
+        // torn object in the log.
         let pc = faceted::Branches::new().with(faceted::Branch::pos(k));
         db.save(
             "event",
@@ -2041,11 +2053,19 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1, "one record for the whole save");
-        assert!(text.starts_with("bat "), "batch record kind");
+        let record = microdb::BatchRecord::parse(text.trim_end()).unwrap();
+        assert_eq!(
+            (record.from, record.to),
+            (
+                baseline.table("event").unwrap().generation,
+                db.raw_ref().generation("event").unwrap()
+            ),
+            "every delta of the save, in one record"
+        );
 
         let mut restored = microdb::Database::new();
         restored.restore(&baseline).unwrap();
-        let stats = microdb::WriteLog::replay(&path, &mut restored).unwrap();
+        let stats = microdb::WriteLog::replay(&path, &restored).unwrap();
         assert_eq!(stats.applied, 1, "the batch replays as a unit");
         assert_eq!(
             restored.table("event").unwrap().rows(),

@@ -8,12 +8,55 @@ use crate::predicate::Predicate;
 use crate::schema::Schema;
 use crate::table::{Row, Table};
 use crate::value::Value;
-use crate::wal::{Statement, WriteLog};
+use crate::wal::{CreateMeta, WriteLog};
 
 /// Shared (read) access to one table.
 pub type TableRef<'a> = RwLockReadGuard<'a, Table>;
 /// Exclusive (write) access to one table.
 pub type TableMut<'a> = RwLockWriteGuard<'a, Table>;
+
+/// One row-level statement of an atomic batch
+/// ([`Database::apply_batch_locked`]). An in-memory operation only:
+/// the write log records the physical deltas a batch produced, never
+/// the statements.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Statement {
+    /// A single-row insert.
+    Insert {
+        /// Target table.
+        table: String,
+        /// The row (`Null` auto-increment columns are filled in).
+        row: Row,
+    },
+    /// A predicate update.
+    Update {
+        /// Target table.
+        table: String,
+        /// The WHERE clause.
+        pred: Predicate,
+        /// `column → value` assignments.
+        assignments: Vec<(String, Value)>,
+    },
+    /// A predicate delete.
+    Delete {
+        /// Target table.
+        table: String,
+        /// The WHERE clause.
+        pred: Predicate,
+    },
+}
+
+impl Statement {
+    /// The table this statement mutates.
+    #[must_use]
+    pub fn table(&self) -> &str {
+        match self {
+            Statement::Insert { table, .. }
+            | Statement::Update { table, .. }
+            | Statement::Delete { table, .. } => table,
+        }
+    }
+}
 
 /// An in-memory relational database.
 ///
@@ -52,9 +95,8 @@ pub type TableMut<'a> = RwLockWriteGuard<'a, Table>;
 #[derive(Debug, Default)]
 pub struct Database {
     tables: BTreeMap<String, RwLock<Table>>,
-    /// Optional append-only write log: when attached, every
-    /// successful row-level statement appends one durable record (see
-    /// [`crate::wal`]).
+    /// Optional append-only write log: when attached, every committed
+    /// write appends one durable record (see [`crate::wal`]).
     wal: Option<Arc<WriteLog>>,
 }
 
@@ -145,10 +187,8 @@ impl Database {
             .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
     }
 
-    /// Attaches an append-only write log: from now on every
-    /// successful row-level statement ([`Database::insert`],
-    /// [`Database::update`], [`Database::delete`], and raw per-row
-    /// inserts logged by higher layers) appends a durable record.
+    /// Attaches an append-only write log: from now on every committed
+    /// write appends one durable record (see [`crate::wal`]).
     pub fn attach_wal(&mut self, wal: Arc<WriteLog>) {
         self.wal = Some(wal);
     }
@@ -158,48 +198,10 @@ impl Database {
         self.wal.take()
     }
 
-    /// The attached write log, if any — higher layers that mutate
-    /// tables through raw guards (e.g. the FORM's marshalling loop)
-    /// use this to log their per-row inserts under the same table
-    /// lock.
+    /// The attached write log, if any.
     #[must_use]
     pub fn wal(&self) -> Option<&Arc<WriteLog>> {
         self.wal.as_ref()
-    }
-
-    /// Appends `stmt` to the attached log (no-op without one).
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Persist`] if the log could not be written — the
-    /// statement has been applied but is not durable, which callers
-    /// must surface rather than swallow.
-    pub fn log_statement(&self, stmt: &Statement, generation: u64) -> DbResult<()> {
-        match &self.wal {
-            Some(wal) => wal.append(stmt, generation),
-            None => Ok(()),
-        }
-    }
-
-    /// Applies one logged statement *without* re-logging it — the
-    /// replay path of [`WriteLog::replay`].
-    pub(crate) fn apply_statement(&self, stmt: &Statement) -> DbResult<()> {
-        match stmt {
-            Statement::Insert { table, row } => {
-                self.table_mut(table)?.insert(row.clone())?;
-            }
-            Statement::Update {
-                table,
-                pred,
-                assignments,
-            } => {
-                self.update_unlogged(table, pred, assignments)?;
-            }
-            Statement::Delete { table, pred } => {
-                self.delete_unlogged(table, pred)?;
-            }
-        }
-        Ok(())
     }
 
     /// Whether a table exists.
@@ -223,42 +225,55 @@ impl Database {
         Ok(self.table(table)?.generation())
     }
 
-    /// Inserts into an **already write-locked** table and, with a
-    /// write log attached, logs the *stored* row (auto-increment
-    /// columns resolved) under that same lock — the one place the
-    /// replay-determinism contract lives. Callers holding a guard
-    /// for a multi-row operation (the FORM's marshalling loop) use
-    /// this directly; [`Database::insert`] wraps it.
-    ///
-    /// # Errors
-    ///
-    /// Schema-validation errors, or [`DbError::Persist`] if the
-    /// applied row could not be logged.
-    pub fn insert_into_locked(&self, t: &mut Table, row: Row) -> DbResult<usize> {
-        let pos = t.insert(row)?;
+    /// Runs `write` on an **already write-locked** table as one
+    /// atomic, logged unit — the single commit path of every write.
+    /// With a write log attached, the deltas `write` produced are
+    /// captured as they are produced and appended as *one* record,
+    /// together with `create` when the write is an object creation
+    /// (a write that changed no row logs nothing). If `write` fails —
+    /// or the append does — the table is rolled back to its
+    /// pre-write state, so neither memory nor the log ever holds a
+    /// torn write.
+    fn commit_locked<R>(
+        &self,
+        t: &mut Table,
+        create: Option<&CreateMeta>,
+        write: impl FnOnce(&mut Table) -> DbResult<R>,
+    ) -> DbResult<R> {
+        let from = t.generation();
         if self.wal.is_some() {
-            self.log_statement(
-                &Statement::Insert {
-                    table: t.name().to_owned(),
-                    row: t.rows()[pos].clone(),
-                },
-                t.generation(),
-            )?;
+            t.start_capture();
         }
-        Ok(pos)
+        let result = write(t);
+        let deltas = t.take_capture();
+        let result = result.and_then(|r| match &self.wal {
+            Some(wal) if t.generation() > from => wal
+                .append(t.name(), from, t.generation(), create, &deltas)
+                .map(|()| r),
+            _ => Ok(r),
+        });
+        if let Err(e) = result {
+            if !t.rollback_to(from) {
+                return Err(DbError::Persist(format!(
+                    "write failed ({e}) and the rollback window overflowed: \
+                     in-memory table {} may be ahead of the log",
+                    t.name()
+                )));
+            }
+            return Err(e);
+        }
+        result
     }
 
     /// Applies `stmts` to an **already write-locked** table as one
-    /// atomic unit: all statements are applied in memory, then the
-    /// effective ones (a zero-row update/delete does not bump the
-    /// generation and is omitted, mirroring the single-statement
-    /// paths) are logged as a *single* batch WAL record. If any
-    /// statement fails — or the WAL append does — the table is rolled
-    /// back to its pre-batch rows, so neither memory nor the log ever
-    /// holds a torn multi-row write. This is what makes a faceted
-    /// object save all-or-nothing: after a disk-full fault, reads
-    /// serve the intact pre-write state and a restore replays exactly
-    /// the writes that were acknowledged.
+    /// atomic unit, logged as a *single* record (with `create`, the
+    /// metadata of the object the batch creates). If any statement
+    /// fails — or the WAL append does — the table is rolled back to
+    /// its pre-batch rows, so neither memory nor the log ever holds a
+    /// torn multi-row write. This is what makes a faceted object save
+    /// all-or-nothing: after a disk-full fault, reads serve the intact
+    /// pre-write state and a restore replays exactly the writes that
+    /// were acknowledged.
     ///
     /// # Errors
     ///
@@ -266,92 +281,31 @@ impl Database {
     /// the log append. The table is unchanged on error unless the
     /// rollback window overflowed (batches beyond ~1k rows), which
     /// upgrades the error to a `Persist` describing the overflow.
-    pub fn apply_batch_locked(&self, t: &mut Table, stmts: &[Statement]) -> DbResult<()> {
-        let g0 = t.generation();
-        let mut logged: Vec<Statement> = Vec::with_capacity(stmts.len());
-        let result = self
-            .apply_batch_statements(t, stmts, &mut logged)
-            .and_then(|()| {
-                if logged.is_empty() {
-                    return Ok(());
-                }
-                match &self.wal {
-                    Some(wal) => wal.append_batch(t.name(), &logged, t.generation()),
-                    None => Ok(()),
-                }
-            });
-        if let Err(e) = result {
-            if !t.rollback_to(g0) {
-                return Err(DbError::Persist(format!(
-                    "batch write failed ({e}) and the rollback window overflowed: \
-                     in-memory table {} may be ahead of the log",
-                    t.name()
-                )));
-            }
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn apply_batch_statements(
+    pub fn apply_batch_locked(
         &self,
         t: &mut Table,
         stmts: &[Statement],
-        logged: &mut Vec<Statement>,
+        create: Option<&CreateMeta>,
     ) -> DbResult<()> {
-        let schema = t.schema().clone();
-        for stmt in stmts {
-            debug_assert_eq!(stmt.table(), t.name(), "batch statements share one table");
-            match stmt {
-                Statement::Insert { table, row } => {
-                    let pos = t.insert(row.clone())?;
-                    // Log the *stored* row (auto-increment resolved)
-                    // so replay is deterministic.
-                    logged.push(Statement::Insert {
-                        table: table.clone(),
-                        row: t.rows()[pos].clone(),
-                    });
-                }
-                Statement::Update {
-                    pred, assignments, ..
-                } => {
-                    let mut err = None;
-                    let n = t.update_where(
-                        |row| match pred.eval(&schema, row) {
-                            Ok(b) => b,
-                            Err(e) => {
-                                err = Some(e);
-                                false
-                            }
-                        },
-                        assignments,
-                    )?;
-                    if let Some(e) = err {
-                        return Err(e);
+        self.commit_locked(t, create, |t| {
+            for stmt in stmts {
+                debug_assert_eq!(stmt.table(), t.name(), "batch statements share one table");
+                match stmt {
+                    Statement::Insert { row, .. } => {
+                        t.insert(row.clone())?;
                     }
-                    if n > 0 {
-                        logged.push(stmt.clone());
+                    Statement::Update {
+                        pred, assignments, ..
+                    } => {
+                        update_matching(t, pred, assignments)?;
                     }
-                }
-                Statement::Delete { pred, .. } => {
-                    let mut err = None;
-                    let n = t.delete_where(|row| match pred.eval(&schema, row) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            err = Some(e);
-                            false
-                        }
-                    });
-                    if let Some(e) = err {
-                        return Err(e);
-                    }
-                    if n > 0 {
-                        logged.push(stmt.clone());
+                    Statement::Delete { pred, .. } => {
+                        delete_matching(t, pred)?;
                     }
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Inserts a row into `table`, returning its physical position.
@@ -361,10 +315,10 @@ impl Database {
     /// Table lookup and schema validation errors.
     pub fn insert(&self, table: &str, row: Row) -> DbResult<usize> {
         let mut t = self.table_mut(table)?;
-        self.insert_into_locked(&mut t, row)
+        self.commit_locked(&mut t, None, |t| t.insert(row))
     }
 
-    /// Inserts many rows.
+    /// Inserts many rows, each its own logged write.
     ///
     /// # Errors
     ///
@@ -377,7 +331,7 @@ impl Database {
         let mut t = self.table_mut(table)?;
         let mut n = 0;
         for r in rows {
-            self.insert_into_locked(&mut t, r)?;
+            self.commit_locked(&mut t, None, |t| t.insert(r))?;
             n += 1;
         }
         Ok(n)
@@ -394,57 +348,8 @@ impl Database {
         pred: &Predicate,
         assignments: &[(String, Value)],
     ) -> DbResult<usize> {
-        self.update_impl(table, pred, assignments, true)
-    }
-
-    fn update_unlogged(
-        &self,
-        table: &str,
-        pred: &Predicate,
-        assignments: &[(String, Value)],
-    ) -> DbResult<usize> {
-        self.update_impl(table, pred, assignments, false)
-    }
-
-    fn update_impl(
-        &self,
-        table: &str,
-        pred: &Predicate,
-        assignments: &[(String, Value)],
-        log: bool,
-    ) -> DbResult<usize> {
         let mut t = self.table_mut(table)?;
-        let schema = t.schema().clone();
-        // Evaluate the predicate outside the row closure so errors
-        // surface instead of silently skipping rows.
-        let mut err = None;
-        let n = t.update_where(
-            |row| match pred.eval(&schema, row) {
-                Ok(b) => b,
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            },
-            assignments,
-        )?;
-        if let Some(e) = err {
-            return Err(e);
-        }
-        // A zero-row update does not bump the generation (see
-        // `Table::update_where`), so logging it would produce a record
-        // that replay always skips — don't.
-        if n > 0 && log && self.wal.is_some() {
-            self.log_statement(
-                &Statement::Update {
-                    table: table.to_owned(),
-                    pred: pred.clone(),
-                    assignments: assignments.to_vec(),
-                },
-                t.generation(),
-            )?;
-        }
-        Ok(n)
+        self.commit_locked(&mut t, None, |t| update_matching(t, pred, assignments))
     }
 
     /// Deletes rows of `table` matching `pred`; returns the count.
@@ -453,38 +358,8 @@ impl Database {
     ///
     /// Table resolution and predicate-evaluation errors.
     pub fn delete(&self, table: &str, pred: &Predicate) -> DbResult<usize> {
-        self.delete_impl(table, pred, true)
-    }
-
-    fn delete_unlogged(&self, table: &str, pred: &Predicate) -> DbResult<usize> {
-        self.delete_impl(table, pred, false)
-    }
-
-    fn delete_impl(&self, table: &str, pred: &Predicate, log: bool) -> DbResult<usize> {
         let mut t = self.table_mut(table)?;
-        let schema = t.schema().clone();
-        let mut err = None;
-        let n = t.delete_where(|row| match pred.eval(&schema, row) {
-            Ok(b) => b,
-            Err(e) => {
-                err = Some(e);
-                false
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        // Mirrors `update_impl`: no generation bump, nothing to log.
-        if n > 0 && log && self.wal.is_some() {
-            self.log_statement(
-                &Statement::Delete {
-                    table: table.to_owned(),
-                    pred: pred.clone(),
-                },
-                t.generation(),
-            )?;
-        }
-        Ok(n)
+        self.commit_locked(&mut t, None, |t| delete_matching(t, pred))
     }
 
     /// Wholesale table replacement — the restore path of
@@ -502,6 +377,44 @@ impl Database {
             .map(|(n, t)| read_guard(n, t).len())
             .sum()
     }
+}
+
+/// `UPDATE t SET assignments WHERE pred` on a locked table. A
+/// predicate that fails to evaluate on some row surfaces as the error
+/// instead of silently skipping the row (the caller rolls back).
+fn update_matching(
+    t: &mut Table,
+    pred: &Predicate,
+    assignments: &[(String, Value)],
+) -> DbResult<usize> {
+    let schema = t.schema().clone();
+    let mut err = None;
+    let n = t.update_where(
+        |row| match pred.eval(&schema, row) {
+            Ok(b) => b,
+            Err(e) => {
+                err = Some(e);
+                false
+            }
+        },
+        assignments,
+    )?;
+    err.map_or(Ok(n), Err)
+}
+
+/// `DELETE FROM t WHERE pred` on a locked table; predicate errors
+/// surface like [`update_matching`]'s.
+fn delete_matching(t: &mut Table, pred: &Predicate) -> DbResult<usize> {
+    let schema = t.schema().clone();
+    let mut err = None;
+    let n = t.delete_where(|row| match pred.eval(&schema, row) {
+        Ok(b) => b,
+        Err(e) => {
+            err = Some(e);
+            false
+        }
+    });
+    err.map_or(Ok(n), Err)
 }
 
 #[cfg(test)]
@@ -635,6 +548,7 @@ mod tests {
                         row: vec![Value::Null, Value::Int(101)],
                     },
                 ],
+                None,
             )
             .unwrap();
         }
@@ -660,6 +574,7 @@ mod tests {
                         row: vec![Value::Null, Value::Int(201)],
                     },
                 ],
+                None,
             )
             .unwrap_err()
         };
@@ -687,6 +602,7 @@ mod tests {
                         row: vec![Value::Null, Value::from("not an int")],
                     },
                 ],
+                None,
             )
             .unwrap_err()
         };

@@ -28,14 +28,15 @@ use std::sync::Mutex;
 /// A named I/O site that can fail.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// A [`LineLog::append_line`](crate::wal::LineLog::append_line)
-    /// call — the WAL or the metadata journal.
+    /// A write-log append (see [`crate::wal`]): one committed batch's
+    /// record — its rows and, for a create, the creation metadata,
+    /// which share the append's fate.
     WalAppend,
     /// The checkpoint writer, *before* the tmp file is renamed into
     /// place: the previous snapshot must survive untouched.
     CheckpointPreRename,
     /// The checkpoint writer, *after* the rename but before the log
-    /// truncation: replay idempotence must absorb the overlap.
+    /// compaction: replay idempotence must absorb the overlap.
     CheckpointPostRename,
     /// The restore path's snapshot read. [`FaultKind::Error`] fails
     /// the open outright; [`FaultKind::ShortWrite`] physically

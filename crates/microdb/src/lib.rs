@@ -49,7 +49,7 @@ mod value;
 pub mod wal;
 
 pub use aggregate::Aggregate;
-pub use database::{Database, TableMut, TableRef};
+pub use database::{Database, Statement, TableMut, TableRef};
 pub use error::{DbError, DbResult};
 pub use predicate::{resolve_column, CmpOp, Operand, Predicate};
 pub use query::{ExecStats, Query, ResultSet, SortOrder};
@@ -57,4 +57,4 @@ pub use schema::{ColumnDef, Schema};
 pub use snapshot::{Snapshot, TableSnapshot};
 pub use table::{Row, RowDelta, Table};
 pub use value::{ColumnType, Value};
-pub use wal::{LineLog, LogRecord, ReplayStats, Statement, SyncPolicy, WriteLog};
+pub use wal::{BatchRecord, CreateMeta, LoggedDelta, ReplayStats, SyncPolicy, WriteLog};

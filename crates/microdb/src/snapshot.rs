@@ -1,4 +1,4 @@
-//! Durable snapshots: a stable on-disk encoding of a whole database.
+//! Snapshots: a captured copy of a whole database.
 //!
 //! A [`Snapshot`] captures every table **including its bookkeeping** —
 //! schema, rows, hash-index declarations, the auto-increment cursor,
@@ -16,25 +16,12 @@
 //! caller's responsibility — the executor's quiescent-point hook
 //! holds all request-level table locks shared while snapshotting.
 //!
-//! The text format is line-oriented and versioned; values are encoded
-//! as whitespace-free tokens ([`encode_value`]) so rows can be framed
-//! by tabs and records by newlines:
-//!
-//! ```text
-//! microdb-snapshot v1 <n-tables>
-//! table <name>
-//! meta <generation> <next_auto>
-//! columns <n>
-//! c <TYPE> <nullable 0|1> <auto 0|1> <name>
-//! indexes <n>
-//! x <column>
-//! rows <n>
-//! r <value>\t<value>…
-//! end
-//! ```
+//! This module also owns the whitespace-free token codec
+//! ([`encode_value`], [`escape_token`], [`encode_column`]) that the
+//! on-disk formats share: the write log's records and the chunked
+//! checkpoint's manifest and row chunks.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
 use std::sync::RwLock;
 
 use crate::database::Database;
@@ -188,113 +175,11 @@ impl Snapshot {
     pub fn total_rows(&self) -> usize {
         self.tables.iter().map(|t| t.rows.len()).sum()
     }
-
-    /// Serializes the snapshot to a writer in the versioned text
-    /// format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
-        writeln!(out, "microdb-snapshot v1 {}", self.tables.len())?;
-        for t in &self.tables {
-            writeln!(out, "table {}", escape_token(&t.name))?;
-            writeln!(out, "meta {} {}", t.generation, t.next_auto)?;
-            writeln!(out, "columns {}", t.columns.len())?;
-            for c in &t.columns {
-                writeln!(out, "c {}", encode_column(c))?;
-            }
-            writeln!(out, "indexes {}", t.indexes.len())?;
-            for x in &t.indexes {
-                writeln!(out, "x {}", escape_token(x))?;
-            }
-            writeln!(out, "rows {}", t.rows.len())?;
-            for row in &t.rows {
-                let encoded: Vec<String> = row.iter().map(encode_value).collect();
-                writeln!(out, "r {}", encoded.join("\t"))?;
-            }
-            writeln!(out, "end")?;
-        }
-        Ok(())
-    }
-
-    /// Parses a snapshot from a reader.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Persist`] on framing violations; I/O errors are
-    /// wrapped in the same variant.
-    pub fn read_from(input: &mut impl BufRead) -> DbResult<Snapshot> {
-        let mut lines = input.lines();
-        let mut next_line = move || -> DbResult<String> {
-            lines
-                .next()
-                .ok_or_else(|| DbError::Persist("truncated snapshot".into()))?
-                .map_err(|e| DbError::Persist(format!("read error: {e}")))
-        };
-        let header = next_line()?;
-        let n_tables: usize = header
-            .strip_prefix("microdb-snapshot v1 ")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| DbError::Persist(format!("bad snapshot header {header:?}")))?;
-        let field = |line: &str, prefix: &str| -> DbResult<String> {
-            line.strip_prefix(prefix)
-                .map(str::to_owned)
-                .ok_or_else(|| DbError::Persist(format!("expected {prefix:?} line, got {line:?}")))
-        };
-        let count = |line: &str, prefix: &str| -> DbResult<usize> {
-            field(line, prefix)?
-                .parse()
-                .map_err(|_| DbError::Persist(format!("bad count line {line:?}")))
-        };
-        let mut snapshot = Snapshot::default();
-        for _ in 0..n_tables {
-            let name = unescape_token(&field(&next_line()?, "table ")?)?;
-            let meta = field(&next_line()?, "meta ")?;
-            let (generation, next_auto) = meta
-                .split_once(' ')
-                .and_then(|(g, a)| Some((g.parse().ok()?, a.parse().ok()?)))
-                .ok_or_else(|| DbError::Persist(format!("bad meta line {meta:?}")))?;
-            let n_columns = count(&next_line()?, "columns ")?;
-            let mut columns = Vec::with_capacity(n_columns);
-            for _ in 0..n_columns {
-                columns.push(parse_column(&field(&next_line()?, "c ")?)?);
-            }
-            let n_indexes = count(&next_line()?, "indexes ")?;
-            let mut indexes = Vec::with_capacity(n_indexes);
-            for _ in 0..n_indexes {
-                indexes.push(unescape_token(&field(&next_line()?, "x ")?)?);
-            }
-            let n_rows = count(&next_line()?, "rows ")?;
-            let mut rows = Vec::with_capacity(n_rows);
-            for _ in 0..n_rows {
-                let line = next_line()?;
-                let payload = field(&line, "r ")?;
-                let row: DbResult<Row> = payload.split('\t').map(decode_value).collect();
-                rows.push(row?);
-            }
-            let endline = next_line()?;
-            if endline != "end" {
-                return Err(DbError::Persist(format!(
-                    "expected \"end\", got {endline:?}"
-                )));
-            }
-            snapshot.tables.push(TableSnapshot {
-                name,
-                columns,
-                indexes,
-                generation,
-                next_auto,
-                rows,
-            });
-        }
-        Ok(snapshot)
-    }
 }
 
 /// Renders one column definition as the space-separated token run
-/// used after a `c ` prefix in the snapshot and chunked-manifest
-/// formats: `TYPE nullable auto name`.
+/// used after a `c ` prefix in the chunked-manifest format:
+/// `TYPE nullable auto name`.
 #[must_use]
 pub fn encode_column(c: &ColumnDef) -> String {
     format!(
@@ -490,16 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_text_round_trips() {
-        let db = sample_db();
-        let snap = db.snapshot();
-        let mut buf = Vec::new();
-        snap.write_to(&mut buf).unwrap();
-        let parsed = Snapshot::read_from(&mut &buf[..]).unwrap();
-        assert_eq!(parsed, snap);
-    }
-
-    #[test]
     fn restore_is_operationally_identical() {
         let db = sample_db();
         let snap = db.snapshot();
@@ -539,19 +414,6 @@ mod tests {
         let mut snap2 = sample_db().snapshot();
         snap2.tables[1].indexes.push("zzz".into());
         assert!(Database::new().restore(&snap2).is_err());
-    }
-
-    #[test]
-    fn malformed_snapshot_text_is_rejected() {
-        for bad in [
-            "",
-            "microdb-snapshot v2 0",
-            "microdb-snapshot v1 1\ntable t\nmeta 0 1\ncolumns 0\nindexes 0\nrows 0\nEND",
-            "microdb-snapshot v1 1\ntable t\nmeta x y\ncolumns 0\nindexes 0\nrows 0\nend",
-            "microdb-snapshot v1 1",
-        ] {
-            assert!(Snapshot::read_from(&mut bad.as_bytes()).is_err(), "{bad:?}");
-        }
     }
 
     #[test]

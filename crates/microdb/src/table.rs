@@ -5,6 +5,7 @@ use std::collections::{HashMap, VecDeque};
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
 use crate::value::Value;
+use crate::wal::LoggedDelta;
 
 /// A stored row: one value per schema column.
 pub type Row = Vec<Value>;
@@ -83,6 +84,19 @@ impl ChangeJournal {
             self.first += 1;
         }
     }
+
+    /// Drops the entries past generation `g` (which the window must
+    /// still reach), newest first, returning them newest first.
+    fn pop_after(&mut self, g: u64) -> Vec<RowDelta> {
+        let keep = usize::try_from(g + 1 - self.first).expect("window reaches g");
+        let mut popped = Vec::with_capacity(self.entries.len() - keep);
+        while self.entries.len() > keep {
+            let delta = self.entries.pop_back().expect("len > keep");
+            self.cost -= delta.cost();
+            popped.push(delta);
+        }
+        popped
+    }
 }
 
 /// A hash index over a single column.
@@ -126,6 +140,10 @@ pub struct Table {
     next_auto: i64,
     generation: u64,
     journal: ChangeJournal,
+    /// While `Some`, every committed delta is also collected here in
+    /// its log form — how a logged batch captures exactly the deltas
+    /// it produced, including ones too large for the journal window.
+    capture: Option<Vec<LoggedDelta>>,
 }
 
 impl Table {
@@ -140,6 +158,7 @@ impl Table {
             next_auto: 1,
             generation: 0,
             journal: ChangeJournal::starting_at(1),
+            capture: None,
         }
     }
 
@@ -231,7 +250,6 @@ impl Table {
     /// Returns schema-validation errors from [`Schema::check_row`].
     pub fn insert(&mut self, mut values: Row) -> DbResult<usize> {
         self.schema.check_row(&values)?;
-        self.generation += 1;
         for (i, c) in self.schema.columns().iter().enumerate() {
             if c.is_auto_increment() && values[i].is_null() {
                 values[i] = Value::Int(self.next_auto);
@@ -252,7 +270,7 @@ impl Table {
                     .push(pos);
             }
         }
-        self.journal.push(RowDelta::Append(values.clone()));
+        self.commit(RowDelta::Append(values.clone()));
         self.rows.push(values);
         Ok(pos)
     }
@@ -296,11 +314,7 @@ impl Table {
         }
         let n = rewrites.len();
         if n > 0 {
-            self.generation += 1;
-            self.journal.push(RowDelta::Rewrite(rewrites));
-            for index in &mut self.indexes {
-                index.dirty = true;
-            }
+            self.commit(RowDelta::Rewrite(rewrites));
         }
         Ok(n)
     }
@@ -320,11 +334,7 @@ impl Table {
         });
         let removed = removals.len();
         if removed > 0 {
-            self.generation += 1;
-            self.journal.push(RowDelta::Remove(removals));
-            for index in &mut self.indexes {
-                index.dirty = true;
-            }
+            self.commit(RowDelta::Remove(removals));
         }
         removed
     }
@@ -427,38 +437,117 @@ impl Table {
         }
     }
 
-    /// Rolls the rows back to their state at generation `g` by
-    /// undoing the journal tail — the in-memory half of an atomic
-    /// multi-statement write whose WAL append failed. Returns `false`
-    /// (and changes nothing) if the journal window no longer reaches
-    /// `g`; object writes are a handful of rows, far inside the
-    /// budget, so that only happens for pathological batches.
+    /// Rolls the table back to generation `g` by undoing the journal
+    /// tail — the in-memory half of an atomic multi-statement write
+    /// that failed (a bad row, or a WAL append on a full disk).
+    /// Returns `false` (and changes nothing) if the journal window no
+    /// longer reaches `g`; object writes are a handful of rows, far
+    /// inside the budget, so that only happens for pathological
+    /// batches.
     ///
-    /// On success the generation still advances (partial states may
-    /// have been observed by caches stamped with intermediate
-    /// generations — rolling the stamp *back* would validate them)
-    /// and the journal restarts empty, so delta consumers behind the
-    /// rollback fall back to a full re-read. The auto-increment
-    /// cursor is deliberately left advanced: skipped ids are
-    /// harmless, reused ids are not.
+    /// On success rows, stamp and journal are exactly as they were at
+    /// `g`, so the next logged write continues the log's generation
+    /// chain without a gap. That is sound because a batch runs under
+    /// the table's write lock from its first statement to its
+    /// rollback: no reader can have observed, or stamped a cache
+    /// with, an intermediate generation. The auto-increment cursor is
+    /// deliberately left advanced: skipped ids are harmless, reused
+    /// ids are not.
     pub fn rollback_to(&mut self, g: u64) -> bool {
         if g == self.generation {
             return true; // nothing applied, nothing to undo
         }
-        let Some(deltas) = self.deltas_since(g) else {
+        if self.deltas_since(g).is_none() {
             return false;
-        };
-        let tail: Vec<RowDelta> = deltas.cloned().collect();
-        for delta in tail.iter().rev() {
-            self.undo_delta(delta);
         }
-        self.generation += 1;
-        self.journal = ChangeJournal::starting_at(self.generation + 1);
+        for delta in self.journal.pop_after(g) {
+            self.undo_delta(&delta);
+        }
+        self.generation = g;
         for index in &mut self.indexes {
             index.dirty = true;
         }
         self.refresh_indexes();
         true
+    }
+
+    /// Records one applied write: bumps the generation, marks the
+    /// indexes dirty unless the write was an append (inserts maintain
+    /// them incrementally), and journals — and, while capturing,
+    /// collects — its delta.
+    fn commit(&mut self, delta: RowDelta) {
+        self.generation += 1;
+        if !matches!(delta, RowDelta::Append(_)) {
+            for index in &mut self.indexes {
+                index.dirty = true;
+            }
+        }
+        if let Some(capture) = &mut self.capture {
+            capture.push(LoggedDelta::from(&delta));
+        }
+        self.journal.push(delta);
+    }
+
+    /// Starts collecting every committed delta in its log form.
+    pub(crate) fn start_capture(&mut self) {
+        self.capture = Some(Vec::new());
+    }
+
+    /// Stops collecting, returning the deltas committed since
+    /// [`Table::start_capture`].
+    pub(crate) fn take_capture(&mut self) -> Vec<LoggedDelta> {
+        self.capture.take().unwrap_or_default()
+    }
+
+    /// Applies one logged delta physically — the replay half of the
+    /// write log. The journal records the full [`RowDelta`], old
+    /// images taken from the rows in hand, so delta consumers see a
+    /// replayed write exactly like a live one.
+    ///
+    /// # Errors
+    ///
+    /// Schema-validation errors for a row that does not fit;
+    /// [`DbError::Persist`] for a row index outside the table or out
+    /// of ascending order. The table is unchanged on error.
+    pub(crate) fn apply_logged(&mut self, delta: LoggedDelta) -> DbResult<()> {
+        let len = self.rows.len();
+        let bad = |what: &str| {
+            DbError::Persist(format!(
+                "logged delta of {} {what} (the table has {len} rows)",
+                self.name
+            ))
+        };
+        match delta {
+            LoggedDelta::Append(row) => {
+                self.insert(row)?;
+            }
+            LoggedDelta::Rewrite(rw) => {
+                for (ix, row) in &rw {
+                    if *ix >= len {
+                        return Err(bad(&format!("rewrites row {ix}")));
+                    }
+                    self.schema.check_row(row)?;
+                }
+                let rewrites = rw
+                    .into_iter()
+                    .map(|(ix, new)| (ix, std::mem::replace(&mut self.rows[ix], new.clone()), new))
+                    .collect();
+                self.commit(RowDelta::Rewrite(rewrites));
+            }
+            LoggedDelta::Remove(ixs) => {
+                if ixs.windows(2).any(|w| w[0] >= w[1]) || ixs.last().is_some_and(|&ix| ix >= len) {
+                    return Err(bad(&format!("removes rows {ixs:?}")));
+                }
+                let mut removals: Vec<(usize, Row)> = ixs
+                    .iter()
+                    .rev()
+                    .map(|&ix| (ix, self.rows.remove(ix)))
+                    .collect();
+                removals.reverse();
+                self.commit(RowDelta::Remove(removals));
+            }
+        }
+        Ok(())
     }
 
     /// Rebuilds a table from persisted parts, preserving the write
@@ -492,6 +581,7 @@ impl Table {
             next_auto,
             generation,
             journal: ChangeJournal::starting_at(generation + 1),
+            capture: None,
         })
     }
 }
@@ -802,15 +892,19 @@ mod tests {
         .unwrap();
         assert!(t.rollback_to(g0));
         assert_eq!(t.rows(), before);
-        // The stamp advanced past every intermediate state...
-        assert!(t.generation() > g0 + 4);
-        // ...and delta consumers at g0 must fall back to a full read.
-        assert!(t.deltas_since(g0).is_none());
+        // Stamp and journal are back at g0 exactly, so the next write
+        // continues the generation chain without a gap.
+        assert_eq!(t.generation(), g0);
+        assert_eq!(t.deltas_since(g0).unwrap().count(), 0);
         // Indexes were refreshed, not left dirty.
         assert_eq!(
             t.index_probe_ref("age", &Value::Int(30)).unwrap(),
             vec![0, 2]
         );
+        // The next write journals on top of g0 normally.
+        t.insert(vec![Value::Null, "fay".into(), Value::Int(42)])
+            .unwrap();
+        assert_eq!(t.deltas_since(g0).unwrap().count(), 1);
         // Rolling back to the current generation is a no-op.
         let g = t.generation();
         assert!(t.rollback_to(g));

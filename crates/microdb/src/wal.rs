@@ -1,46 +1,65 @@
 //! The append-only write log: row-level durability between
-//! snapshots.
+//! snapshots, and the one serialized change stream of the engine.
 //!
 //! A [`Snapshot`](crate::Snapshot) is a full copy; taking one per
 //! write would be absurd. Instead a [`WriteLog`] can be attached to a
-//! [`Database`] ([`Database::attach_wal`]): every successful
-//! row-level statement appends one line — the statement itself plus
-//! the table's generation stamp *after* applying it — and restore
-//! becomes *load the last snapshot, then replay the log's suffix*.
-//! The generation stamps make replay idempotent: a record whose stamp
-//! is at or below the restored table's generation is already
-//! reflected in the snapshot and is skipped, so the crash window
-//! between "snapshot renamed into place" and "log truncated" cannot
-//! double-apply anything.
+//! [`Database`] ([`Database::attach_wal`]): every committed batch —
+//! a single-statement write, or an atomic multi-statement object
+//! write ([`Database::apply_batch_locked`]) — appends one line, and
+//! restore becomes *load the last snapshot, then replay the log's
+//! suffix*.
 //!
-//! Two deliberate properties of the format:
+//! # What a record holds
 //!
-//! * **one line per record, appended and flushed before the statement
-//!   returns** — a crash can lose at most the statement that was in
-//!   flight, and a torn final line is detected and ignored by
-//!   [`WriteLog::replay`];
-//! * **logical statements, not page images** — predicates and
-//!   assignments are serialized structurally (they are plain data in
-//!   this engine), so the log is readable and the replay path goes
-//!   through exactly the same code as the original writes.
+//! A record is the serialized form of the [`RowDelta`]s the batch
+//! produced, captured as they were produced (so a rewrite too large
+//! for the in-memory journal window is still logged whole):
 //!
-//! Writers append under the table's write lock, so per-table records
-//! appear in generation order even with concurrent writers on other
-//! tables.
+//! ```text
+//! <table> <from> <to> [c <jid> <n> {<label-ix> <name>} <w> {<v>}] {a <w> {<v>} | r <n> {<ix> <w> {<v>}} | d <n> {<ix>}} .
+//! ```
+//!
+//! * `from`/`to` are the table's generation before and after the
+//!   batch; each delta is one generation bump, so `to - from` deltas
+//!   follow;
+//! * `a` appends a row, `r` rewrites rows in place by physical index,
+//!   `d` removes rows by (pre-removal, ascending) physical index —
+//!   **new images only**: replay has the old rows in hand;
+//! * `c` is the [`CreateMeta`] of an object creation — the labels it
+//!   allocated and the creation-time row its policies close over — so
+//!   a create's metadata and its rows reach the disk in one append or
+//!   not at all, and checkpoint compaction drops both together;
+//! * the `.` terminator turns a crash-truncated line, which could
+//!   otherwise still parse as a shorter record, into a detected torn
+//!   tail.
+//!
+//! # Replay
+//!
+//! [`WriteLog::replay`] applies records *physically*, checked by
+//! generation against the restored table: a record with `to` at or
+//! below the table's generation is already in the snapshot and is
+//! skipped (so the crash window between "snapshot renamed into place"
+//! and "log compacted" cannot double-apply anything); one with `from`
+//! equal to it applies; anything else is a gap — a lost record — and
+//! fails the replay. Writers append under the table's write lock, so
+//! one table's records appear in generation order; records of
+//! different tables interleave freely, and replay does not depend on
+//! their relative order.
 //!
 //! # Durability window
 //!
-//! `append_line` **flushes** each record to the OS but, under the
-//! default [`SyncPolicy::Never`], does **not** fsync it. The window
-//! this opens is precise: a *process* crash (panic, kill -9) loses
-//! nothing — the bytes are in the kernel page cache and reach disk on
-//! the OS's schedule — but a *power loss / kernel panic* can lose
-//! every record appended since the last checkpoint's `sync_all`.
-//! Checkpoints themselves are fsynced (file + directory), so the
-//! exposure is exactly the WAL tail. [`SyncPolicy::EveryN`] bounds
-//! that tail to N records; [`SyncPolicy::Always`] closes it at one
-//! `fdatasync` per write.
+//! Each append is **flushed** to the OS but, under the default
+//! [`SyncPolicy::Never`], not fsynced. The window this opens is
+//! precise: a *process* crash (panic, kill -9) loses nothing — the
+//! bytes are in the kernel page cache and reach disk on the OS's
+//! schedule — but a *power loss / kernel panic* can lose every record
+//! appended since the last checkpoint's `sync_all`. Checkpoints
+//! themselves are fsynced (file + directory), so the exposure is
+//! exactly the WAL tail. [`SyncPolicy::EveryN`] bounds that tail to N
+//! records; [`SyncPolicy::Always`] closes it at one `fdatasync` per
+//! write.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, Write};
@@ -51,427 +70,201 @@ use std::sync::Mutex;
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::faults::{self, FaultKind, FaultPoint};
-use crate::predicate::{CmpOp, Operand, Predicate};
 use crate::snapshot::{decode_value, encode_value, escape_token, unescape_token};
-use crate::table::Row;
-use crate::value::Value;
+use crate::table::{Row, RowDelta};
 
-/// One logged row-level statement.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Statement {
-    /// A single-row insert (the row as stored, auto-increment columns
-    /// already resolved — replay is deterministic).
-    Insert {
-        /// Target table.
-        table: String,
-        /// The stored row.
-        row: Row,
-    },
-    /// A predicate update.
-    Update {
-        /// Target table.
-        table: String,
-        /// The WHERE clause.
-        pred: Predicate,
-        /// `column → value` assignments.
-        assignments: Vec<(String, Value)>,
-    },
-    /// A predicate delete.
-    Delete {
-        /// Target table.
-        table: String,
-        /// The WHERE clause.
-        pred: Predicate,
-    },
+/// The application metadata an object creation commits together with
+/// its rows: the object's id, the policy labels it allocated as
+/// `(label index, stored name)` pairs in policy order, and the
+/// creation-time row its policies close over.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CreateMeta {
+    /// The created object's id.
+    pub jid: i64,
+    /// `(label index, stored name)` per policy, in policy order.
+    pub labels: Vec<(u32, String)>,
+    /// The creation-time row.
+    pub row: Row,
 }
 
-impl Statement {
-    /// The table this statement mutates.
-    #[must_use]
-    pub fn table(&self) -> &str {
-        match self {
-            Statement::Insert { table, .. }
-            | Statement::Update { table, .. }
-            | Statement::Delete { table, .. } => table,
+/// One physical change as the log stores it: a [`RowDelta`] without
+/// its old row images.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LoggedDelta {
+    /// A row appended at the end of the table.
+    Append(Row),
+    /// In-place rewrites `(physical index, new row)`, ascending.
+    Rewrite(Vec<(usize, Row)>),
+    /// Removals by pre-removal physical index, ascending.
+    Remove(Vec<usize>),
+}
+
+impl From<&RowDelta> for LoggedDelta {
+    fn from(delta: &RowDelta) -> LoggedDelta {
+        match delta {
+            RowDelta::Append(row) => LoggedDelta::Append(row.clone()),
+            RowDelta::Rewrite(rw) => LoggedDelta::Rewrite(
+                rw.iter()
+                    .map(|(ix, _old, new)| (*ix, new.clone()))
+                    .collect(),
+            ),
+            RowDelta::Remove(rm) => LoggedDelta::Remove(rm.iter().map(|(ix, _)| *ix).collect()),
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Token-stream serialization. Every record is one line of whitespace-
-// free tokens; strings go through the snapshot module's escaping.
-// ---------------------------------------------------------------------
+/// One decoded log line: a committed batch of one table.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BatchRecord {
+    /// The table every delta applies to.
+    pub table: String,
+    /// The table's generation before the batch.
+    pub from: u64,
+    /// The table's generation after the batch (`from` + one per
+    /// delta).
+    pub to: u64,
+    /// The creation metadata, when the batch created an object.
+    pub create: Option<CreateMeta>,
+    /// The deltas, in application order.
+    pub deltas: Vec<LoggedDelta>,
+}
 
-fn push_operand(out: &mut String, op: &Operand) {
-    match op {
-        Operand::Col(name) => {
-            out.push_str("col ");
-            out.push_str(&escape_token(name));
-        }
-        Operand::Lit(v) => {
-            out.push_str("lit ");
-            out.push_str(&encode_value(v));
-        }
+fn push_row(out: &mut String, row: &Row) {
+    out.push(' ');
+    out.push_str(&row.len().to_string());
+    for v in row {
+        out.push(' ');
+        out.push_str(&encode_value(v));
     }
 }
 
-fn push_predicate(out: &mut String, pred: &Predicate) {
-    match pred {
-        Predicate::True => out.push_str("true"),
-        Predicate::Cmp(a, op, b) => {
-            out.push_str("cmp ");
-            push_operand(out, a);
-            let sym = match op {
-                CmpOp::Eq => " eq ",
-                CmpOp::Ne => " ne ",
-                CmpOp::Lt => " lt ",
-                CmpOp::Le => " le ",
-                CmpOp::Gt => " gt ",
-                CmpOp::Ge => " ge ",
-            };
-            out.push_str(sym);
-            push_operand(out, b);
+/// Renders one batch as a log line (no trailing newline) in the
+/// format of the [module docs](self).
+fn record_line(
+    table: &str,
+    from: u64,
+    to: u64,
+    create: Option<&CreateMeta>,
+    deltas: &[LoggedDelta],
+) -> String {
+    let mut out = format!("{} {from} {to}", escape_token(table));
+    if let Some(c) = create {
+        out.push_str(&format!(" c {} {}", c.jid, c.labels.len()));
+        for (ix, name) in &c.labels {
+            out.push_str(&format!(" {ix} {}", escape_token(name)));
         }
-        Predicate::Like(a, pattern) => {
-            out.push_str("like ");
-            push_operand(out, a);
-            out.push(' ');
-            out.push_str(&escape_token(pattern));
-        }
-        Predicate::IsNull(a) => {
-            out.push_str("isnull ");
-            push_operand(out, a);
-        }
-        Predicate::And(a, b) => {
-            out.push_str("and ");
-            push_predicate(out, a);
-            out.push(' ');
-            push_predicate(out, b);
-        }
-        Predicate::Or(a, b) => {
-            out.push_str("or ");
-            push_predicate(out, a);
-            out.push(' ');
-            push_predicate(out, b);
-        }
-        Predicate::Not(a) => {
-            out.push_str("not ");
-            push_predicate(out, a);
+        push_row(&mut out, &c.row);
+    }
+    for delta in deltas {
+        match delta {
+            LoggedDelta::Append(row) => {
+                out.push_str(" a");
+                push_row(&mut out, row);
+            }
+            LoggedDelta::Rewrite(rw) => {
+                out.push_str(&format!(" r {}", rw.len()));
+                for (ix, row) in rw {
+                    out.push_str(&format!(" {ix}"));
+                    push_row(&mut out, row);
+                }
+            }
+            LoggedDelta::Remove(ixs) => {
+                out.push_str(&format!(" d {}", ixs.len()));
+                for ix in ixs {
+                    out.push_str(&format!(" {ix}"));
+                }
+            }
         }
     }
+    out.push_str(" .");
+    out
 }
 
 fn parse_err(what: &str) -> DbError {
     DbError::Persist(format!("bad write-log record: {what}"))
 }
 
-fn next_token<'a>(tokens: &mut impl Iterator<Item = &'a str>, what: &str) -> DbResult<&'a str> {
-    tokens
-        .next()
-        .ok_or_else(|| parse_err(&format!("truncated {what}")))
-}
-
-fn parse_operand<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> DbResult<Operand> {
-    match next_token(tokens, "operand")? {
-        "col" => Ok(Operand::Col(unescape_token(next_token(tokens, "column")?)?)),
-        "lit" => Ok(Operand::Lit(decode_value(next_token(tokens, "literal")?)?)),
-        other => Err(parse_err(&format!("unknown operand kind {other:?}"))),
-    }
-}
-
-fn parse_predicate<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> DbResult<Predicate> {
-    match next_token(tokens, "predicate")? {
-        "true" => Ok(Predicate::True),
-        "cmp" => {
-            let a = parse_operand(tokens)?;
-            let op = match next_token(tokens, "comparison")? {
-                "eq" => CmpOp::Eq,
-                "ne" => CmpOp::Ne,
-                "lt" => CmpOp::Lt,
-                "le" => CmpOp::Le,
-                "gt" => CmpOp::Gt,
-                "ge" => CmpOp::Ge,
-                other => return Err(parse_err(&format!("unknown comparison {other:?}"))),
-            };
-            let b = parse_operand(tokens)?;
-            Ok(Predicate::Cmp(a, op, b))
-        }
-        "like" => {
-            let a = parse_operand(tokens)?;
-            let pattern = unescape_token(next_token(tokens, "pattern")?)?;
-            Ok(Predicate::Like(a, pattern))
-        }
-        "isnull" => Ok(Predicate::IsNull(parse_operand(tokens)?)),
-        "and" => Ok(parse_predicate(tokens)?.and(parse_predicate(tokens)?)),
-        "or" => Ok(parse_predicate(tokens)?.or(parse_predicate(tokens)?)),
-        "not" => Ok(parse_predicate(tokens)?.not()),
-        other => Err(parse_err(&format!("unknown predicate {other:?}"))),
-    }
-}
-
-/// Renders `(statement, generation-after)` as one log line (no
-/// trailing newline). Every record ends with a `.` terminator token:
-/// a crash-truncated line could otherwise decode as a shorter but
-/// still well-formed record (a string literal cut mid-way is still a
-/// string), and the terminator turns that silent corruption into a
-/// detected torn tail.
-#[must_use]
-pub fn encode_record(stmt: &Statement, generation: u64) -> String {
-    let mut out = String::new();
-    match stmt {
-        Statement::Insert { table, row } => {
-            out.push_str("ins ");
-            out.push_str(&escape_token(table));
-            out.push(' ');
-            out.push_str(&generation.to_string());
-            for v in row {
-                out.push(' ');
-                out.push_str(&encode_value(v));
-            }
-        }
-        Statement::Update {
-            table,
-            pred,
-            assignments,
-        } => {
-            out.push_str("upd ");
-            out.push_str(&escape_token(table));
-            out.push(' ');
-            out.push_str(&generation.to_string());
-            out.push(' ');
-            out.push_str(&assignments.len().to_string());
-            for (col, v) in assignments {
-                out.push(' ');
-                out.push_str(&escape_token(col));
-                out.push(' ');
-                out.push_str(&encode_value(v));
-            }
-            out.push(' ');
-            push_predicate(&mut out, pred);
-        }
-        Statement::Delete { table, pred } => {
-            out.push_str("del ");
-            out.push_str(&escape_token(table));
-            out.push(' ');
-            out.push_str(&generation.to_string());
-            out.push(' ');
-            push_predicate(&mut out, pred);
-        }
-    }
-    out.push_str(" .");
-    out
-}
-
-/// Parses one log line back into `(statement, generation-after)`.
-///
-/// # Errors
-///
-/// [`DbError::Persist`] on any malformed record.
-pub fn decode_record(line: &str) -> DbResult<(Statement, u64)> {
-    let mut tokens = line.split_whitespace();
-    let kind = next_token(&mut tokens, "record")?;
-    let table = unescape_token(next_token(&mut tokens, "table")?)?;
-    let generation: u64 = next_token(&mut tokens, "generation")?
-        .parse()
-        .map_err(|_| parse_err("bad generation"))?;
-    let stmt = match kind {
-        "ins" => {
-            let mut row = Row::new();
-            let mut terminated = false;
-            for tok in tokens.by_ref() {
-                if tok == "." {
-                    terminated = true;
-                    break;
-                }
-                row.push(decode_value(tok)?);
-            }
-            if !terminated {
-                return Err(parse_err("missing record terminator"));
-            }
-            ensure_exhausted(&mut tokens)?;
-            Statement::Insert { table, row }
-        }
-        "upd" => {
-            let n: usize = next_token(&mut tokens, "assignment count")?
-                .parse()
-                .map_err(|_| parse_err("bad assignment count"))?;
-            let mut assignments = Vec::with_capacity(n);
-            for _ in 0..n {
-                let col = unescape_token(next_token(&mut tokens, "assignment column")?)?;
-                let v = decode_value(next_token(&mut tokens, "assignment value")?)?;
-                assignments.push((col, v));
-            }
-            let pred = parse_predicate(&mut tokens)?;
-            expect_terminator(&mut tokens)?;
-            Statement::Update {
-                table,
-                pred,
-                assignments,
-            }
-        }
-        "del" => {
-            let pred = parse_predicate(&mut tokens)?;
-            expect_terminator(&mut tokens)?;
-            Statement::Delete { table, pred }
-        }
-        other => return Err(parse_err(&format!("unknown statement {other:?}"))),
-    };
-    Ok((stmt, generation))
-}
-
-/// One decoded log line: a single statement or an atomic batch.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LogRecord {
-    /// A single statement with its generation-after stamp.
-    Single(Statement, u64),
-    /// An atomic multi-statement record over one table. All-or-
-    /// nothing on disk by construction (one line), so a failed append
-    /// leaves no partial object write in the log. The stamp is the
-    /// table's generation after the *last* statement; snapshots are
-    /// only taken at executor quiescence, so a checkpoint never lands
-    /// mid-batch and the whole batch skips or replays as a unit.
-    Batch {
-        /// The single table every statement in the batch targets.
-        table: String,
-        /// The statements, in application order.
-        stmts: Vec<Statement>,
-        /// Table generation after the last statement.
-        generation: u64,
-    },
-}
-
-/// Renders an atomic batch of same-table statements as one log line
-/// (kind `bat`). Panics in debug builds if a statement targets a
-/// different table.
-#[must_use]
-pub fn encode_batch_record(table: &str, stmts: &[Statement], generation: u64) -> String {
-    let mut out = String::new();
-    out.push_str("bat ");
-    out.push_str(&escape_token(table));
-    out.push(' ');
-    out.push_str(&generation.to_string());
-    out.push(' ');
-    out.push_str(&stmts.len().to_string());
-    for stmt in stmts {
-        debug_assert_eq!(stmt.table(), table, "batch statements share one table");
-        match stmt {
-            Statement::Insert { row, .. } => {
-                out.push_str(" ins ");
-                out.push_str(&row.len().to_string());
-                for v in row {
-                    out.push(' ');
-                    out.push_str(&encode_value(v));
-                }
-            }
-            Statement::Update {
-                pred, assignments, ..
-            } => {
-                out.push_str(" upd ");
-                out.push_str(&assignments.len().to_string());
-                for (col, v) in assignments {
-                    out.push(' ');
-                    out.push_str(&escape_token(col));
-                    out.push(' ');
-                    out.push_str(&encode_value(v));
-                }
-                out.push(' ');
-                push_predicate(&mut out, pred);
-            }
-            Statement::Delete { pred, .. } => {
-                out.push_str(" del ");
-                push_predicate(&mut out, pred);
-            }
-        }
-    }
-    out.push_str(" .");
-    out
-}
-
-/// Parses one log line into a [`LogRecord`] — the entry point replay
-/// uses, accepting both single-statement and batch records.
-///
-/// # Errors
-///
-/// [`DbError::Persist`] on any malformed record.
-pub fn decode_line(line: &str) -> DbResult<LogRecord> {
-    if line.split_whitespace().next() != Some("bat") {
-        let (stmt, generation) = decode_record(line)?;
-        return Ok(LogRecord::Single(stmt, generation));
-    }
-    let mut tokens = line.split_whitespace();
-    let _ = tokens.next(); // "bat"
-    let table = unescape_token(next_token(&mut tokens, "table")?)?;
-    let generation: u64 = next_token(&mut tokens, "generation")?
-        .parse()
-        .map_err(|_| parse_err("bad generation"))?;
-    let count: usize = next_token(&mut tokens, "batch count")?
-        .parse()
-        .map_err(|_| parse_err("bad batch count"))?;
-    let mut stmts = Vec::with_capacity(count);
-    for _ in 0..count {
-        let stmt = match next_token(&mut tokens, "batch statement")? {
-            "ins" => {
-                let n: usize = next_token(&mut tokens, "row width")?
-                    .parse()
-                    .map_err(|_| parse_err("bad row width"))?;
-                let mut row = Row::with_capacity(n);
-                for _ in 0..n {
-                    row.push(decode_value(next_token(&mut tokens, "row value")?)?);
-                }
-                Statement::Insert {
-                    table: table.clone(),
-                    row,
-                }
-            }
-            "upd" => {
-                let n: usize = next_token(&mut tokens, "assignment count")?
-                    .parse()
-                    .map_err(|_| parse_err("bad assignment count"))?;
-                let mut assignments = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let col = unescape_token(next_token(&mut tokens, "assignment column")?)?;
-                    let v = decode_value(next_token(&mut tokens, "assignment value")?)?;
-                    assignments.push((col, v));
-                }
-                let pred = parse_predicate(&mut tokens)?;
-                Statement::Update {
-                    table: table.clone(),
-                    pred,
-                    assignments,
-                }
-            }
-            "del" => Statement::Delete {
-                table: table.clone(),
-                pred: parse_predicate(&mut tokens)?,
-            },
-            other => return Err(parse_err(&format!("unknown batch statement {other:?}"))),
+impl BatchRecord {
+    /// Parses one log line (the format of the [module docs](self)).
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Persist`] on any malformed record, including one
+    /// whose delta count disagrees with its generation span.
+    pub fn parse(line: &str) -> DbResult<BatchRecord> {
+        let mut tokens = line.split_whitespace();
+        let mut next = |what: &str| {
+            tokens
+                .next()
+                .ok_or_else(|| parse_err(&format!("truncated {what}")))
         };
-        stmts.push(stmt);
+        fn num<T: std::str::FromStr>(tok: &str, what: &str) -> DbResult<T> {
+            tok.parse().map_err(|_| parse_err(&format!("bad {what}")))
+        }
+        fn row<'a>(next: &mut impl FnMut(&str) -> DbResult<&'a str>) -> DbResult<Row> {
+            let width: usize = num(next("row width")?, "row width")?;
+            (0..width).map(|_| decode_value(next("value")?)).collect()
+        }
+        let table = unescape_token(next("table")?)?;
+        let from: u64 = num(next("from-generation")?, "from-generation")?;
+        let to: u64 = num(next("to-generation")?, "to-generation")?;
+        let mut create = None;
+        let mut deltas = Vec::new();
+        loop {
+            match next("delta")? {
+                "." => break,
+                "c" if create.is_none() && deltas.is_empty() => {
+                    let jid = num(next("jid")?, "jid")?;
+                    let n: usize = num(next("label count")?, "label count")?;
+                    let mut labels = Vec::new();
+                    for _ in 0..n {
+                        let ix = num(next("label index")?, "label index")?;
+                        labels.push((ix, unescape_token(next("label name")?)?));
+                    }
+                    let row = row(&mut next)?;
+                    create = Some(CreateMeta { jid, labels, row });
+                }
+                "a" => deltas.push(LoggedDelta::Append(row(&mut next)?)),
+                "r" => {
+                    let n: usize = num(next("rewrite count")?, "rewrite count")?;
+                    let mut rw = Vec::new();
+                    for _ in 0..n {
+                        let ix = num(next("row index")?, "row index")?;
+                        rw.push((ix, row(&mut next)?));
+                    }
+                    deltas.push(LoggedDelta::Rewrite(rw));
+                }
+                "d" => {
+                    let n: usize = num(next("remove count")?, "remove count")?;
+                    let ixs = (0..n)
+                        .map(|_| num(next("row index")?, "row index"))
+                        .collect::<DbResult<_>>()?;
+                    deltas.push(LoggedDelta::Remove(ixs));
+                }
+                other => return Err(parse_err(&format!("unknown delta {other:?}"))),
+            }
+        }
+        if tokens.next().is_some() {
+            return Err(parse_err("trailing tokens after the terminator"));
+        }
+        if from.checked_add(deltas.len() as u64) != Some(to) || from == to {
+            return Err(parse_err(&format!(
+                "{} deltas cannot take {table:?} from generation {from} to {to}",
+                deltas.len()
+            )));
+        }
+        Ok(BatchRecord {
+            table,
+            from,
+            to,
+            create,
+            deltas,
+        })
     }
-    expect_terminator(&mut tokens)?;
-    Ok(LogRecord::Batch {
-        table,
-        stmts,
-        generation,
-    })
-}
-
-fn ensure_exhausted<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> DbResult<()> {
-    match tokens.next() {
-        None => Ok(()),
-        Some(extra) => Err(parse_err(&format!("trailing tokens from {extra:?}"))),
-    }
-}
-
-fn expect_terminator<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> DbResult<()> {
-    if next_token(tokens, "terminator")? != "." {
-        return Err(parse_err("missing record terminator"));
-    }
-    ensure_exhausted(tokens)
 }
 
 /// What a replay did.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Records applied.
     pub applied: usize,
@@ -479,6 +272,9 @@ pub struct ReplayStats {
     pub skipped: usize,
     /// Whether a torn (crash-truncated) final line was discarded.
     pub torn_tail: bool,
+    /// `(table, metadata)` of every applied record that created an
+    /// object, in log order — the application layer re-binds them.
+    pub creates: Vec<(String, CreateMeta)>,
 }
 
 /// When (if ever) an append is fsynced, not just flushed. See the
@@ -501,13 +297,12 @@ pub enum SyncPolicy {
     Always,
 }
 
-/// The reusable append-only line-log machinery: open-append, one
-/// flushed line per record, truncation after a checkpoint, and
-/// torn-tail-aware reading. [`WriteLog`] layers the statement codec
-/// on top; the application layer's metadata journal reuses it with
-/// its own records, so fsync/torn-tail policy lives in exactly one
-/// place.
-pub struct LineLog {
+/// The append-only log: one flushed line per committed batch,
+/// compaction after a checkpoint, and torn-tail-aware replay.
+/// `Send + Sync`; appends serialize on an internal mutex (callers
+/// additionally hold the target table's write lock, which is what
+/// orders one table's records).
+pub struct WriteLog {
     path: PathBuf,
     file: Mutex<BufWriter<File>>,
     policy: SyncPolicy,
@@ -523,20 +318,22 @@ pub struct LineLog {
     bytes: AtomicU64,
 }
 
-impl fmt::Debug for LineLog {
+impl fmt::Debug for WriteLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LineLog").field("path", &self.path).finish()
+        f.debug_struct("WriteLog")
+            .field("path", &self.path)
+            .finish()
     }
 }
 
-impl LineLog {
+impl WriteLog {
     /// Opens (creating if absent) the log at `path` for appending.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<LineLog> {
-        LineLog::open_with_policy(path, SyncPolicy::Never)
+    pub fn open(path: impl AsRef<Path>) -> std::io::Result<WriteLog> {
+        WriteLog::open_with_policy(path, SyncPolicy::Never)
     }
 
     /// Opens (creating if absent) the log at `path` with an explicit
@@ -548,7 +345,7 @@ impl LineLog {
     pub fn open_with_policy(
         path: impl AsRef<Path>,
         policy: SyncPolicy,
-    ) -> std::io::Result<LineLog> {
+    ) -> std::io::Result<WriteLog> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         // Seed the pressure counters from whatever the file already
@@ -561,7 +358,7 @@ impl LineLog {
             ),
             Err(_) => (0, 0),
         };
-        Ok(LineLog {
+        Ok(WriteLog {
             path,
             file: Mutex::new(BufWriter::new(file)),
             policy,
@@ -616,13 +413,9 @@ impl LineLog {
     /// full); an armed [`FaultKind::ShortWrite`] leaves a torn,
     /// newline-less prefix in the file — exactly the tail shape
     /// [`WriteLog::replay`] must discard — then fails.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn append_line(&self, line: &str) -> std::io::Result<()> {
+    fn append_line(&self, line: &str) -> std::io::Result<()> {
         debug_assert!(!line.contains('\n'), "records are single lines");
-        let mut file = self.file.lock().expect("line log poisoned");
+        let mut file = self.file.lock().expect("write log poisoned");
         match faults::check(FaultPoint::WalAppend, &self.path) {
             Some(FaultKind::Error) => return Err(faults::injected_err("append")),
             Some(FaultKind::ShortWrite) => {
@@ -657,6 +450,26 @@ impl LineLog {
         Ok(())
     }
 
+    /// Appends one committed batch as one record and flushes it to
+    /// the OS: either the whole batch — rows and creation metadata —
+    /// is in the log or none of it is.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Persist`] wrapping the I/O failure — callers treat
+    /// an unloggable write as a failed write.
+    pub(crate) fn append(
+        &self,
+        table: &str,
+        from: u64,
+        to: u64,
+        create: Option<&CreateMeta>,
+        deltas: &[LoggedDelta],
+    ) -> DbResult<()> {
+        self.append_line(&record_line(table, from, to, create, deltas))
+            .map_err(|e| DbError::Persist(format!("write log append: {e}")))
+    }
+
     /// Truncates the log — called right after a snapshot superseding
     /// every logged record has been renamed into place.
     ///
@@ -664,7 +477,7 @@ impl LineLog {
     ///
     /// Propagates I/O errors.
     pub fn truncate(&self) -> std::io::Result<()> {
-        let mut file = self.file.lock().expect("line log poisoned");
+        let mut file = self.file.lock().expect("write log poisoned");
         file.flush()?;
         let f = file.get_mut();
         f.set_len(0)?;
@@ -674,278 +487,135 @@ impl LineLog {
         Ok(())
     }
 
-    /// Compacts the log in place: keeps exactly the complete lines
-    /// `keep` accepts, drops the rest (including any torn,
-    /// newline-less tail — it was never a durable record). The whole
-    /// rewrite happens under the append mutex, so no record can land
-    /// between the read and the rewrite, and the result is fsynced
-    /// before returning. Returns `(kept, dropped)` line counts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors. On error the file may hold a prefix of
-    /// the kept lines — every one a complete record that the keep
-    /// predicate accepted, so replay is still sound.
-    pub fn retain_lines(&self, mut keep: impl FnMut(&str) -> bool) -> std::io::Result<(u64, u64)> {
-        let mut file = self.file.lock().expect("line log poisoned");
-        file.flush()?;
-        let mut text = String::new();
-        File::open(&self.path)?.read_to_string(&mut text)?;
-        let complete_tail = text.is_empty() || text.ends_with('\n');
-        let all: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        let n_complete = if complete_tail {
-            all.len()
-        } else {
-            all.len().saturating_sub(1)
-        };
-        let mut kept = 0u64;
-        let mut dropped = all.len() as u64 - n_complete as u64;
-        let f = file.get_mut();
-        f.set_len(0)?;
-        f.seek(std::io::SeekFrom::Start(0))?;
-        self.records.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-        let mut bytes = 0u64;
-        for line in &all[..n_complete] {
-            if keep(line) {
-                writeln!(f, "{line}")?;
-                kept += 1;
-                bytes += line.len() as u64 + 1;
-            } else {
-                dropped += 1;
-            }
-        }
-        f.flush()?;
-        f.sync_data()?;
-        self.records.store(kept, Ordering::Relaxed);
-        self.bytes.store(bytes, Ordering::Relaxed);
-        Ok((kept, dropped))
-    }
-
-    /// Reads the non-empty lines at `path`, plus whether the file
-    /// ended in a newline (`false` marks the last line as a torn-tail
-    /// candidate: the crash was mid-append). `Ok(None)` when the file
-    /// does not exist.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than not-found.
-    pub fn read_lines(path: impl AsRef<Path>) -> std::io::Result<Option<(Vec<String>, bool)>> {
-        let mut text = String::new();
-        match File::open(path.as_ref()) {
-            Ok(mut f) => f.read_to_string(&mut text)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let complete_tail = text.is_empty() || text.ends_with('\n');
-        let lines = text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(str::to_owned)
-            .collect();
-        Ok(Some((lines, complete_tail)))
-    }
-}
-
-/// The append-only statement log. `Send + Sync`; appends serialize on
-/// the underlying [`LineLog`]'s mutex (callers additionally hold the
-/// target table's write lock, which is what orders records per
-/// table).
-#[derive(Debug)]
-pub struct WriteLog {
-    log: LineLog,
-}
-
-impl WriteLog {
-    /// Opens (creating if absent) the log at `path` for appending.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<WriteLog> {
-        Ok(WriteLog {
-            log: LineLog::open(path)?,
-        })
-    }
-
-    /// Opens the log with an explicit [`SyncPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn open_with_policy(
-        path: impl AsRef<Path>,
-        policy: SyncPolicy,
-    ) -> std::io::Result<WriteLog> {
-        Ok(WriteLog {
-            log: LineLog::open_with_policy(path, policy)?,
-        })
-    }
-
-    /// Total fsyncs the underlying log has issued.
-    #[must_use]
-    pub fn sync_count(&self) -> u64 {
-        self.log.sync_count()
-    }
-
-    /// Records appended since the last truncation/compaction.
-    #[must_use]
-    pub fn records_since_truncate(&self) -> u64 {
-        self.log.records_since_truncate()
-    }
-
-    /// Bytes appended since the last truncation/compaction.
-    #[must_use]
-    pub fn bytes_since_truncate(&self) -> u64 {
-        self.log.bytes_since_truncate()
-    }
-
-    /// The log's file path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        self.log.path()
-    }
-
-    /// Appends one record and flushes it to the OS, so a process
-    /// crash after a statement returns cannot lose it.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Persist`] wrapping the I/O failure — callers treat
-    /// an unloggable write as a failed write.
-    pub fn append(&self, stmt: &Statement, generation: u64) -> DbResult<()> {
-        self.log
-            .append_line(&encode_record(stmt, generation))
-            .map_err(|e| DbError::Persist(format!("write log append: {e}")))
-    }
-
-    /// Appends an atomic batch of same-table statements as one record
-    /// (one line): either the whole object write is in the log or
-    /// none of it is, so a failed append never leaves a torn object.
-    /// `generation` is the table's generation after the last
-    /// statement.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Persist`] wrapping the I/O failure.
-    pub fn append_batch(&self, table: &str, stmts: &[Statement], generation: u64) -> DbResult<()> {
-        self.log
-            .append_line(&encode_batch_record(table, stmts, generation))
-            .map_err(|e| DbError::Persist(format!("write log append: {e}")))
-    }
-
-    /// Truncates the log — called right after a snapshot has been
-    /// renamed into place, which supersedes every logged record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn truncate(&self) -> std::io::Result<()> {
-        self.log.truncate()
-    }
-
     /// Compacts the log against a checkpoint's generation vector:
     /// keeps exactly the records *newer* than `floor[table]` (the
     /// generation the checkpoint captured for that table), drops
-    /// records the checkpoint already reflects, records for tables the
-    /// vector does not name (their tables are fully captured or gone),
-    /// and any torn tail. At quiescence — when the vector matches the
-    /// live generations — this degenerates to an empty file, like
-    /// [`WriteLog::truncate`], but it is also safe against records
-    /// that raced in after the floor was captured. Returns
-    /// `(kept, dropped)`.
+    /// records the checkpoint already reflects — creation metadata
+    /// goes with its rows — records for tables the vector does not
+    /// name (their tables are fully captured or gone), lines that do
+    /// not parse (corruption the checkpoint has superseded; keeping it
+    /// would poison the next replay) and any torn tail. At quiescence
+    /// this degenerates to an empty file, like [`WriteLog::truncate`],
+    /// but it is also safe against records that raced in after the
+    /// floor was captured. The rewrite happens under the append mutex
+    /// and is fsynced before returning. Returns `(kept, dropped)`.
     ///
     /// # Errors
     ///
-    /// [`DbError::Persist`] wrapping I/O failure; replay stays sound
-    /// on a partial rewrite (see [`LineLog::retain_lines`]).
-    pub fn compact(&self, floor: &std::collections::BTreeMap<String, u64>) -> DbResult<(u64, u64)> {
-        self.log
-            .retain_lines(|line| match decode_line(line) {
-                Ok(LogRecord::Single(stmt, generation)) => floor
-                    .get(stmt.table())
-                    .is_some_and(|&captured| generation > captured),
-                Ok(LogRecord::Batch {
-                    table, generation, ..
-                }) => floor
-                    .get(&table)
-                    .is_some_and(|&captured| generation > captured),
-                // A line that does not decode is either a torn tail
-                // (already excluded by retain_lines) or corruption the
-                // checkpoint has superseded; keeping it would poison
-                // the next replay.
-                Err(_) => false,
-            })
-            .map_err(|e| DbError::Persist(format!("write log compact: {e}")))
+    /// [`DbError::Persist`] wrapping I/O failure. On error the file
+    /// may hold a prefix of the kept lines — every one a complete
+    /// record newer than the floor, so replay is still sound.
+    pub fn compact(&self, floor: &BTreeMap<String, u64>) -> DbResult<(u64, u64)> {
+        let io = |e: std::io::Error| DbError::Persist(format!("write log compact: {e}"));
+        let mut file = self.file.lock().expect("write log poisoned");
+        file.flush().map_err(io)?;
+        let mut text = String::new();
+        File::open(&self.path)
+            .and_then(|mut f| f.read_to_string(&mut text))
+            .map_err(io)?;
+        let (lines, complete_tail) = split_lines(&text);
+        let complete = if complete_tail {
+            &lines[..]
+        } else {
+            &lines[..lines.len() - 1]
+        };
+        let f = file.get_mut();
+        f.set_len(0).map_err(io)?;
+        f.seek(std::io::SeekFrom::Start(0)).map_err(io)?;
+        self.records.store(0, Ordering::Relaxed);
+        self.bytes.store(0, Ordering::Relaxed);
+        let (mut kept, mut bytes) = (0u64, 0u64);
+        for line in complete {
+            let newer = BatchRecord::parse(line)
+                .is_ok_and(|r| floor.get(&r.table).is_some_and(|&g| r.to > g));
+            if newer {
+                writeln!(f, "{line}").map_err(io)?;
+                kept += 1;
+                bytes += line.len() as u64 + 1;
+            }
+        }
+        f.flush().map_err(io)?;
+        f.sync_data().map_err(io)?;
+        self.records.store(kept, Ordering::Relaxed);
+        self.bytes.store(bytes, Ordering::Relaxed);
+        Ok((kept, lines.len() as u64 - kept))
     }
 
-    /// Replays the log at `path` onto `db`: each record whose
-    /// generation stamp exceeds the target table's current generation
-    /// is applied (through the normal statement paths, *without*
-    /// re-logging); records at or below it are already reflected in
-    /// the restored snapshot and are skipped. A torn final line (the
-    /// crash was mid-append) is discarded; a malformed line anywhere
-    /// else is an error. A missing file replays nothing.
+    /// Replays the log at `path` onto `db`, applying each record's
+    /// deltas physically under the generation check of the
+    /// [module docs](self): at or below the table's generation skips,
+    /// exactly at it applies, past it is a gap and an error. A torn
+    /// final line (the crash was mid-append) is discarded; a malformed
+    /// line anywhere else is an error. A missing file replays nothing.
+    /// The creation metadata of applied records is returned in
+    /// [`ReplayStats::creates`] for the application layer.
     ///
     /// # Errors
     ///
-    /// [`DbError::Persist`] for unreadable/corrupt logs; statement
-    /// errors if a record no longer applies (e.g. its table is gone).
-    pub fn replay(path: impl AsRef<Path>, db: &mut Database) -> DbResult<ReplayStats> {
-        let Some((lines, complete_tail)) = LineLog::read_lines(path)
-            .map_err(|e| DbError::Persist(format!("write log read: {e}")))?
-        else {
-            return Ok(ReplayStats::default());
+    /// [`DbError::Persist`] for unreadable or corrupt logs and for a
+    /// generation gap; table errors if a record no longer applies
+    /// (e.g. its table is gone or an index is out of range).
+    pub fn replay(path: impl AsRef<Path>, db: &Database) -> DbResult<ReplayStats> {
+        let mut text = String::new();
+        match File::open(path.as_ref()) {
+            Ok(mut f) => f
+                .read_to_string(&mut text)
+                .map_err(|e| DbError::Persist(format!("write log read: {e}")))?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(ReplayStats::default()),
+            Err(e) => return Err(DbError::Persist(format!("write log read: {e}"))),
         };
+        let (lines, complete_tail) = split_lines(&text);
         let mut stats = ReplayStats::default();
         for (i, line) in lines.iter().enumerate() {
-            let record = match decode_line(line) {
+            let record = match BatchRecord::parse(line) {
                 Ok(r) => r,
-                Err(e) => {
-                    if i + 1 == lines.len() && !complete_tail {
-                        stats.torn_tail = true;
-                        break;
-                    }
-                    return Err(e);
+                Err(_) if i + 1 == lines.len() && !complete_tail => {
+                    stats.torn_tail = true;
+                    break;
                 }
+                Err(e) => return Err(e),
             };
-            match record {
-                LogRecord::Single(stmt, generation) => {
-                    if generation <= db.generation(stmt.table())? {
-                        stats.skipped += 1;
-                        continue;
-                    }
-                    db.apply_statement(&stmt)?;
-                    stats.applied += 1;
-                }
-                LogRecord::Batch {
-                    table,
-                    stmts,
-                    generation,
-                } => {
-                    // Snapshots are taken at quiescence, so the
-                    // restored generation is never *inside* a batch:
-                    // the whole batch skips or replays as a unit.
-                    if generation <= db.generation(&table)? {
-                        stats.skipped += 1;
-                        continue;
-                    }
-                    for stmt in &stmts {
-                        db.apply_statement(stmt)?;
-                    }
-                    stats.applied += 1;
-                }
+            let mut t = db.table_mut(&record.table)?;
+            let current = t.generation();
+            if record.to <= current {
+                stats.skipped += 1;
+                continue;
+            }
+            if record.from != current {
+                return Err(DbError::Persist(format!(
+                    "write log gap: {:?} is at generation {current}, but the next record \
+                     starts at {}",
+                    record.table, record.from
+                )));
+            }
+            for delta in record.deltas {
+                t.apply_logged(delta)?;
+            }
+            stats.applied += 1;
+            if let Some(create) = record.create {
+                stats.creates.push((record.table, create));
             }
         }
         Ok(stats)
     }
 }
 
+/// The non-empty lines of `text`, plus whether it ended in a newline
+/// (`false` marks the last line as a torn-tail candidate: the crash
+/// was mid-append).
+fn split_lines(text: &str) -> (Vec<&str>, bool) {
+    let complete_tail = text.is_empty() || text.ends_with('\n');
+    let lines = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    (lines, complete_tail)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::Statement;
+    use crate::predicate::{Operand, Predicate};
     use crate::schema::{ColumnDef, Schema};
-    use crate::value::ColumnType;
+    use crate::value::{ColumnType, Value};
     use std::sync::Arc;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -965,53 +635,68 @@ mod tests {
         db
     }
 
+    fn append_row(id: i64, x: &str) -> LoggedDelta {
+        LoggedDelta::Append(vec![Value::Int(id), Value::from(x)])
+    }
+
     #[test]
     fn records_round_trip() {
-        let statements = [
-            Statement::Insert {
+        let records = [
+            BatchRecord {
                 table: "a table".into(),
-                row: vec![Value::Int(1), Value::from("x y"), Value::Null],
+                from: 16,
+                to: 17,
+                create: None,
+                deltas: vec![LoggedDelta::Append(vec![
+                    Value::Int(1),
+                    Value::from("x y"),
+                    Value::Null,
+                ])],
             },
             // A web form can deliver any Unicode whitespace; the
             // record must survive the split_whitespace tokenizer.
-            Statement::Insert {
+            BatchRecord {
                 table: "t".into(),
-                row: vec![Value::from("non\u{a0}breaking\u{2028}title")],
-            },
-            Statement::Update {
-                table: "t".into(),
-                pred: Predicate::eq(Operand::col("a b"), Operand::lit("c\td"))
-                    .and(Predicate::Like(Operand::col("x"), "%z%".to_owned()))
-                    .or(Predicate::IsNull(Operand::col("n")).not()),
-                assignments: vec![
-                    ("x".into(), Value::Float(2.5)),
-                    ("y z".into(), Value::Bool(false)),
+                from: 0,
+                to: 3,
+                create: None,
+                deltas: vec![
+                    LoggedDelta::Append(vec![Value::from("non\u{a0}breaking\u{2028}title")]),
+                    LoggedDelta::Rewrite(vec![
+                        (0, vec![Value::Float(2.5)]),
+                        (4, vec![Value::Bool(false)]),
+                    ]),
+                    LoggedDelta::Remove(vec![1, 2, 7]),
                 ],
             },
-            Statement::Delete {
-                table: "t".into(),
-                pred: Predicate::True,
-            },
         ];
-        for stmt in statements {
-            let line = encode_record(&stmt, 17);
+        for record in records {
+            let line = record_line(
+                &record.table,
+                record.from,
+                record.to,
+                record.create.as_ref(),
+                &record.deltas,
+            );
             assert!(!line.contains('\n'));
-            let (back, generation) = decode_record(&line).unwrap();
-            assert_eq!(back, stmt, "{line}");
-            assert_eq!(generation, 17);
+            assert_eq!(BatchRecord::parse(&line).unwrap(), record, "{line}");
         }
         for bad in [
             "",
-            "zzz t 1 .",
-            "ins t notanumber .",
-            "del t 1 nope .",
-            "upd t 1 2 c i1 .",
+            "t 1 2 z .",
+            "t notanumber 2 a 1 i1 .",
+            "t 1 2 d 1 nope .",
+            "t 1 2 r 1 0 2 i1 .",
             // A truncated-but-well-formed prefix: the terminator is
             // what rejects it.
-            "ins t 2 i2 sto",
-            "del t 1 true",
+            "t 1 2 a 2 i2 sto",
+            "t 1 2 d 0",
+            // The delta count must match the generation span.
+            "t 1 3 a 1 i1 .",
+            "t 1 1 .",
+            "t 1 2 a 1 i1 . extra",
         ] {
-            assert!(decode_record(bad).is_err(), "{bad:?}");
+            assert!(BatchRecord::parse(bad).is_err(), "{bad:?}");
         }
     }
 
@@ -1037,7 +722,7 @@ mod tests {
 
         let mut restored = Database::new();
         restored.restore(&snapshot).unwrap();
-        let stats = WriteLog::replay(&path, &mut restored).unwrap();
+        let stats = WriteLog::replay(&path, &restored).unwrap();
         assert_eq!(stats.applied, 4);
         assert_eq!(stats.skipped, 0);
         assert!(!stats.torn_tail);
@@ -1061,16 +746,38 @@ mod tests {
         db.insert("t", vec![Value::Null, Value::from("pre")])
             .unwrap();
         // Snapshot taken *after* the first write; the log still holds
-        // its record (the crash window between rename and truncate).
+        // its record (the crash window between rename and compaction).
         let snapshot = db.snapshot();
         db.insert("t", vec![Value::Null, Value::from("post")])
             .unwrap();
 
         let mut restored = Database::new();
         restored.restore(&snapshot).unwrap();
-        let stats = WriteLog::replay(&path, &mut restored).unwrap();
+        let stats = WriteLog::replay(&path, &restored).unwrap();
         assert_eq!((stats.applied, stats.skipped), (1, 1));
         assert_eq!(restored.table("t").unwrap().len(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn replay_rejects_a_record_that_does_not_start_at_the_table_generation() {
+        // A record starting past the table's generation means the one
+        // in between was lost: replay must fail, not skip ahead.
+        let path = temp_path("gap");
+        std::fs::write(
+            &path,
+            format!(
+                "{}\n{}\n",
+                record_line("t", 0, 1, None, &[append_row(1, "a")]),
+                record_line("t", 2, 3, None, &[append_row(3, "c")]),
+            ),
+        )
+        .unwrap();
+        let err = WriteLog::replay(&path, &fresh_db()).unwrap_err();
+        assert!(
+            matches!(&err, DbError::Persist(m) if m.contains("gap")),
+            "{err:?}"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1092,7 +799,7 @@ mod tests {
 
         let mut restored = Database::new();
         restored.restore(&snapshot).unwrap();
-        WriteLog::replay(&path, &mut restored).unwrap();
+        WriteLog::replay(&path, &restored).unwrap();
         assert_eq!(
             restored.table("t").unwrap().next_auto(),
             4,
@@ -1116,8 +823,8 @@ mod tests {
 
     #[test]
     fn no_op_updates_and_deletes_are_not_logged() {
-        // A zero-row write does not bump the generation, so its record
-        // would always be skipped on replay — the log must not grow.
+        // A zero-row write does not bump the generation, so it has no
+        // deltas to log — the log must not grow.
         let path = temp_path("noop");
         let _ = std::fs::remove_file(&path);
         let mut db = fresh_db();
@@ -1135,9 +842,8 @@ mod tests {
             &Predicate::eq(Operand::col("x"), Operand::lit("absent")),
         )
         .unwrap();
-        let (lines, complete_tail) = LineLog::read_lines(&path).unwrap().unwrap();
-        assert!(complete_tail);
-        assert_eq!(lines.len(), 1, "only the insert was logged");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1, "only the insert was logged");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1147,28 +853,21 @@ mod tests {
         std::fs::write(
             &path,
             format!(
-                "{}\nins t 2 i2 sto",
-                encode_record(
-                    &Statement::Insert {
-                        table: "t".into(),
-                        row: vec![Value::Int(1), Value::from("whole")],
-                    },
-                    1,
-                )
+                "{}\nt 1 2 a 2 i2 sto",
+                record_line("t", 0, 1, None, &[append_row(1, "whole")])
             ),
         )
         .unwrap();
-        let mut db = fresh_db();
-        let stats = WriteLog::replay(&path, &mut db).unwrap();
+        let db = fresh_db();
+        let stats = WriteLog::replay(&path, &db).unwrap();
         assert!(stats.torn_tail);
         assert_eq!(stats.applied, 1);
         assert_eq!(db.table("t").unwrap().len(), 1);
 
         // The same broken record mid-file (newline-terminated, another
         // record after it) is corruption, not a torn tail.
-        std::fs::write(&path, "zzz not-a-record .\nins t 1 i1 sok .\n").unwrap();
-        let mut db2 = fresh_db();
-        assert!(WriteLog::replay(&path, &mut db2).is_err());
+        std::fs::write(&path, "zzz not-a-record .\nt 0 1 a 2 i1 sok .\n").unwrap();
+        assert!(WriteLog::replay(&path, &fresh_db()).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1177,121 +876,86 @@ mod tests {
         let path = temp_path("truncate");
         let _ = std::fs::remove_file(&path);
         let log = WriteLog::open(&path).unwrap();
-        log.append(
-            &Statement::Delete {
-                table: "t".into(),
-                pred: Predicate::True,
-            },
-            1,
-        )
-        .unwrap();
+        log.append("t", 0, 1, None, &[append_row(1, "a")]).unwrap();
         assert!(std::fs::metadata(&path).unwrap().len() > 0);
         log.truncate().unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         // Appends continue after a truncate.
-        log.append(
-            &Statement::Delete {
-                table: "t".into(),
-                pred: Predicate::True,
-            },
-            2,
-        )
-        .unwrap();
-        let mut db = fresh_db();
-        let stats = WriteLog::replay(&path, &mut db).unwrap();
-        assert_eq!(stats.applied + stats.skipped, 1);
+        log.append("t", 0, 1, None, &[append_row(1, "b")]).unwrap();
+        let db = fresh_db();
+        let stats = WriteLog::replay(&path, &db).unwrap();
+        assert_eq!(stats.applied, 1);
+        assert_eq!(db.table("t").unwrap().rows()[0][1], Value::from("b"));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn missing_log_replays_nothing() {
-        let mut db = fresh_db();
-        let stats = WriteLog::replay(temp_path("never-created"), &mut db).unwrap();
+        let stats = WriteLog::replay(temp_path("never-created"), &fresh_db()).unwrap();
         assert_eq!(stats, ReplayStats::default());
     }
 
     #[test]
     fn batch_records_round_trip() {
-        let stmts = vec![
-            Statement::Delete {
-                table: "t".into(),
-                pred: Predicate::eq(Operand::col("id"), Operand::lit(3i64)),
-            },
-            Statement::Insert {
-                table: "t".into(),
-                row: vec![Value::Int(3), Value::from("a b")],
-            },
-            Statement::Insert {
-                table: "t".into(),
-                row: vec![Value::Int(4), Value::Null],
-            },
-            Statement::Update {
-                table: "t".into(),
-                pred: Predicate::True,
-                assignments: vec![("x".into(), Value::from("v"))],
-            },
+        // A create: its metadata rides in the same record as its rows.
+        let create = CreateMeta {
+            jid: 3,
+            labels: vec![(12, "paper.author".into()), (13, "paper.title'13".into())],
+            row: vec![Value::from("a b"), Value::Null],
+        };
+        let deltas = vec![
+            LoggedDelta::Remove(vec![0]),
+            append_row(3, "a b"),
+            append_row(4, ""),
+            LoggedDelta::Rewrite(vec![(1, vec![Value::Int(4), Value::from("v")])]),
         ];
-        let line = encode_batch_record("t", &stmts, 9);
-        assert!(!line.contains('\n'));
-        match decode_line(&line).unwrap() {
-            LogRecord::Batch {
-                table,
-                stmts: back,
-                generation,
-            } => {
-                assert_eq!(table, "t");
-                assert_eq!(back, stmts);
-                assert_eq!(generation, 9);
+        let line = record_line("t", 9, 13, Some(&create), &deltas);
+        assert_eq!(
+            BatchRecord::parse(&line).unwrap(),
+            BatchRecord {
+                table: "t".into(),
+                from: 9,
+                to: 13,
+                create: Some(create),
+                deltas,
             }
-            other => panic!("expected batch, got {other:?}"),
-        }
-        // Single records still decode through decode_line.
-        let single = encode_record(&stmts[1], 5);
-        assert!(matches!(
-            decode_line(&single).unwrap(),
-            LogRecord::Single(Statement::Insert { .. }, 5)
-        ));
-        // A truncated batch (no terminator) is rejected.
-        assert!(decode_line(line.trim_end_matches(" .")).is_err());
-        assert!(decode_line("bat t 1 2 ins 1 i1 .").is_err());
+        );
+        // A truncated batch (no terminator) is rejected, and so is
+        // creation metadata anywhere but first.
+        assert!(BatchRecord::parse(line.trim_end_matches(" .")).is_err());
+        assert!(BatchRecord::parse("t 1 2 a 2 i1 s c 1 0 0 .").is_err());
     }
 
     #[test]
     fn batch_replay_skips_or_applies_as_a_unit() {
         let path = temp_path("batch");
         let _ = std::fs::remove_file(&path);
-        let db = fresh_db();
+        let mut db = fresh_db();
         let snapshot = db.snapshot();
-        let log = WriteLog::open(&path).unwrap();
-        // Simulate an object write: two inserts, one batch record,
-        // stamped with the generation after the last statement.
-        db.insert("t", vec![Value::Null, Value::from("r1")])
-            .unwrap();
-        db.insert("t", vec![Value::Null, Value::from("r2")])
-            .unwrap();
-        let stmts: Vec<Statement> = db
-            .table("t")
-            .unwrap()
-            .rows()
-            .iter()
-            .map(|r| Statement::Insert {
-                table: "t".into(),
-                row: r.clone(),
-            })
-            .collect();
-        log.append_batch("t", &stmts, db.generation("t").unwrap())
-            .unwrap();
+        db.attach_wal(Arc::new(WriteLog::open(&path).unwrap()));
+        // An object write: two inserts, one record.
+        {
+            let mut t = db.table_mut("t").unwrap();
+            let stmts: Vec<Statement> = ["r1", "r2"]
+                .iter()
+                .map(|x| Statement::Insert {
+                    table: "t".into(),
+                    row: vec![Value::Null, Value::from(*x)],
+                })
+                .collect();
+            db.apply_batch_locked(&mut t, &stmts, None).unwrap();
+        }
 
         let mut restored = Database::new();
         restored.restore(&snapshot).unwrap();
-        let stats = WriteLog::replay(&path, &mut restored).unwrap();
+        let stats = WriteLog::replay(&path, &restored).unwrap();
         assert_eq!((stats.applied, stats.skipped), (1, 0));
         assert_eq!(
             restored.table("t").unwrap().rows(),
             db.table("t").unwrap().rows()
         );
         // Replaying onto the already-current database skips the batch.
-        let stats2 = WriteLog::replay(&path, &mut restored).unwrap();
+        let stats2 = WriteLog::replay(&path, &restored).unwrap();
         assert_eq!((stats2.applied, stats2.skipped), (0, 1));
         assert_eq!(restored.table("t").unwrap().len(), 2);
         let _ = std::fs::remove_file(&path);
@@ -1302,11 +966,8 @@ mod tests {
         let path = temp_path("fault_short");
         let _ = std::fs::remove_file(&path);
         let log = WriteLog::open(&path).unwrap();
-        let whole = Statement::Insert {
-            table: "t".into(),
-            row: vec![Value::Int(1), Value::from("whole")],
-        };
-        log.append(&whole, 1).unwrap();
+        log.append("t", 0, 1, None, &[append_row(1, "whole")])
+            .unwrap();
 
         // Path-scoped so a parallel test's appends can't trip it; one-
         // shot so it is inert afterwards (no disarm needed, which
@@ -1317,15 +978,13 @@ mod tests {
             FaultKind::ShortWrite,
             "fault_short",
         );
-        let torn = Statement::Insert {
-            table: "t".into(),
-            row: vec![Value::Int(2), Value::from("torn")],
-        };
-        let err = log.append(&torn, 2).unwrap_err();
+        let err = log
+            .append("t", 1, 2, None, &[append_row(2, "torn")])
+            .unwrap_err();
         assert!(format!("{err}").contains("injected"), "{err}");
 
-        let mut db = fresh_db();
-        let stats = WriteLog::replay(&path, &mut db).unwrap();
+        let db = fresh_db();
+        let stats = WriteLog::replay(&path, &db).unwrap();
         assert!(stats.torn_tail, "{stats:?}");
         assert_eq!(stats.applied, 1);
         assert_eq!(db.table("t").unwrap().len(), 1);
@@ -1336,18 +995,18 @@ mod tests {
     fn sync_policy_every_n_counts_fsyncs() {
         let path = temp_path("sync_policy");
         let _ = std::fs::remove_file(&path);
-        let log = LineLog::open_with_policy(&path, SyncPolicy::EveryN(2)).unwrap();
+        let log = WriteLog::open_with_policy(&path, SyncPolicy::EveryN(2)).unwrap();
         assert_eq!(log.sync_policy(), SyncPolicy::EveryN(2));
         for i in 0..5 {
             log.append_line(&format!("line{i}")).unwrap();
         }
         assert_eq!(log.sync_count(), 2, "5 appends at EveryN(2) -> 2 syncs");
 
-        let always = LineLog::open_with_policy(&path, SyncPolicy::Always).unwrap();
+        let always = WriteLog::open_with_policy(&path, SyncPolicy::Always).unwrap();
         always.append_line("x").unwrap();
         assert_eq!(always.sync_count(), 1);
 
-        let never = LineLog::open_with_policy(&path, SyncPolicy::Never).unwrap();
+        let never = WriteLog::open_with_policy(&path, SyncPolicy::Never).unwrap();
         never.append_line("y").unwrap();
         assert_eq!(never.sync_count(), 0);
         let _ = std::fs::remove_file(&path);
@@ -1357,7 +1016,7 @@ mod tests {
     fn pressure_counters_track_appends_and_survive_reopen() {
         let path = temp_path("pressure");
         let _ = std::fs::remove_file(&path);
-        let log = LineLog::open(&path).unwrap();
+        let log = WriteLog::open(&path).unwrap();
         assert_eq!(log.records_since_truncate(), 0);
         log.append_line("one").unwrap();
         log.append_line("two").unwrap();
@@ -1366,7 +1025,7 @@ mod tests {
         drop(log);
 
         // A reopen (restore path) seeds the gauges from the file.
-        let log = LineLog::open(&path).unwrap();
+        let log = WriteLog::open(&path).unwrap();
         assert_eq!(log.records_since_truncate(), 2);
         assert_eq!(log.bytes_since_truncate(), 8);
         log.truncate().unwrap();
@@ -1380,34 +1039,31 @@ mod tests {
         let path = temp_path("compact");
         let _ = std::fs::remove_file(&path);
         let log = Arc::new(WriteLog::open(&path).unwrap());
-        let stmt = |x: &str| Statement::Insert {
-            table: "t".into(),
-            row: vec![Value::Null, Value::from(x)],
-        };
-        log.append(&stmt("a"), 1).unwrap();
-        log.append(&stmt("b"), 2).unwrap();
-        log.append(&stmt("c"), 3).unwrap();
-        let other = Statement::Insert {
-            table: "u".into(),
-            row: vec![Value::Int(9)],
-        };
-        log.append(&other, 5).unwrap();
+        log.append("t", 0, 1, None, &[append_row(1, "a")]).unwrap();
+        log.append("t", 1, 2, None, &[append_row(2, "b")]).unwrap();
+        log.append("t", 2, 3, None, &[append_row(3, "c")]).unwrap();
+        log.append("u", 4, 5, None, &[LoggedDelta::Append(vec![Value::Int(9)])])
+            .unwrap();
 
         // Checkpoint captured t@2; table u is not in the vector (fully
         // captured), so its records drop too.
-        let floor: std::collections::BTreeMap<String, u64> = [("t".to_owned(), 2)].into();
+        let floor: BTreeMap<String, u64> = [("t".to_owned(), 2)].into();
         let (kept, dropped) = log.compact(&floor).unwrap();
         assert_eq!((kept, dropped), (1, 3));
         assert_eq!(log.records_since_truncate(), 1);
 
-        let mut db = fresh_db();
-        let stats = WriteLog::replay(&path, &mut db).unwrap();
+        // The survivor replays on top of a table at the floor.
+        let db = fresh_db();
+        for x in ["a", "b"] {
+            db.insert("t", vec![Value::Null, Value::from(x)]).unwrap();
+        }
+        let stats = WriteLog::replay(&path, &db).unwrap();
         assert_eq!(stats.applied, 1, "only t@3 survives and replays");
-        assert_eq!(db.table("t").unwrap().rows()[0][1], Value::from("c"));
+        assert_eq!(db.table("t").unwrap().rows()[2][1], Value::from("c"));
 
         // At quiescence the vector matches live generations and the
         // file degenerates to empty.
-        let floor: std::collections::BTreeMap<String, u64> = [("t".to_owned(), 3)].into();
+        let floor: BTreeMap<String, u64> = [("t".to_owned(), 3)].into();
         let (kept, _) = log.compact(&floor).unwrap();
         assert_eq!(kept, 0);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);

@@ -147,7 +147,7 @@ fn served_app_survives_kill_and_restore_byte_identically() {
 
     // Concurrent keep-alive writers race the checkpoint: half their
     // writes land before it (captured by the snapshot), half after
-    // (captured by the logs). Every one must survive the restore.
+    // (captured by the log). Every one must survive the restore.
     let writers = 3i64;
     let writes_per_writer = 6;
     std::thread::scope(|scope| {
@@ -215,8 +215,9 @@ fn served_app_survives_kill_and_restore_byte_identically() {
 }
 
 /// Writes that happen *after* the last checkpoint live only in the
-/// write log + meta journal; a restore must replay them — including
-/// across a torn (crash-truncated) final log line.
+/// write log — a create's rows and its labels and policy bindings in
+/// one record; a restore must replay them — including across a torn
+/// (crash-truncated) final log line.
 #[test]
 fn post_checkpoint_writes_survive_via_log_replay() {
     let dir = temp_dir("logs");
@@ -226,7 +227,7 @@ fn post_checkpoint_writes_survive_via_log_replay() {
     let mut client = Client::connect(server.addr());
     client.login(1);
     assert_eq!(client.post("admin/checkpoint", "").status, 200);
-    // This paper exists only in the logs.
+    // This paper exists only in the log.
     let response = client.post("papers/submit", "title=log-only+paper");
     assert_eq!(response.status, 200, "{}", response.text());
     let page = client.get("papers/all");
