@@ -476,10 +476,15 @@ fn delta_maintenance_differential_all_pages_under_writes() {
     off.db.delete("review", rb, &Default::default()).unwrap();
     check(&on, &off, &papers, "after review delete");
 
-    // The twins diverged only in *how* pages were produced.
-    assert!(
-        on.db.decode_cache_stats().delta_applies > 0,
-        "the deltas-on twin must actually repair slots in place"
+    // The twins diverged only in *how* pages were produced: every
+    // write step above is repaired in place by exactly one delta apply
+    // at the next read (the paper and review inserts, the phase flip —
+    // its delete + create land together before the grid reads — the
+    // rescore and the delete), none by a full re-decode.
+    assert_eq!(
+        on.db.decode_cache_stats().delta_applies,
+        5,
+        "the deltas-on twin repairs each write step's slot in place once"
     );
     assert_eq!(
         off.db.decode_cache_stats().delta_applies,
@@ -536,8 +541,7 @@ fn render_cache_differential_all_pages_all_viewers_under_writes() {
                 );
             }
         }
-        Executor::sequential()
-            .run(app, &router, &requests)
+        Executor::run(app, &router, &requests)
             .into_iter()
             .map(|r| {
                 assert_eq!(r.status, 200);
@@ -704,8 +708,7 @@ fn fragment_repair_differential_randomized_interleavings() {
                     ]
                 })
                 .collect();
-            Executor::sequential()
-                .run(app, &router, &requests)
+            Executor::run(app, &router, &requests)
                 .into_iter()
                 .map(|r| {
                     assert_eq!(r.status, 200);
@@ -790,7 +793,7 @@ fn single_write_repairs_one_fragment_at_scale() {
         apps::conf::submit_paper(&app, &Viewer::User(author), &format!("bulk {i}")).unwrap();
     }
     let viewer = Viewer::User(2);
-    let warm = Executor::sequential().run(
+    let warm = Executor::run(
         &app,
         &router,
         &[
@@ -802,8 +805,7 @@ fn single_write_repairs_one_fragment_at_scale() {
     let before = app.render_cache_stats();
 
     apps::conf::submit_paper(&app, &Viewer::User(3), "the one new paper").unwrap();
-    let repaired =
-        Executor::sequential().run(&app, &router, &[Request::new("papers/all", viewer.clone())]);
+    let repaired = Executor::run(&app, &router, &[Request::new("papers/all", viewer.clone())]);
     assert!(repaired[0].body.contains("the one new paper"));
     let after = app.render_cache_stats();
     assert_eq!(

@@ -1,12 +1,12 @@
-//! Concurrent-executor differential tests: the multi-threaded request
-//! path must produce **byte-identical** page output to the sequential
-//! path (and therefore, transitively through `differential.rs`, to the
+//! Concurrent-executor differential tests: several threads running
+//! [`Executor::run`] against one shared app must produce
+//! **byte-identical** page output to one sequential run (and therefore, transitively through `differential.rs`, to the
 //! hand-coded baselines) — the strongest check that sharing one
 //! `Send + Sync` faceted database across worker threads changes
 //! nothing observable.
 
 use apps::workload;
-use jacqueline::{App, Executor, Request, Router, Viewer};
+use jacqueline::{App, Executor, Request, Response, Router, Viewer};
 
 /// All three apps now ship real routers (with declared footprints, so
 /// in debug builds every dispatch below also runs the footprint
@@ -19,7 +19,34 @@ fn health_router() -> Router {
     apps::health::router()
 }
 
-/// Runs `requests` sequentially and at 2/4 threads, asserting the
+/// Runs `requests` on `workers` scoped threads sharing one app:
+/// worker `w` sends every `workers`-th request from `w` on through its
+/// own [`Executor::run`], and the responses are reassembled in
+/// submission order.
+fn run_strided(app: &App, router: &Router, requests: &[Request], workers: usize) -> Vec<Response> {
+    let mut shares: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let share: Vec<Request> =
+                    requests.iter().skip(w).step_by(workers).cloned().collect();
+                scope.spawn(move || Executor::run(app, router, &share))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked").into_iter())
+            .collect()
+    });
+    (0..requests.len())
+        .map(|i| {
+            shares[i % workers]
+                .next()
+                .expect("one response per request")
+        })
+        .collect()
+}
+
+/// Runs `requests` sequentially and on 2/4 workers, asserting the
 /// responses (status *and* body bytes) are identical.
 fn assert_concurrent_matches_sequential(
     app: App,
@@ -27,18 +54,18 @@ fn assert_concurrent_matches_sequential(
     requests: &[Request],
     context: &str,
 ) {
-    let sequential = Executor::sequential().run(&app, router, requests);
-    for threads in [2, 4] {
-        let concurrent = Executor::with_threads(threads).run(&app, router, requests);
+    let sequential = Executor::run(&app, router, requests);
+    for workers in [2, 4] {
+        let concurrent = run_strided(&app, router, requests, workers);
         assert_eq!(
             concurrent.len(),
             sequential.len(),
-            "[{context}] response count at {threads} threads"
+            "[{context}] response count on {workers} workers"
         );
         for (i, (c, s)) in concurrent.iter().zip(&sequential).enumerate() {
             assert_eq!(
                 c, s,
-                "[{context}] request {i} ({}) differs at {threads} threads",
+                "[{context}] request {i} ({}) differs on {workers} workers",
                 requests[i].path
             );
         }
@@ -74,7 +101,7 @@ fn conference_pages_identical_across_executors() {
 #[test]
 fn conference_executor_matches_vanilla_baseline() {
     // Close the loop with the hand-coded implementation: pages served
-    // by the 4-thread executor equal the baseline's renderings.
+    // by 4 concurrent executor workers equal the baseline's renderings.
     let w = workload::conference(8, 6);
     let mut vanilla = w.vanilla;
     let router = apps::conf::router();
@@ -86,7 +113,7 @@ fn conference_executor_matches_vanilla_baseline() {
         .map(|v| Request::new("papers/all", v.clone()))
         .collect();
     let app = w.app;
-    let responses = Executor::with_threads(4).run(&app, &router, &requests);
+    let responses = run_strided(&app, &router, &requests, 4);
     for (viewer, response) in viewers.iter().zip(&responses) {
         assert_eq!(
             response.body,
@@ -131,8 +158,8 @@ fn health_pages_identical_across_executors() {
     assert_concurrent_matches_sequential(w.app, &router, &requests, "health");
 }
 
-/// The stress test of the issue: N threads × M requests on the
-/// conference workload; results must match the sequential executor
+/// The stress test: N workers × M requests on the conference
+/// workload; results must match one sequential run
 /// request-for-request. Sized to bite in release CI while staying
 /// tractable in debug runs.
 #[test]
@@ -141,11 +168,11 @@ fn concurrent_stress_matches_sequential() {
     let router = apps::conf::router();
     let requests = workload::conference_requests(192, 16, 24);
     let app = w.app;
-    let sequential = Executor::sequential().run(&app, &router, &requests);
+    let sequential = Executor::run(&app, &router, &requests);
     assert!(sequential.iter().all(|r| r.status == 200));
-    for threads in [2, 4, 8] {
-        let concurrent = Executor::with_threads(threads).run(&app, &router, &requests);
-        assert_eq!(concurrent, sequential, "{threads} threads");
+    for workers in [2, 4] {
+        let concurrent = run_strided(&app, &router, &requests, workers);
+        assert_eq!(concurrent, sequential, "{workers} workers");
     }
 }
 
@@ -163,7 +190,7 @@ fn executor_serializes_interleaved_writes() {
         })
         .collect();
     requests.extend((0..16).map(|i| Request::new("papers/all", Viewer::User(1 + i % 8))));
-    let responses = Executor::with_threads(4).run(&app, &router, &requests);
+    let responses = run_strided(&app, &router, &requests, 4);
     assert!(responses.iter().all(|r| r.status == 200));
     let papers = app.all("paper").unwrap();
     let distinct_new: std::collections::BTreeSet<i64> = papers

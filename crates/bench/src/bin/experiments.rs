@@ -1,39 +1,38 @@
-//! Regenerates every table and figure of the paper's evaluation (§6),
-//! plus the post-paper tables added by this reproduction (memoization
-//! ablation, concurrent-executor throughput).
+//! Regenerates every table and figure of the paper's evaluation (§6):
+//! Figure 6, Figure 9a–c and Tables 3–5, plus the memoization ablation
+//! behind Table 5's blow-up.
 //!
 //! Run with `cargo run --release -p jbench --bin experiments -- --all`
 //! (or a subset: `--fig6 --fig9a --fig9b --fig9c --table3 --table4
-//! --table5 --memo --concurrent --cache --deltas --render-cache
-//! --fragments --locks --load --checkpoint`). `--smoke` shrinks the
-//! sweeps for
-//! CI; `--serve
-//! [--port N]` skips measurement and serves the conference app over
-//! HTTP until killed. `--load` measures the socket path: the served
-//! vs in-process overhead table (gated in CI) and the open-loop load
-//! harness with queue/service latency percentiles. `--checkpoint`
-//! measures the persistence subsystem: checkpoint + restore medians
-//! (gated in CI, absolute mode) and interner node counts around the
-//! quiescent-point GC. Output mirrors the paper's rows; absolute times are this
-//! machine's, the comparison *shapes* are the reproduction target
-//! (see EXPERIMENTS.md). Alongside the printed tables the run records
-//! per-table medians and writes them to `BENCH_results.json` (or the
-//! path given with `--json <path>`), so successive PRs accumulate a
-//! perf trajectory.
+//! --table5 --memo`). `--smoke` shrinks the sweeps for CI. Any other
+//! flag is rejected with a usage line (exit 2). Output mirrors the
+//! paper's rows; absolute times are this machine's, the comparison
+//! *shapes* are the reproduction target. Alongside the printed tables
+//! the run records per-table medians, plus a `host` table with the
+//! available cores, and writes them to `BENCH_results.json` (or the
+//! path given with `--json <path>`); `bench_guard` gates the `table3_`
+//! ratios of a fresh run against that committed file.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 use apps::{conf, courses, health, workload};
 use faceted::{Branch, Branches, FacetedList, Label};
 use form::GuardedRow;
-use jacqueline::{Executor, Server, ServerConfig, Viewer};
-use jbench::http::HttpClient;
-use jbench::{doubling_sweep, fmt_secs, percentile, print_row, time_stats, Report};
+use jacqueline::Viewer;
+use jbench::{doubling_sweep, fmt_secs, print_row, time_stats, Report};
 use microdb::Value;
 
 /// Matches the paper's protocol: average over 10 sequential requests.
 const REPS: usize = 10;
+
+/// The flags that select individual tables. Running with none of them
+/// means `--all`.
+const TABLE_FLAGS: [&str; 8] = [
+    "--fig6", "--fig9a", "--fig9b", "--fig9c", "--table3", "--table4", "--table5", "--memo",
+];
+
+const USAGE: &str = "usage: experiments [--all] [--smoke] [--json <path>] \
+                     [--fig6] [--fig9a] [--fig9b] [--fig9c] [--table3] [--table4] [--table5] [--memo]";
 
 /// Sweep sizes and repetition counts, shrunk by `--smoke` for CI.
 struct Config {
@@ -42,45 +41,59 @@ struct Config {
     smoke: bool,
 }
 
-/// The flags that select individual tables; any other flag is a
-/// modifier. Running with no table flag at all means `--all`.
-const TABLE_FLAGS: [&str; 16] = [
-    "--fig6",
-    "--fig9a",
-    "--fig9b",
-    "--fig9c",
-    "--table3",
-    "--table4",
-    "--table5",
-    "--memo",
-    "--concurrent",
-    "--cache",
-    "--deltas",
-    "--render-cache",
-    "--fragments",
-    "--locks",
-    "--load",
-    "--checkpoint",
-];
+/// What the command line asked for.
+#[derive(Debug, PartialEq)]
+struct Options {
+    /// The selected table flags; empty means every table.
+    tables: Vec<String>,
+    smoke: bool,
+    json: PathBuf,
+}
+
+impl Options {
+    fn want(&self, flag: &str) -> bool {
+        self.tables.is_empty() || self.tables.iter().any(|t| t == flag)
+    }
+}
+
+/// Parses the command line, rejecting any flag not in [`USAGE`] (a
+/// typo must not silently select every table, or drop one).
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
+        tables: Vec::new(),
+        smoke: false,
+        json: PathBuf::from("BENCH_results.json"),
+    };
+    let mut all = false;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--all" => all = true,
+            "--smoke" => options.smoke = true,
+            "--json" => {
+                let path = args.next().ok_or("--json needs a path")?;
+                options.json = PathBuf::from(path);
+            }
+            flag if TABLE_FLAGS.contains(&flag) => options.tables.push(flag.to_owned()),
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    if all {
+        options.tables.clear();
+    }
+    Ok(options)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags: Vec<&str> = args.iter().map(String::as_str).collect();
-    if flags.contains(&"--serve") {
-        // Not a measurement: serve the conference app until killed
-        // (for manual curl / external load-generator sessions).
-        serve_blocking(&args);
-        return;
-    }
-    let all = flags.contains(&"--all") || !flags.iter().any(|f| TABLE_FLAGS.contains(f));
-    let want = |flag: &str| all || flags.contains(&flag);
-    let smoke = flags.contains(&"--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| PathBuf::from("BENCH_results.json"), PathBuf::from);
-
+    let options = match parse_args(&args) {
+        Ok(options) => options,
+        Err(e) => {
+            eprintln!("experiments: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    let smoke = options.smoke;
     let cfg = Config {
         sweep: if smoke {
             vec![8, 16, 32]
@@ -92,58 +105,35 @@ fn main() {
     };
     let mut report = Report::new();
 
-    if want("--fig6") {
+    if options.want("--fig6") {
         fig6();
     }
-    if want("--table3") || want("--fig9a") {
+    if options.want("--table3") || options.want("--fig9a") {
         fig9a_table3(&cfg, &mut report);
     }
-    if want("--table4") {
+    if options.want("--table4") {
         table4(&cfg, &mut report);
     }
-    if want("--fig9b") {
+    if options.want("--fig9b") {
         fig9b(&cfg, &mut report);
     }
-    if want("--fig9c") {
+    if options.want("--fig9c") {
         fig9c(&cfg, &mut report);
     }
-    if want("--table5") {
+    if options.want("--table5") {
         table5(&cfg, &mut report);
     }
-    if want("--memo") {
+    if options.want("--memo") {
         memo_ablation(&cfg, &mut report);
-    }
-    if want("--concurrent") {
-        concurrent(&cfg, &mut report);
-    }
-    if want("--cache") {
-        cache_ablation(&cfg, &mut report);
-    }
-    if want("--deltas") {
-        delta_ablation(&cfg, &mut report);
-    }
-    if want("--render-cache") {
-        render_cache_mix(&cfg, &mut report);
-    }
-    if want("--fragments") {
-        fragment_mix(&cfg, &mut report);
-    }
-    if want("--locks") {
-        lock_contention(&cfg, &mut report);
-    }
-    if want("--load") {
-        served_overhead(&cfg, &mut report);
-        open_loop_load(&cfg, &mut report);
-    }
-    if want("--checkpoint") {
-        checkpoint_latency(&cfg, &mut report);
-        incremental_checkpoint_latency(&cfg, &mut report);
     }
 
     if !report.is_empty() {
-        match report.write_json(&json_path) {
-            Ok(()) => println!("\nwrote {}", json_path.display()),
-            Err(e) => eprintln!("\nfailed to write {}: {e}", json_path.display()),
+        // Timings are read next to the core count they ran on.
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        report.record("host", "available_cores", cores as f64);
+        match report.write_json(&options.json) {
+            Ok(()) => println!("\nwrote {}", options.json.display()),
+            Err(e) => eprintln!("\nfailed to write {}: {e}", options.json.display()),
         }
     }
 }
@@ -552,954 +542,36 @@ fn memo_ablation(cfg: &Config, report: &mut Report) {
     );
 }
 
-/// Decode-cache ablation: the Table 3 pages with the
-/// generation-stamped decode cache on vs off. "Off" re-parses every
-/// row's `jvars` per request (the pre-cache behavior); "on" shares
-/// one decoded snapshot per table generation across requests.
-fn cache_ablation(cfg: &Config, report: &mut Report) {
-    println!("\n==== Decode-cache ablation: Table 3 pages, cache off vs on ====");
-    print_row(&[
-        "Size".into(),
-        "cache off".into(),
-        "cache on".into(),
-        "speedup".into(),
-    ]);
-    println!("  [time to view all users]");
-    for &n in &cfg.sweep {
-        let w = workload::conference(n, 8);
-        let mut app = w.app;
-        let viewer = Viewer::User(w.author);
-        app.db.set_decode_cache(false);
-        let off = measure(
-            report,
-            "cache_ablation_users",
-            &format!("users={n} cache_off"),
-            cfg.reps,
-            || {
-                std::hint::black_box(conf::all_users(&app, &viewer));
-            },
-        );
-        app.db.set_decode_cache(true);
-        let on = measure(
-            report,
-            "cache_ablation_users",
-            &format!("users={n} cache_on"),
-            cfg.reps,
-            || {
-                std::hint::black_box(conf::all_users(&app, &viewer));
-            },
-        );
-        print_row(&[
-            n.to_string(),
-            fmt_secs(off),
-            fmt_secs(on),
-            format!("{:.1}x", off / on),
-        ]);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>())
     }
-    println!("  [time to view all papers]");
-    for &n in &cfg.sweep {
-        let w = workload::conference(32, n);
-        let mut app = w.app;
-        let viewer = Viewer::User(w.pc_member);
-        app.db.set_decode_cache(false);
-        let off = measure(
-            report,
-            "cache_ablation_papers",
-            &format!("papers={n} cache_off"),
-            cfg.reps,
-            || {
-                std::hint::black_box(conf::all_papers(&app, &viewer));
-            },
+
+    #[test]
+    fn unknown_flags_are_rejected_not_ignored() {
+        // A typo must fail loudly: ignored, a lone one would select
+        // no table (so every table), and next to a real flag it would
+        // drop the misspelt table.
+        assert_eq!(
+            parse(&["--tabel3"]),
+            Err("unknown flag --tabel3".to_owned())
         );
-        app.db.set_decode_cache(true);
-        let on = measure(
-            report,
-            "cache_ablation_papers",
-            &format!("papers={n} cache_on"),
-            cfg.reps,
-            || {
-                std::hint::black_box(conf::all_papers(&app, &viewer));
-            },
-        );
-        print_row(&[
-            n.to_string(),
-            fmt_secs(off),
-            fmt_secs(on),
-            format!("{:.1}x", off / on),
-        ]);
+        assert!(parse(&["--table3", "--tabel5"]).is_err());
+        assert!(parse(&["--concurrent"]).is_err());
+        assert!(parse(&["--json"]).is_err());
     }
-    let w = workload::conference(256, 64);
-    let app = w.app;
-    let viewer = Viewer::User(w.pc_member);
-    let _ = conf::all_papers(&app, &viewer);
-    let _ = conf::all_papers(&app, &viewer);
-    let stats = app.db.decode_cache_stats();
-    println!(
-        "  [decode cache: {} hits / {} misses]",
-        stats.hits, stats.misses
-    );
-}
 
-/// Delta-maintenance ablation: the write-heavy Table 3 mix. Every
-/// request submits one paper and then fetches the decoded paper
-/// table — the step every Table 3 page performs before rendering,
-/// and the one the decode cache serves. With delta maintenance off,
-/// each single-row write stales the whole `(table, generation)` slot
-/// and the next fetch re-decodes every row's `jvars`; with it on,
-/// the change journal patches the warm snapshot in place and the
-/// fetch decodes exactly the one new row. (The page *render* on top
-/// of the fetch is O(rows) in both arms — label resolution and
-/// string formatting — so it is excluded here to keep the table
-/// about the decode path; `cache_ablation` measures full pages.)
-fn delta_ablation(cfg: &Config, report: &mut Report) {
-    println!("\n==== Delta-maintenance ablation: write-heavy Table 3 mix ====");
-    print_row(&[
-        "Size".into(),
-        "deltas off".into(),
-        "deltas on".into(),
-        "speedup".into(),
-    ]);
-    println!("  [submit one paper + fetch the decoded paper table, per request]");
-    for &n in &cfg.sweep {
-        let run = |enabled: bool, report: &mut Report, label: &str| {
-            let w = workload::conference(32, n);
-            let mut app = w.app;
-            app.db.set_delta_maintenance(enabled);
-            let author = Viewer::User(w.author);
-            // Warm the decode cache before the clock starts.
-            let _ = app.all("paper").unwrap();
-            measure(report, "deltas_write_mix", label, cfg.reps, || {
-                conf::submit_paper(&app, &author, "delta bench paper").unwrap();
-                std::hint::black_box(app.all("paper").unwrap());
-            })
-        };
-        let off = run(false, report, &format!("papers={n} deltas_off"));
-        let on = run(true, report, &format!("papers={n} deltas_on"));
-        print_row(&[
-            n.to_string(),
-            fmt_secs(off),
-            fmt_secs(on),
-            format!("{:.1}x", off / on),
-        ]);
-    }
-}
-
-/// Render-cache ablation (`render_cache_read_mix`, CI-gated on the
-/// `render_` prefix): the conference page mix through the sequential
-/// executor with the generation-validated render cache on vs off.
-///
-/// Two mixes per size. The *read* mix replays a fixed
-/// [`workload::conference_requests`] batch — after the untimed
-/// warm-up call every `(page, viewer)` key is populated, so the "on"
-/// arm measures steady-state hits (lock + generation check + byte
-/// clone) against full policy renders. The *25%-write* mix submits a
-/// paper every 4th request: each write moves the `paper` table's
-/// generation, so `papers/all` re-renders on its next touch while the
-/// `users/one` pages keep hitting — the honest invalidation-cost
-/// number, on a fresh app per rep (the writes grow the tables).
-///
-/// Reps are floored at 15: the hit-path medians feed the CI gate.
-fn render_cache_mix(cfg: &Config, report: &mut Report) {
-    println!("\n==== Render-cache ablation: conference page mix, cache on vs off ====");
-    let reps = cfg.reps.max(15);
-    let executor = Executor::sequential();
-    let router = conf::router();
-    print_row(&[
-        "Mix / size".into(),
-        "render off".into(),
-        "render on".into(),
-        "speedup".into(),
-    ]);
-    let users = 16;
-    let n_requests = 64;
-    for &n in &cfg.sweep {
-        let requests = workload::conference_requests(n_requests, users, n);
-        let run = |enabled: bool, report: &mut Report, label: &str| {
-            let app = workload::conference(users, n).app;
-            if !enabled {
-                app.set_render_cache(false);
-            }
-            measure(report, "render_cache_read_mix", label, reps, || {
-                std::hint::black_box(executor.run(&app, &router, &requests));
-            })
-        };
-        let off = run(false, report, &format!("read papers={n} render_off"));
-        let on = run(true, report, &format!("read papers={n} render_on"));
-        print_row(&[
-            format!("read {n}"),
-            fmt_secs(off),
-            fmt_secs(on),
-            format!("{:.1}x", off / on),
-        ]);
-    }
-    // The 25%-write mix at two fixed sizes (one under --smoke): the
-    // gate compares labels shared between the smoke and committed
-    // runs, so the small size appears in both.
-    let write_sizes: &[usize] = if cfg.smoke { &[16] } else { &[16, 256] };
-    for &n in write_sizes {
-        let mix: Vec<jacqueline::Request> = (0..n_requests)
-            .map(|i| {
-                let viewer = Viewer::User(1 + (i % users) as i64);
-                match i % 4 {
-                    0 => jacqueline::Request::new("papers/submit", viewer)
-                        .with_param("title", &format!("render-mix paper {i}")),
-                    1 => jacqueline::Request::new("papers/all", viewer),
-                    _ => jacqueline::Request::new("users/one", viewer)
-                        .with_param("id", &(1 + (i % users) as i64).to_string()),
-                }
-            })
-            .collect();
-        // The two arms sit near parity here (the invalidated
-        // `papers/all` re-renders dominate the batch), so back-to-back
-        // arm runs would let environmental drift — the global interner
-        // and memo tables grow monotonically across a long bench run —
-        // masquerade as a difference. Interleave the arms rep by rep
-        // instead: both see the same drift, and the ratio stays
-        // honest. A fresh app per rep (built and dropped outside the
-        // clock): each rep's paper submissions grow the tables the
-        // next rep would measure.
-        let build = |enabled: bool| {
-            let app = workload::conference(users, n).app;
-            if !enabled {
-                app.set_render_cache(false);
-            }
-            app
-        };
-        let mut samples: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-        for arm in 0..2 {
-            let app = build(arm == 1);
-            let _ = executor.run(&app, &router, &mix); // untimed warm-up
-        }
-        for _ in 0..reps {
-            for (arm, sink) in samples.iter_mut().enumerate() {
-                let app = build(arm == 1);
-                let clock = Instant::now();
-                std::hint::black_box(executor.run(&app, &router, &mix));
-                sink.push(clock.elapsed().as_secs_f64());
-            }
-        }
-        let off = percentile(&samples[0], 50.0);
-        let on = percentile(&samples[1], 50.0);
-        report.record(
-            "render_cache_read_mix",
-            &format!("write25 papers={n} render_off"),
-            off,
-        );
-        report.record(
-            "render_cache_read_mix",
-            &format!("write25 papers={n} render_on"),
-            on,
-        );
-        print_row(&[
-            format!("write25 {n}"),
-            fmt_secs(off),
-            fmt_secs(on),
-            format!("{:.1}x", off / on),
-        ]);
-    }
-    // Counter footer: one warm batch, so the hit/invalidation traffic
-    // of the read mix is visible next to the medians.
-    let n = 64;
-    let app = workload::conference(users, n).app;
-    let requests = workload::conference_requests(n_requests, users, n);
-    let _ = executor.run(&app, &router, &requests);
-    let _ = executor.run(&app, &router, &requests);
-    let stats = app.render_cache_stats();
-    println!(
-        "  [render cache: {} hits / {} misses, {} invalidated, {} uncacheable]",
-        stats.hits, stats.misses, stats.invalidated, stats.uncacheable
-    );
-}
-
-/// Fragment-repair ablation (`fragment_write_mix`, CI-gated on the
-/// `fragment_` prefix): the 25%-write conference mix of
-/// [`render_cache_mix`] across **three** arms — cache off entirely
-/// (`render_off`), cache on with fragment repair ablated so every
-/// write-invalidated `papers/all` pays a full faceted re-render
-/// (`fragments_off`), and cache on with repair so a single paper
-/// submit re-renders exactly the one touched fragment and splices it
-/// into the cached shell (`fragments_on`). The arms interleave rep by
-/// rep on fresh apps, same as the render-cache table and for the same
-/// drift reasons; the gate's unclamped `fragments_on/fragments_off`
-/// ratio pair is the headline repair-vs-invalidate number.
-fn fragment_mix(cfg: &Config, report: &mut Report) {
-    println!(
-        "\n==== Fragment-repair ablation: 25%-write mix, repair vs invalidate vs no cache ===="
-    );
-    let reps = cfg.reps.max(15);
-    let executor = Executor::sequential();
-    let router = conf::router();
-    print_row(&[
-        "Size".into(),
-        "render off".into(),
-        "fragments off".into(),
-        "fragments on".into(),
-        "repair speedup".into(),
-    ]);
-    let users = 16;
-    let n_requests = 64;
-    let write_sizes: &[usize] = if cfg.smoke { &[16] } else { &[16, 256] };
-    for &n in write_sizes {
-        let mix: Vec<jacqueline::Request> = (0..n_requests)
-            .map(|i| {
-                let viewer = Viewer::User(1 + (i % users) as i64);
-                match i % 4 {
-                    0 => jacqueline::Request::new("papers/submit", viewer)
-                        .with_param("title", &format!("fragment-mix paper {i}")),
-                    1 => jacqueline::Request::new("papers/all", viewer),
-                    _ => jacqueline::Request::new("users/one", viewer)
-                        .with_param("id", &(1 + (i % users) as i64).to_string()),
-                }
-            })
-            .collect();
-        // Arm 0: no render cache. Arm 1: cache, repair ablated.
-        // Arm 2: cache with fragment repair.
-        let build = |arm: usize| {
-            let app = workload::conference(users, n).app;
-            match arm {
-                0 => {
-                    app.set_render_cache(false);
-                }
-                1 => {
-                    app.set_fragment_repair(false);
-                }
-                _ => {}
-            }
-            app
-        };
-        let mut samples: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for arm in 0..3 {
-            let app = build(arm);
-            let _ = executor.run(&app, &router, &mix); // untimed warm-up
-        }
-        for _ in 0..reps {
-            for (arm, sink) in samples.iter_mut().enumerate() {
-                let app = build(arm);
-                let clock = Instant::now();
-                std::hint::black_box(executor.run(&app, &router, &mix));
-                sink.push(clock.elapsed().as_secs_f64());
-            }
-        }
-        let labels = ["render_off", "fragments_off", "fragments_on"];
-        let medians: Vec<f64> = samples.iter().map(|s| percentile(s, 50.0)).collect();
-        for (label, median) in labels.iter().zip(&medians) {
-            report.record(
-                "fragment_write_mix",
-                &format!("write25 papers={n} {label}"),
-                *median,
-            );
-        }
-        print_row(&[
-            n.to_string(),
-            fmt_secs(medians[0]),
-            fmt_secs(medians[1]),
-            fmt_secs(medians[2]),
-            format!("{:.1}x", medians[1] / medians[2]),
-        ]);
-    }
-    // Counter footer: one warm write-mix batch with repair on, so the
-    // repair/invalidate traffic behind the medians is visible.
-    let n = write_sizes[write_sizes.len() - 1];
-    let app = workload::conference(users, n).app;
-    let mix: Vec<jacqueline::Request> = (0..n_requests)
-        .map(|i| {
-            let viewer = Viewer::User(1 + (i % users) as i64);
-            match i % 4 {
-                0 => jacqueline::Request::new("papers/submit", viewer)
-                    .with_param("title", &format!("fragment-footer paper {i}")),
-                1 => jacqueline::Request::new("papers/all", viewer),
-                _ => jacqueline::Request::new("users/one", viewer)
-                    .with_param("id", &(1 + (i % users) as i64).to_string()),
-            }
-        })
-        .collect();
-    let _ = executor.run(&app, &router, &mix);
-    let _ = executor.run(&app, &router, &mix);
-    let stats = app.render_cache_stats();
-    println!(
-        "  [render cache: {} hits / {} misses, {} repairs ({} fragments re-rendered), \
-         {} invalidated]",
-        stats.hits, stats.misses, stats.repairs, stats.repaired_fragments, stats.invalidated
-    );
-}
-
-/// A conservative router: the same conference controllers registered
-/// through the legacy no-footprint API, so every write serializes the
-/// whole app and reads exclude all declared tables — the pre-sharding
-/// locking discipline, for ablation.
-fn conservative_conf_router() -> jacqueline::Router {
-    let mut r = jacqueline::Router::new();
-    r.route_read("papers/all", |app, req: &jacqueline::Request| {
-        jacqueline::Response::ok(conf::all_papers(app, &req.viewer))
-    });
-    r.route_read("users/all", |app, req: &jacqueline::Request| {
-        jacqueline::Response::ok(conf::all_users(app, &req.viewer))
-    });
-    r.route_read("papers/one", |app, req: &jacqueline::Request| {
-        match req.int_param("id") {
-            Some(id) => jacqueline::Response::ok(conf::single_paper(app, &req.viewer, id)),
-            None => jacqueline::Response::not_found(),
-        }
-    });
-    r.route_read("users/one", |app, req: &jacqueline::Request| {
-        match req.int_param("id") {
-            Some(id) => jacqueline::Response::ok(conf::single_user(app, &req.viewer, id)),
-            None => jacqueline::Response::not_found(),
-        }
-    });
-    r.route(
-        "papers/submit",
-        |app, req: &jacqueline::Request| match req.params.get("title") {
-            Some(title) => match conf::submit_paper(app, &req.viewer, title) {
-                Ok(jid) => jacqueline::Response::ok(jid.to_string()),
-                Err(e) => jacqueline::Response::error(&e.to_string()),
-            },
-            None => jacqueline::Response::not_found(),
-        },
-    );
-    r
-}
-
-/// A request mix with writes: every 4th request submits a paper, the
-/// rest read user pages — under footprint locks the writes (table
-/// `paper`) never block the reads (table `user_profile`).
-fn write_mix(n_requests: usize, n_viewers: usize) -> Vec<jacqueline::Request> {
-    use jacqueline::Request;
-    (0..n_requests)
-        .map(|i| {
-            let viewer = Viewer::User(1 + (i % n_viewers) as i64);
-            match i % 4 {
-                0 => Request::new("papers/submit", viewer)
-                    .with_param("title", &format!("lock-mix paper {i}")),
-                1 => Request::new("users/all", viewer),
-                _ => Request::new("users/one", viewer)
-                    .with_param("id", &(1 + (i % n_viewers) as i64).to_string()),
-            }
-        })
-        .collect()
-}
-
-/// Lock-granularity ablation: executor throughput on a read-only mix
-/// vs a 25%-write mix, under footprint-declared per-table locks vs
-/// the conservative whole-app lock. On a single core both modes are
-/// CPU-bound (the table then measures locking overhead); with ≥2
-/// cores the conservative write mix flat-lines while the footprint
-/// write mix keeps scaling, because writes to `paper` stop blocking
-/// reads of `user_profile`.
-fn lock_contention(cfg: &Config, report: &mut Report) {
-    println!("\n==== Lock ablation: footprint (per-table) vs conservative (whole-app) ====");
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("  [available parallelism: {cores} core(s)]");
-    report.record("lock_contention", "available_cores", cores as f64);
-    print_row(&[
-        "Mix".into(),
-        "Threads".into(),
-        "footprint".into(),
-        "conservative".into(),
-    ]);
-    let (users, papers, n_requests) = if cfg.smoke {
-        (16, 24, 48)
-    } else {
-        (32, 48, 128)
-    };
-    let footprint_router = conf::router();
-    let conservative_router = conservative_conf_router();
-    let mixes: [(&str, Vec<jacqueline::Request>); 2] = [
-        (
-            "read",
-            workload::conference_requests(n_requests, users, papers),
-        ),
-        ("write25", write_mix(n_requests, users)),
-    ];
-    // A fresh app per *repetition* (pre-built outside the timed
-    // closure), so every rep of a write mix runs against an
-    // identically-sized database — reusing one app would let each
-    // rep's inserts grow the tables the next rep measures.
-    let fresh_apps = |n: usize| -> std::collections::VecDeque<jacqueline::App> {
-        (0..n)
-            .map(|_| {
-                let app = workload::conference(users, papers).app;
-                // This table measures *locking* overhead on real
-                // renders; the render cache would replay bytes for
-                // repeated reads and erase the contention being
-                // measured (`render_cache_read_mix` measures the
-                // cache itself).
-                app.set_render_cache(false);
-                app
-            })
-            .collect()
-    };
-    for (mix_name, requests) in &mixes {
-        for threads in [1usize, 4] {
-            let executor = Executor::with_threads(threads);
-            // +1: `time_stats` runs one untimed warm-up call.
-            let mut apps = fresh_apps(cfg.reps + 1);
-            let fp = measure(
-                report,
-                "lock_contention",
-                &format!("mix={mix_name} threads={threads} footprint"),
-                cfg.reps,
-                || {
-                    let app = apps.pop_front().expect("one app per rep");
-                    std::hint::black_box(executor.run(&app, &footprint_router, requests));
-                },
-            );
-            let mut apps = fresh_apps(cfg.reps + 1);
-            let cons = measure(
-                report,
-                "lock_contention",
-                &format!("mix={mix_name} threads={threads} conservative"),
-                cfg.reps,
-                || {
-                    let app = apps.pop_front().expect("one app per rep");
-                    std::hint::black_box(executor.run(&app, &conservative_router, requests));
-                },
-            );
-            print_row(&[
-                (*mix_name).to_owned(),
-                threads.to_string(),
-                format!("{:.0} req/s", n_requests as f64 / fp),
-                format!("{:.0} req/s", n_requests as f64 / cons),
-            ]);
-        }
-    }
-}
-
-/// Concurrent executor throughput on the conference workload.
-///
-/// The speedup column is bounded by the machine: on a single-CPU
-/// container the best possible result is ≈1.0× (the table then
-/// measures pure executor/lock/interner *overhead*); the >1.5×
-/// target at 4 threads applies on hardware with ≥4 cores. The
-/// available parallelism is printed and recorded so the JSON
-/// trajectory stays interpretable across machines.
-fn concurrent(cfg: &Config, report: &mut Report) {
-    println!("\n==== Fig. 9 (concurrent): executor throughput, conference page mix ====");
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("  [available parallelism: {cores} core(s)]");
-    report.record("fig9_concurrent", "available_cores", cores as f64);
-    print_row(&[
-        "Threads".into(),
-        "batch".into(),
-        "req/s".into(),
-        "speedup".into(),
-    ]);
-    let smoke = cfg.smoke;
-    let (users, papers, n_requests) = if smoke { (16, 24, 64) } else { (32, 48, 128) };
-    let w = workload::conference(users, papers);
-    let app = w.app;
-    // Throughput of real renders, not byte replays: with the render
-    // cache on, every repeated (page, viewer) pair would be a cache
-    // hit and the table would stop measuring executor scaling.
-    app.set_render_cache(false);
-    let router = conf::router();
-    let requests = workload::conference_requests(n_requests, users, papers);
-    let mut base = None;
-    for threads in [1usize, 2, 4, 8] {
-        let executor = Executor::with_threads(threads);
-        let t = measure(
-            report,
-            "fig9_concurrent",
-            &format!("threads={threads}"),
-            cfg.reps,
-            || {
-                std::hint::black_box(executor.run(&app, &router, &requests));
-            },
-        );
-        let base_t = *base.get_or_insert(t);
-        print_row(&[
-            threads.to_string(),
-            fmt_secs(t),
-            format!("{:.0}", n_requests as f64 / t),
-            format!("{:.2}x", base_t / t),
-        ]);
-    }
-}
-
-/// Checkpoint/restore latency (`checkpoint_latency`, CI-gated in
-/// absolute mode) plus interner growth at the quiescent point
-/// (`intern_stats`): medians of [`App::checkpoint_quiescent`] and a
-/// cold [`App::restore_from`] on the conference workload at
-/// n=256/1024 users (n=256 only under `--smoke`; the committed
-/// baseline holds both sizes and the guard compares shared labels).
-/// The `intern_stats` table records nodes before/after the
-/// checkpoint-time GC and the reclaimed count, so store growth is
-/// visible in the `BENCH_results.json` trajectory.
-///
-/// Reps are floored at 7: checkpoints are milliseconds, and these
-/// medians feed a regression gate.
-fn checkpoint_latency(cfg: &Config, report: &mut Report) {
-    use jacqueline::App;
-    println!("\n==== Checkpoint & restore latency (conference workload) ====");
-    print_row(&[
-        "Users".into(),
-        "checkpoint".into(),
-        "restore".into(),
-        "nodes (pre→post GC)".into(),
-    ]);
-    let reps = cfg.reps.max(7);
-    let sizes: &[usize] = if cfg.smoke { &[256] } else { &[256, 1024] };
-    for &n in sizes {
-        let dir = std::env::temp_dir().join(format!("jacq_bench_ckpt_{n}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let app = workload::conference(n, n / 4).app;
-        // This table's contract (and its absolute CI gate) is the
-        // *full* snapshot cost: with incremental mode left on, every
-        // timed rep after the first would be a no-write no-op that
-        // reuses every chunk. The incremental path gets its own
-        // ratio-gated table below.
-        app.set_incremental_checkpoints(false);
-        // One untimed checkpoint to create the directory and warm the
-        // decode cache paths, and to sample the interner stats.
-        let stats = app
-            .checkpoint_quiescent(&dir)
-            .expect("checkpoint the bench workload");
-        report.record(
-            "intern_stats",
-            &format!("users={n} nodes_before_gc"),
-            stats.interner_nodes_before as f64,
-        );
-        report.record(
-            "intern_stats",
-            &format!("users={n} nodes_after_gc"),
-            stats.interner_nodes_after as f64,
-        );
-        report.record(
-            "intern_stats",
-            &format!("users={n} gc_reclaimed"),
-            stats.gc_reclaimed as f64,
-        );
-        report.record(
-            "intern_stats",
-            &format!("users={n} facet_nodes_exported"),
-            stats.facet_nodes as f64,
-        );
-        let t_checkpoint = measure(
-            report,
-            "checkpoint_latency",
-            &format!("users={n} checkpoint"),
-            reps,
-            || {
-                std::hint::black_box(app.checkpoint_quiescent(&dir).expect("checkpoint"));
-            },
-        );
-        // Restore into an app with the models registered but no data —
-        // the boot-from-checkpoint path. `restore_from` replaces state
-        // wholesale, so repeated restores measure the same work.
-        let mut blank = App::new();
-        apps::conf::register(&mut blank).expect("register conference models");
-        let t_restore = measure(
-            report,
-            "checkpoint_latency",
-            &format!("users={n} restore"),
-            reps,
-            || {
-                std::hint::black_box(blank.restore_from(&dir).expect("restore"));
-            },
-        );
-        print_row(&[
-            n.to_string(),
-            fmt_secs(t_checkpoint),
-            fmt_secs(t_restore),
-            format!(
-                "{}→{} (-{})",
-                stats.interner_nodes_before, stats.interner_nodes_after, stats.gc_reclaimed
-            ),
-        ]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// Incremental vs full checkpoint latency (`ckpt_incremental`,
-/// CI-gated as an unclamped " incremental"/" full" ratio pair): the
-/// conference workload at n=256/1024 users, checkpointed after a
-/// 1-row write and after a 25%-of-users write burst, once with the
-/// content-addressed dirty-chunk path and once ablated to the full
-/// re-export. Only the checkpoint call is timed — the writes between
-/// reps alternate values so they are never no-ops (a no-op write
-/// bumps no generation and would make the incremental arm a pure
-/// chunk-reuse measurement). The headline the gate enforces: the
-/// 1-row incremental checkpoint is several times faster than the
-/// full export and stays flat as n grows.
-fn incremental_checkpoint_latency(cfg: &Config, report: &mut Report) {
-    println!("\n==== Incremental vs full checkpoint (conference workload) ====");
-    print_row(&[
-        "Users".into(),
-        "writes".into(),
-        "full".into(),
-        "incremental".into(),
-        "speedup".into(),
-    ]);
-    let reps = cfg.reps.max(7);
-    let sizes: &[usize] = if cfg.smoke { &[256] } else { &[256, 1024] };
-    for &n in sizes {
-        for (tag, writes) in [("write1", 1usize), ("write25pct", n / 4)] {
-            let mut medians = [0.0f64; 2];
-            for (slot, mode) in ["full", "incremental"].into_iter().enumerate() {
-                let dir = std::env::temp_dir().join(format!(
-                    "jacq_bench_ckpt_inc_{n}_{tag}_{mode}_{}",
-                    std::process::id()
-                ));
-                let _ = std::fs::remove_dir_all(&dir);
-                let app = workload::conference(n, n / 4).app;
-                app.set_incremental_checkpoints(mode == "incremental");
-                // The user jids the write burst rotates over.
-                let users: Vec<i64> = (1..=(4 * n as i64))
-                    .filter(|&jid| app.get("user_profile", jid).is_ok())
-                    .take(writes)
-                    .collect();
-                assert_eq!(users.len(), writes, "workload has enough user rows");
-                // Untimed first checkpoint: seeds the chunk store and
-                // (in incremental mode) the carry-over memory.
-                app.checkpoint_quiescent(&dir).expect("seed checkpoint");
-                let mut samples = Vec::with_capacity(reps);
-                for rep in 0..reps {
-                    for (i, jid) in users.iter().enumerate() {
-                        // Alternating per-rep values: never a no-op.
-                        let v = Value::from(format!("aff-{rep}-{i}"));
-                        app.update_fields("user_profile", *jid, &[(2, v)], &Default::default())
-                            .expect("bench write");
-                    }
-                    let start = std::time::Instant::now();
-                    let stats = app.checkpoint_quiescent(&dir).expect("checkpoint");
-                    samples.push(start.elapsed().as_secs_f64());
-                    assert_eq!(
-                        stats.incremental,
-                        mode == "incremental",
-                        "checkpoint ran the selected path"
-                    );
-                }
-                samples.sort_by(f64::total_cmp);
-                let median = samples[samples.len() / 2];
-                report.record(
-                    "ckpt_incremental",
-                    &format!("users={n} {tag} {mode}"),
-                    median,
-                );
-                medians[slot] = median;
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-            print_row(&[
-                n.to_string(),
-                tag.into(),
-                fmt_secs(medians[0]),
-                fmt_secs(medians[1]),
-                format!("{:.1}x", medians[0] / medians[1]),
-            ]);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The socket path: `--serve` (manual sessions), `--load` (the served
-// vs. in-process overhead gate table + the open-loop load harness).
-// ---------------------------------------------------------------------
-
-/// `--serve [--port N]`: serve the conference app until killed.
-fn serve_blocking(args: &[String]) {
-    let port: u16 = args
-        .iter()
-        .position(|a| a == "--port")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|p| p.parse().ok())
-        .unwrap_or(8099);
-    let site = apps::serve::conference_site(workload::conference(64, 96).app);
-    let server = Server::bind(site, ("127.0.0.1", port), ServerConfig::default())
-        .expect("bind the HTTP server");
-    println!("serving the conference app on http://{}", server.addr());
-    println!(
-        "  login:  curl -X POST 'http://{}/login' -d user=2",
-        server.addr()
-    );
-    println!("  pages:  {:?}", server.site().router.paths());
-    println!("(ctrl-c to stop)");
-    loop {
-        std::thread::sleep(Duration::from_secs(3600));
-    }
-}
-
-/// Logs `user` in over the wire, panicking on failure (the harness
-/// only ever talks to users its own workload created).
-fn logged_in_client(addr: std::net::SocketAddr, user: i64) -> HttpClient {
-    let mut client = HttpClient::connect(addr);
-    let response = client.login(user);
-    assert_eq!(
-        response.status,
-        200,
-        "bench login failed: {}",
-        response.text()
-    );
-    client
-}
-
-fn bench_server(users: usize, papers: usize) -> Server {
-    let app = workload::conference(users, papers).app;
-    // The socket tables measure parse + auth + queue + render +
-    // serialize per request; serving repeats from the render cache
-    // would collapse the gated served / in-process ratio. The cache's
-    // own win is measured by `render_cache_read_mix`.
-    app.set_render_cache(false);
-    let site = apps::serve::conference_site(app);
-    Server::bind(
-        site,
-        "127.0.0.1:0",
-        ServerConfig {
-            conn_threads: 8,
-            executor_threads: 4,
-            read_timeout: Duration::from_secs(2),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind the bench server")
-}
-
-/// The served / in-process overhead table (`e2e_overhead`): the same
-/// conference pages measured through a real TCP round-trip (keep-alive
-/// connection, session cookie) and via `Router::handle` on the same
-/// app. `bench_guard --prefix e2e_` gates the *ratio* of the two —
-/// absolute socket latency varies per machine, the parse + auth +
-/// queue + serialize overhead relative to page cost is the number
-/// this repo controls. Feeds the CI gate, so reps are floored at 15
-/// and the workload size is fixed regardless of `--smoke` — the
-/// ratio is size-dependent (socket cost is constant, page cost
-/// grows), so smoke and committed runs must measure the same size.
-fn served_overhead(cfg: &Config, report: &mut Report) {
-    println!("\n==== End-to-end overhead: served (socket) vs in-process dispatch ====");
-    let reps = cfg.reps.max(15);
-    let (users, papers) = (32, 48);
-    let server = bench_server(users, papers);
-    let viewer_jid = 2; // a PC member in the workload
-    let mut client = logged_in_client(server.addr(), viewer_jid);
-    print_row(&[
-        "Page".into(),
-        "served".into(),
-        "in-process".into(),
-        "ratio".into(),
-    ]);
-    for (key, page) in [("papers_all", "papers/all"), ("users_all", "users/all")] {
-        let served = measure(
-            report,
-            "e2e_overhead",
-            &format!("{key} served"),
-            reps,
-            || {
-                let response = client.get(page);
-                assert_eq!(response.status, 200);
-                std::hint::black_box(response.body.len());
-            },
-        );
-        let site = server.site();
-        let request = jacqueline::Request::new(page, Viewer::User(viewer_jid));
-        let in_process = measure(
-            report,
-            "e2e_overhead",
-            &format!("{key} inprocess"),
-            reps,
-            || {
-                std::hint::black_box(site.router.handle(&site.app, &request));
-            },
-        );
-        print_row(&[
-            key.to_owned(),
-            fmt_secs(served),
-            fmt_secs(in_process),
-            format!("{:.2}x", served / in_process),
-        ]);
-    }
-    server.shutdown();
-}
-
-/// The open-loop load harness (`served_latency`): requests are
-/// dispatched on a **fixed arrival schedule** (`i / rate`), not after
-/// the previous response — so server slowdowns surface as queueing
-/// delay instead of silently throttling the client (the coordinated-
-/// omission trap). Each request records three latencies:
-///
-/// * `e2e` — completion minus *scheduled* arrival (includes client-
-///   side waiting for a free connection: the open-loop number);
-/// * `queue` — the admission-permit wait, from `X-Queue-Us`;
-/// * `service` — controller execution, from `X-Service-Us`.
-fn open_loop_load(cfg: &Config, report: &mut Report) {
-    println!("\n==== Open-loop load: conference page mix over HTTP ====");
-    let (users, papers, n_requests, clients) = if cfg.smoke {
-        (16, 24, 160, 4)
-    } else {
-        (32, 48, 640, 8)
-    };
-    let rates: &[f64] = if cfg.smoke { &[200.0] } else { &[100.0, 400.0] };
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    report.record("served_latency", "available_cores", cores as f64);
-    print_row(&[
-        "rate".into(),
-        "e2e p50/p99".into(),
-        "queue p99".into(),
-        "service p50".into(),
-    ]);
-    for &rate in rates {
-        let server = bench_server(users, papers);
-        let addr = server.addr();
-        let started = Instant::now() + Duration::from_millis(50);
-        let mut all: Vec<(f64, f64, f64)> = Vec::with_capacity(n_requests);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    scope.spawn(move || {
-                        let mut client = logged_in_client(addr, 1 + (c as i64 % 8));
-                        let mut samples = Vec::new();
-                        // Client c serves every clients-th arrival of
-                        // the shared schedule.
-                        for i in (c..n_requests).step_by(clients) {
-                            let arrival = started + Duration::from_secs_f64(i as f64 / rate);
-                            if let Some(wait) = arrival.checked_duration_since(Instant::now()) {
-                                std::thread::sleep(wait);
-                            }
-                            let page = match i % 4 {
-                                0 => "papers/all".to_owned(),
-                                1 => "users/all".to_owned(),
-                                2 => format!("papers/one?id={}", 1 + i % papers),
-                                _ => format!("users/one?id={}", 1 + i % users),
-                            };
-                            let response = client.get(&page);
-                            let e2e = arrival.elapsed().as_secs_f64();
-                            assert_eq!(response.status, 200, "{page}");
-                            let micros = |name: &str| {
-                                response
-                                    .header(name)
-                                    .and_then(|v| v.parse::<f64>().ok())
-                                    .map_or(0.0, |us| us / 1e6)
-                            };
-                            samples.push((e2e, micros("x-queue-us"), micros("x-service-us")));
-                        }
-                        samples
-                    })
-                })
-                .collect();
-            for handle in handles {
-                all.extend(handle.join().expect("load client panicked"));
-            }
-        });
-        server.shutdown();
-        let e2e: Vec<f64> = all.iter().map(|s| s.0).collect();
-        let queue: Vec<f64> = all.iter().map(|s| s.1).collect();
-        let service: Vec<f64> = all.iter().map(|s| s.2).collect();
-        for (kind, samples) in [("e2e", &e2e), ("queue", &queue), ("service", &service)] {
-            for q in [50.0, 90.0, 99.0] {
-                report.record(
-                    "served_latency",
-                    &format!("rate={rate:.0} {kind}_p{q:.0}"),
-                    percentile(samples, q),
-                );
-            }
-        }
-        print_row(&[
-            format!("{rate:.0}/s"),
-            format!(
-                "{:.2}/{:.2}ms",
-                percentile(&e2e, 50.0) * 1e3,
-                percentile(&e2e, 99.0) * 1e3
-            ),
-            format!("{:.2}ms", percentile(&queue, 99.0) * 1e3),
-            format!("{:.2}ms", percentile(&service, 50.0) * 1e3),
-        ]);
+    #[test]
+    fn table_flags_select_and_all_overrides() {
+        let options = parse(&["--smoke", "--table3", "--json", "out.json"]).unwrap();
+        assert!(options.smoke);
+        assert_eq!(options.json, PathBuf::from("out.json"));
+        assert!(options.want("--table3") && !options.want("--table5"));
+        let everything = parse(&[]).unwrap();
+        assert!(TABLE_FLAGS.iter().all(|f| everything.want(f)));
+        assert!(parse(&["--memo", "--all"]).unwrap().want("--fig6"));
     }
 }

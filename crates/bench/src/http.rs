@@ -1,8 +1,7 @@
 //! A minimal keep-alive HTTP client over jacqueline's wire layer,
-//! shared by the open-loop load harness (`experiments --load`) and
-//! the CI smoke script (`server_smoke`) — one implementation of
-//! connect + session cookie + request formatting instead of one per
-//! binary. (The `server_e2e` integration tests keep their own raw
+//! shared by the CI smoke binaries (`server_smoke`, `restore_smoke`) —
+//! one implementation of connect + session cookie + request
+//! formatting instead of one per binary. (The `server_e2e` integration tests keep their own raw
 //! clients on purpose: they test the byte format itself.)
 
 use std::io::{BufReader, Write};

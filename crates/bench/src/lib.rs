@@ -1,9 +1,11 @@
 //! `jbench` — shared infrastructure for the evaluation harness.
 //!
 //! The `experiments` binary regenerates every table and figure of the
-//! paper's §6 (run with `--release`); the criterion benches under
-//! `benches/` track the same workloads for regression purposes; and
-//! `loc_report` reproduces the Figure 6 lines-of-code analysis.
+//! paper's §6 (run with `--release`) and `bench_guard` gates its
+//! Table 3 ratios in CI; the criterion benches under `benches/` track
+//! the same workloads; `loc_report` reproduces the Figure 6
+//! lines-of-code analysis; `server_smoke`, `restore_smoke` and `chaos`
+//! drive the served and persistent stack end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,33 +48,10 @@ pub fn time_stats(reps: usize, mut f: impl FnMut()) -> TimeStats {
     }
 }
 
-/// Average seconds over `reps` sequential runs of `f` — the paper's
-/// measurement protocol ("average over 10 rapid sequential requests",
-/// §6.3).
-pub fn time_avg(reps: usize, f: impl FnMut()) -> f64 {
-    time_stats(reps, f).avg_s
-}
-
 /// The paper's doubling sweep: 8, 16, …, 1024.
 #[must_use]
 pub fn doubling_sweep() -> Vec<usize> {
     (3..=10).map(|i| 1usize << i).collect()
-}
-
-/// The `q`-th percentile (0–100, nearest-rank) of a sample set. The
-/// open-loop load harness reports latency distributions with this.
-///
-/// # Panics
-///
-/// Panics on an empty sample set — percentiles of nothing are a
-/// harness bug, not a value.
-#[must_use]
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    assert!(!samples.is_empty(), "percentile of an empty sample set");
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((q / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// Formats seconds the way the paper's tables do (e.g. `0.241s`).
@@ -102,24 +81,7 @@ mod tests {
     }
 
     #[test]
-    fn time_avg_is_positive() {
-        let t = time_avg(3, || {
-            std::hint::black_box((0..100).sum::<u64>());
-        });
-        assert!(t >= 0.0);
-    }
-
-    #[test]
     fn formatting() {
         assert_eq!(fmt_secs(0.2414), "0.241400s");
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let samples: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&samples, 50.0), 51.0);
-        assert_eq!(percentile(&samples, 0.0), 1.0);
-        assert_eq!(percentile(&samples, 100.0), 100.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
     }
 }

@@ -149,9 +149,8 @@ impl App {
         }
     }
 
-    /// Switches the render cache on or off (ablation hook — the
-    /// `--render-cache` experiment tables and the differential grids
-    /// use this). Returns the previous setting; disabling drops every
+    /// Switches the render cache on or off (the uncached reference arm
+    /// of the differential grids and the chaos oracle). Returns the previous setting; disabling drops every
     /// stored page. Takes `&self`: unlike the decode cache this is
     /// toggled on served apps behind `Arc`s.
     pub fn set_render_cache(&self, enabled: bool) -> bool {
@@ -165,8 +164,8 @@ impl App {
     }
 
     /// Switches the render cache's fragment-repair path on or off
-    /// (ablation hook — the `--fragments` experiment tables and the
-    /// differential grids use this). Returns the previous setting.
+    /// (the no-repair reference arm of the differential grids and the
+    /// `--no-fragments` chaos arm). Returns the previous setting.
     /// Disabled, the cache behaves exactly as before repair existed:
     /// entries store un-fragmented and every stale probe is a full
     /// invalidation.
@@ -181,8 +180,8 @@ impl App {
     }
 
     /// Switches incremental (chunk-reusing) checkpoints on or off
-    /// (ablation hook — the `--no-incremental` chaos arm and the
-    /// incremental-vs-full experiment table use this). Returns the
+    /// (the `--no-incremental` chaos arm and the full-checkpoint
+    /// reference arm of the checkpoint tests use this). Returns the
     /// previous setting. Disabled, every checkpoint re-exports and
     /// re-chunks everything, exactly like the first checkpoint of a
     /// fresh process.

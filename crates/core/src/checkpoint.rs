@@ -118,6 +118,9 @@ pub struct CheckpointStats {
     /// Chunks satisfied without writing bytes: carried over from the
     /// previous checkpoint, or re-encoded to content already stored.
     pub chunks_reused: usize,
+    /// Chunks encoded and hashed by this checkpoint (written, or found
+    /// already stored); clean chunks carried over are not encoded.
+    pub chunks_encoded: usize,
     /// Whether this checkpoint ran the incremental (clean-chunk
     /// carry-over) path rather than a full re-export.
     pub incremental: bool,
@@ -842,11 +845,7 @@ impl App {
                 let (hash, written) = store
                     .insert(&encode_app_meta_chunk(&meta, &bindings))
                     .map_err(|e| persist_err(format!("write app-meta chunk: {e}")))?;
-                if written {
-                    chunk_stats.written += 1;
-                } else {
-                    chunk_stats.reused += 1;
-                }
+                chunk_stats.note_insert(written);
                 hash
             }
         };
@@ -961,11 +960,7 @@ impl App {
                 let (hash, written) = store
                     .insert(&encode_group_chunk(members, &facets))
                     .map_err(|e| persist_err(format!("write group chunk of {model:?}: {e}")))?;
-                if written {
-                    chunk_stats.written += 1;
-                } else {
-                    chunk_stats.reused += 1;
-                }
+                chunk_stats.note_insert(written);
                 stats.objects += members.len();
                 stats.facet_nodes += facets.entries.len();
                 groups.push(GroupRef {
@@ -989,6 +984,7 @@ impl App {
         };
         stats.chunks_written = chunk_stats.written;
         stats.chunks_reused = chunk_stats.reused;
+        stats.chunks_encoded = chunk_stats.encoded;
         write_manifest_file(&dir.join(CHECKPOINT_FILE), &manifest.to_text())?;
 
         // The durable manifest + chunks now cover everything the log
@@ -1507,10 +1503,14 @@ mod tests {
         app.update_fields("note", 1, &[(1, Value::from("PRE"))], &Default::default())
             .unwrap();
 
+        // The checkpoint compacted the log: it holds exactly the two
+        // post-checkpoint records (the create's batch, the update's).
+        assert_eq!(app.wal_pressure().0, 2, "only post-checkpoint records");
+
         let mut restored = note_app();
         let stats = restored.restore_from(&dir).unwrap();
         assert_eq!(stats.creates_applied, 1, "one post-checkpoint create");
-        assert!(stats.wal_applied >= 2, "create rows + update rows");
+        assert_eq!(stats.wal_applied, 2, "create record + update record");
         assert_eq!(grid(&restored, 3), grid(&app, 3));
         // The restored app allocates *fresh* labels/jids past both
         // the checkpoint and the log.
@@ -1594,9 +1594,7 @@ mod tests {
             Response::ok(page(app, &req.viewer))
         });
         let request = [Request::new("notes", Viewer::User(1))];
-        let cold = Executor::sequential()
-            .run(&app, &router, &request)
-            .remove(0);
+        let cold = Executor::run(&app, &router, &request).remove(0);
         let before = app.render_cache_stats();
         assert_eq!((before.hits, before.misses), (0, 1));
 
@@ -1604,9 +1602,7 @@ mod tests {
         // the snapshot and WAL replay rolls it forward to exactly the
         // generation the page was stamped under.
         app.restore_from(&dir).unwrap();
-        let warm = Executor::sequential()
-            .run(&app, &router, &request)
-            .remove(0);
+        let warm = Executor::run(&app, &router, &request).remove(0);
         assert_eq!(warm, cold, "the warm hit serves the pre-kill bytes");
         let stats = app.render_cache_stats();
         assert_eq!(stats.hits, before.hits + 1, "warm across the restore");
@@ -1617,9 +1613,7 @@ mod tests {
         // generation and the stale page is dropped, not served.
         app.create("note", vec![Value::Int(1), Value::from("post-restore")])
             .unwrap();
-        let fresh = Executor::sequential()
-            .run(&app, &router, &request)
-            .remove(0);
+        let fresh = Executor::run(&app, &router, &request).remove(0);
         assert!(fresh.body.contains("post-restore"));
         assert_eq!(app.render_cache_stats().invalidated, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1714,7 +1708,7 @@ mod tests {
             crate::Request::new("admin/checkpoint", Viewer::Anonymous),
             crate::Request::new("admin/checkpoint", Viewer::User(1)),
         ];
-        let responses = crate::Executor::sequential().run(&app, &router, &requests);
+        let responses = crate::Executor::run(&app, &router, &requests);
         assert_eq!(responses[0].status, 403, "anonymous may not checkpoint");
         assert_eq!(responses[1].status, 200, "{}", responses[1].body);
         assert!(responses[1].body.starts_with("checkpoint:"));
@@ -1946,8 +1940,7 @@ mod tests {
         });
         add_checkpoint_route(&mut router, &dir);
         add_health_route(&mut router);
-        let run =
-            |app: &App, req: Request| Executor::sequential().run(app, &router, &[req]).remove(0);
+        let run = |app: &App, req: Request| Executor::run(app, &router, &[req]).remove(0);
 
         let healthy = run(&app, Request::new("admin/health", Viewer::Anonymous));
         assert_eq!(healthy.status, 200);
@@ -2105,10 +2098,10 @@ mod tests {
         .unwrap();
         let second = app.checkpoint_quiescent(&dir).unwrap();
         assert!(second.incremental);
-        assert!(
-            second.chunks_written <= 3,
-            "a single-row write dirties O(one chunk) per layer, wrote {}",
-            second.chunks_written
+        assert_eq!(
+            (second.chunks_encoded, second.chunks_written),
+            (2, 2),
+            "a single-row write re-encodes one row chunk and one object-group chunk"
         );
         assert!(
             second.chunks_reused > first.chunks_written / 2,

@@ -17,21 +17,22 @@
 //! Per-request Early-Pruning state lives inside each request's
 //! [`Session`], so worker threads never share resolution state.
 //!
-//! Determinism: [`Executor::sequential`] processes requests in
-//! submission order on the calling thread and is bit-for-bit
-//! identical to dispatching through [`Router::handle`] one request at
-//! a time — the mode the differential λJDB semantics tests pin.
-//! Multi-threaded runs return responses in submission order too; the
-//! per-response bytes are identical whenever requests are independent
-//! (read-only, or writes that commute), which the executor stress
-//! tests assert against the sequential mode.
+//! Determinism: [`Executor::run`] processes a batch in submission
+//! order on the calling thread and is bit-for-bit identical to
+//! dispatching through [`Router::handle`] one request at a time — the
+//! mode the differential λJDB semantics tests pin. Concurrency comes
+//! from the callers: the server's connection workers, the
+//! [`ExecutorService`] pool, or several threads each calling `run` on
+//! the same app. Their per-response bytes are identical to one
+//! sequential run whenever requests are independent (read-only, or
+//! writes that commute), which the executor stress tests assert.
 //!
 //! [`Session`]: crate::Session
 //! [`Footprint`]: crate::Footprint
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use crate::app::App;
@@ -58,8 +59,8 @@ use crate::rendercache::{FragmentedPage, Lookup, RenderCacheStatus, RenderKey, S
 /// impossible. (The lock-table map itself is extended only by
 /// [`RequestLocks::ensure`] at `run`, service or server start, while
 /// the extender holds no other lock; requests hold the map's read
-/// guard for their duration, which a concurrent `ensure` simply waits
-/// out.)
+/// guard for their duration, which a concurrent `ensure` that adds
+/// names simply waits out.)
 /// Data-level safety never depends on footprints (the storage layer
 /// locks per table internally); footprints buy *request-level
 /// isolation* — a reader cannot observe half of a declared write's
@@ -83,6 +84,15 @@ impl RequestLocks {
     /// (called once per `run` and when a service or server starts,
     /// never during a request).
     pub(crate) fn ensure<I: IntoIterator<Item = String>>(&self, names: I) {
+        let names: Vec<String> = names.into_iter().collect();
+        // Names already present need only the shared guard, so a `run`
+        // starting on one thread never queues behind the requests a
+        // `run` on another thread is serving.
+        let map = self.tables.read().expect("lock-table map");
+        if names.iter().all(|name| map.contains_key(name)) {
+            return;
+        }
+        drop(map);
         let mut map = self.tables.write().expect("lock-table map");
         for name in names {
             map.entry(name).or_default();
@@ -143,82 +153,31 @@ impl RequestLocks {
 /// let app = App::new();
 /// let requests: Vec<Request> =
 ///     (0..8).map(|i| Request::new("ping", Viewer::User(i))).collect();
-/// let responses = Executor::with_threads(4).run(&app, &router, &requests);
+/// let responses = Executor::run(&app, &router, &requests);
 /// assert_eq!(responses.len(), 8);
 /// assert!(responses.iter().all(|r| r.status == 200));
 /// ```
-#[derive(Copy, Clone, Debug)]
-pub struct Executor {
-    threads: usize,
-}
+#[derive(Debug)]
+pub struct Executor;
 
 impl Executor {
-    /// The deterministic single-thread mode: requests are processed in
-    /// submission order on the calling thread, with responses
-    /// bit-for-bit identical to a loop over [`Router::handle`].
-    /// Footprint locks are still acquired per request (uncontended
-    /// they cost nanoseconds), so a sequential run overlapping a
-    /// threaded run on the same app keeps full request isolation.
-    #[must_use]
-    pub fn sequential() -> Executor {
-        Executor { threads: 1 }
-    }
-
-    /// A pool of `threads` workers (clamped to at least 1). Workers
-    /// pull requests from a shared queue; each request runs under the
-    /// footprint locks its route declares.
-    #[must_use]
-    pub fn with_threads(threads: usize) -> Executor {
-        Executor {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured worker count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Processes every request, returning responses in submission
-    /// order.
+    /// Processes every request in submission order on the calling
+    /// thread, returning responses bit-for-bit identical to a loop
+    /// over [`Router::handle`]. Each request runs under the footprint
+    /// locks its route declares (uncontended they cost nanoseconds),
+    /// so `run` calls on other threads against the same app keep full
+    /// request isolation.
     ///
     /// # Panics
     ///
-    /// Panics if a lock is poisoned (a prior request panicked) or a
-    /// worker thread panics.
+    /// Panics if a lock is poisoned (a prior request panicked).
     #[must_use]
-    pub fn run(&self, app: &App, router: &Router, requests: &[Request]) -> Vec<Response> {
+    pub fn run(app: &App, router: &Router, requests: &[Request]) -> Vec<Response> {
         let locks = &app.request_locks;
         locks.ensure(router.declared_tables());
-        if self.threads == 1 {
-            return requests
-                .iter()
-                .map(|r| Executor::dispatch(app, router, locks, r))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Response>> = requests.iter().map(|_| OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(request) = requests.get(i) else {
-                        break;
-                    };
-                    let response = Executor::dispatch(app, router, locks, request);
-                    slots[i]
-                        .set(response)
-                        .unwrap_or_else(|_| unreachable!("slot {i} claimed once"));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("every claimed slot was filled before scope exit")
-            })
+        requests
+            .iter()
+            .map(|r| Executor::dispatch(app, router, locks, r))
             .collect()
     }
 
@@ -639,8 +598,7 @@ impl Executor {
 /// wait before dispatch (in the [`ExecutorService`] job queue, or for
 /// one of the HTTP server's admission permits) vs service time
 /// (controller under footprint locks). The HTTP server exports both
-/// as `X-Queue-Us` / `X-Service-Us` response headers, which is what
-/// the open-loop load harness aggregates into percentiles.
+/// as `X-Queue-Us` / `X-Service-Us` response headers.
 #[derive(Clone, Debug)]
 pub struct ServedResponse {
     /// The controller's response.
@@ -1118,12 +1076,44 @@ mod tests {
             .collect()
     }
 
+    /// Runs `requests` on `workers` scoped threads sharing one app:
+    /// worker `w` sends every `workers`-th request from `w` on through
+    /// its own [`Executor::run`], and the responses are reassembled in
+    /// submission order.
+    fn run_strided(
+        app: &App,
+        router: &Router,
+        requests: &[Request],
+        workers: usize,
+    ) -> Vec<Response> {
+        let mut shares: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let share: Vec<Request> =
+                        requests.iter().skip(w).step_by(workers).cloned().collect();
+                    scope.spawn(move || Executor::run(app, router, &share))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked").into_iter())
+                .collect()
+        });
+        (0..requests.len())
+            .map(|i| {
+                shares[i % workers]
+                    .next()
+                    .expect("one response per request")
+            })
+            .collect()
+    }
+
     #[test]
     fn sequential_matches_direct_router_dispatch() {
         let app = note_app();
         let router = note_router();
         let requests = read_mix();
-        let executed = Executor::sequential().run(&app, &router, &requests);
+        let executed = Executor::run(&app, &router, &requests);
         let direct_app = note_app();
         let direct: Vec<Response> = requests
             .iter()
@@ -1137,10 +1127,10 @@ mod tests {
         let app = note_app();
         let router = note_router();
         let requests = read_mix();
-        let sequential = Executor::sequential().run(&app, &router, &requests);
-        for threads in [2, 4, 8] {
-            let concurrent = Executor::with_threads(threads).run(&app, &router, &requests);
-            assert_eq!(concurrent, sequential, "{threads} threads");
+        let sequential = Executor::run(&app, &router, &requests);
+        for workers in [2, 4] {
+            let concurrent = run_strided(&app, &router, &requests, workers);
+            assert_eq!(concurrent, sequential, "{workers} workers");
         }
     }
 
@@ -1153,7 +1143,7 @@ mod tests {
             Request::new("nope", Viewer::Anonymous),
             Request::new("notes", Viewer::User(1)),
         ];
-        let responses = Executor::sequential().run(&app, &router, &requests);
+        let responses = Executor::run(&app, &router, &requests);
         assert_eq!(responses[0].status, 200);
         assert_eq!(responses[1].status, 404);
         assert!(responses[2].body.contains("added"));
@@ -1161,7 +1151,7 @@ mod tests {
 
     #[test]
     fn executor_shares_one_app_across_threads() {
-        // Mixed reads and (commuting) writes across 4 threads: every
+        // Mixed reads and (commuting) writes across 4 workers: every
         // write lands exactly once in the shared database.
         let app = note_app();
         let router = note_router();
@@ -1169,7 +1159,7 @@ mod tests {
         let requests: Vec<Request> = (0..writes)
             .map(|i| Request::new("note/add", Viewer::User(i)))
             .collect();
-        let responses = Executor::with_threads(4).run(&app, &router, &requests);
+        let responses = run_strided(&app, &router, &requests, 4);
         assert!(responses.iter().all(|r| r.status == 200));
         let total = app
             .all("note")
@@ -1204,7 +1194,7 @@ mod tests {
             .map(|i| Request::new("note/add", Viewer::User(i)))
             .collect();
         requests.extend((0..8).map(|i| Request::new("notes", Viewer::User(i))));
-        let responses = Executor::with_threads(4).run(&app, &router, &requests);
+        let responses = run_strided(&app, &router, &requests, 4);
         assert!(responses.iter().all(|r| r.status == 200));
         assert_eq!(app.db.physical_rows("note").unwrap(), (6 + 8) * 2);
     }
@@ -1246,8 +1236,8 @@ mod tests {
             .map(|_| Request::new("note/present", Viewer::User(0)))
             .collect();
         std::thread::scope(|scope| {
-            let w = scope.spawn(|| Executor::with_threads(2).run(&app, &writer_router, &writes));
-            let r = scope.spawn(|| Executor::with_threads(2).run(&app, &reader_router, &reads));
+            let w = scope.spawn(|| Executor::run(&app, &writer_router, &writes));
+            let r = scope.spawn(|| Executor::run(&app, &reader_router, &reads));
             let write_responses = w.join().unwrap();
             let read_responses = r.join().unwrap();
             assert!(write_responses.iter().all(|resp| resp.status == 200));
@@ -1295,7 +1285,7 @@ mod tests {
         let batch_app = note_app();
         let router = note_router();
         let requests = read_mix();
-        let batch = Executor::sequential().run(&batch_app, &router, &requests);
+        let batch = Executor::run(&batch_app, &router, &requests);
         for (request, expected) in requests.iter().zip(batch) {
             let served = service.serve(request.clone());
             assert_eq!(served.response, expected);
@@ -1330,7 +1320,7 @@ mod tests {
             Response::ok(rows.len().to_string())
         });
         let requests = vec![Request::new("sneaky", Viewer::User(1))];
-        let _ = Executor::sequential().run(&app, &router, &requests);
+        let _ = Executor::run(&app, &router, &requests);
     }
 
     /// The satellite fix: footprint-less routes used to skip the
@@ -1352,7 +1342,7 @@ mod tests {
             Response::ok(String::new())
         });
         let requests = vec![Request::new("sneaky/mutating-page", Viewer::User(1))];
-        let _ = Executor::sequential().run(&app, &router, &requests);
+        let _ = Executor::run(&app, &router, &requests);
     }
 
     /// Footprint-less read routes that only *read* still pass under
@@ -1365,7 +1355,7 @@ mod tests {
             Response::ok(app.all("note").map(|r| r.len()).unwrap_or(0).to_string())
         });
         let requests = vec![Request::new("legacy/list", Viewer::User(1))];
-        let responses = Executor::sequential().run(&app, &router, &requests);
+        let responses = Executor::run(&app, &router, &requests);
         assert_eq!(responses[0].status, 200);
         assert_eq!(responses[0].body, "12", "6 notes × 2 facet rows");
     }
@@ -1383,7 +1373,7 @@ mod tests {
             Response::ok(String::new())
         });
         let requests = vec![Request::new("sneaky/add", Viewer::User(1))];
-        let _ = Executor::sequential().run(&app, &router, &requests);
+        let _ = Executor::run(&app, &router, &requests);
     }
 
     #[test]
@@ -1396,7 +1386,7 @@ mod tests {
             Request::new("notes", Viewer::User(1)),
             Request::new("note/add", Viewer::User(1)),
         ];
-        let responses = Executor::sequential().run(&app, &router, &requests);
+        let responses = Executor::run(&app, &router, &requests);
         assert!(responses.iter().all(|r| r.status == 200));
     }
 
@@ -1405,9 +1395,7 @@ mod tests {
         let app = note_app();
         let router = note_router();
         let read = |app: &App| {
-            Executor::sequential()
-                .run(app, &router, &[Request::new("notes", Viewer::User(1))])
-                .remove(0)
+            Executor::run(app, &router, &[Request::new("notes", Viewer::User(1))]).remove(0)
         };
         let cold = read(&app);
         let warm = read(&app);
@@ -1416,7 +1404,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.invalidated), (1, 1, 0));
         // A real write to the footprint table moves its generation:
         // the next read invalidates, re-renders, and re-caches.
-        let responses = Executor::sequential().run(
+        let responses = Executor::run(
             &app,
             &router,
             &[
@@ -1435,7 +1423,7 @@ mod tests {
     fn render_cache_keys_are_per_viewer() {
         let app = note_app();
         let router = note_router();
-        let pages: Vec<Response> = Executor::sequential().run(
+        let pages: Vec<Response> = Executor::run(
             &app,
             &router,
             &[
@@ -1461,11 +1449,11 @@ mod tests {
             Request::new("notes", Viewer::User(1)),
             Request::new("notes", Viewer::User(1)),
         ];
-        let off = Executor::sequential().run(&app, &router, &requests);
+        let off = Executor::run(&app, &router, &requests);
         let stats = app.render_cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 0), "disabled = untouched");
         assert!(!app.set_render_cache(true));
-        let on = Executor::sequential().run(&app, &router, &requests);
+        let on = Executor::run(&app, &router, &requests);
         assert_eq!(on, off, "ablation changes cost, never bytes");
         assert_eq!(app.render_cache_stats().hits, 1);
     }
@@ -1481,7 +1469,7 @@ mod tests {
             Request::new("legacy/count", Viewer::User(1)),
             Request::new("legacy/count", Viewer::User(1)),
         ];
-        let responses = Executor::sequential().run(&app, &router, &requests);
+        let responses = Executor::run(&app, &router, &requests);
         assert_eq!(responses[0], responses[1]);
         let stats = app.render_cache_stats();
         assert_eq!(stats.uncacheable, 2, "counted, not cached");
@@ -1498,8 +1486,8 @@ mod tests {
         let app = note_app();
         let router = note_router();
         let request = [Request::new("notes", Viewer::User(1))];
-        let _ = Executor::sequential().run(&app, &router, &request);
-        let _ = Executor::sequential().run(&app, &router, &request);
+        let _ = Executor::run(&app, &router, &request);
+        let _ = Executor::run(&app, &router, &request);
         let before = app.render_cache_stats();
         assert_eq!((before.hits, before.invalidated), (1, 0));
         // Zero-row update and delete: PR 6 made these generation-silent.
@@ -1515,7 +1503,7 @@ mod tests {
             .unwrap();
         let deleted = app.db.raw_ref().delete("note", &nobody).unwrap();
         assert_eq!((updated, deleted), (0, 0));
-        let _ = Executor::sequential().run(&app, &router, &request);
+        let _ = Executor::run(&app, &router, &request);
         let after = app.render_cache_stats();
         assert_eq!(after.hits, before.hits + 1, "no-op writes must not evict");
         assert_eq!(after.invalidated, 0);
@@ -1742,7 +1730,7 @@ mod tests {
             }
         });
         router.canonicalize_int_params("note/one", &["id"]);
-        let responses = Executor::sequential().run(
+        let responses = Executor::run(
             &app,
             &router,
             &[
@@ -1764,7 +1752,7 @@ mod tests {
         let app = note_app();
         let router = note_router();
         app.enter_degraded("disk full (test)".to_owned());
-        let responses = Executor::sequential().run(
+        let responses = Executor::run(
             &app,
             &router,
             &[
@@ -1782,8 +1770,7 @@ mod tests {
             "the shed write never reached storage"
         );
         app.clear_degraded();
-        let retry =
-            Executor::sequential().run(&app, &router, &[Request::new("note/add", Viewer::User(1))]);
+        let retry = Executor::run(&app, &router, &[Request::new("note/add", Viewer::User(1))]);
         assert_eq!(retry[0].status, 200, "writes resume once cleared");
     }
 
@@ -1794,7 +1781,7 @@ mod tests {
         router.route("admin/fix", |_, _| Response::ok("fixed".into()));
         router.exempt_from_degraded("admin/fix");
         app.enter_degraded("disk full (test)".to_owned());
-        let responses = Executor::sequential().run(
+        let responses = Executor::run(
             &app,
             &router,
             &[
@@ -1892,7 +1879,7 @@ mod tests {
             Request::new("a/slow_add", Viewer::User(1)),
             Request::new("b/read", Viewer::User(2)),
         ];
-        let responses = Executor::with_threads(2).run(&app, &router, &requests);
+        let responses = run_strided(&app, &router, &requests, 2);
         assert_eq!(
             responses[0].body, "reader_finished_first=true",
             "the b-reader must complete while the a-writer is mid-request"

@@ -98,8 +98,8 @@ impl RenderCacheStatus {
     }
 }
 
-/// Counters since construction (diagnostics; the `--render-cache`
-/// ablation tables report these alongside the timings).
+/// Counters since construction (diagnostics; `admin/health` reports
+/// them and tests pin exact counts of them).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RenderCacheStats {
     /// Requests served from cached bytes.
@@ -221,8 +221,9 @@ impl RenderCache {
         self.enabled.load(Ordering::Acquire)
     }
 
-    /// Switches the cache on or off (ablation hook). Returns the
-    /// previous setting. Disabling drops every stored page.
+    /// Switches the cache on or off (the uncached reference arm of the
+    /// differential grids). Returns the previous setting. Disabling
+    /// drops every stored page.
     pub(crate) fn set_enabled(&self, enabled: bool) -> bool {
         let was = self.enabled.swap(enabled, Ordering::AcqRel);
         if !enabled {
@@ -234,7 +235,7 @@ impl RenderCache {
     }
 
     /// Whether stale entries may be stored fragmented and repaired
-    /// from the write journal (the `--fragments` ablation knob).
+    /// from the write journal (off in the no-repair reference arm).
     pub(crate) fn fragments_enabled(&self) -> bool {
         self.fragments_enabled.load(Ordering::Acquire)
     }

@@ -21,8 +21,7 @@
 //!    (`Executor::dispatch_traced`) under the route's footprint
 //!    locks on the shared [`App`]; there is no hand-off to another
 //!    thread. How long it waited vs. executed goes out as
-//!    `X-Queue-Us` / `X-Service-Us` response headers (the open-loop
-//!    load harness reads these);
+//!    `X-Queue-Us` / `X-Service-Us` response headers;
 //! 4. the response is serialized back, then the post-request hook
 //!    runs a scheduled checkpoint if the [`crate::CheckpointPolicy`]
 //!    says one is due; the connection stays open for the next request

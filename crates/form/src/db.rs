@@ -16,8 +16,8 @@ use crate::error::{FormError, FormResult};
 use crate::meta::{encode_jvars, parse_jvars, JID, JVARS};
 use crate::object::{flatten_object, rebuild_object, FacetedObject, GuardedRow};
 
-/// Hit/miss counters of the decode cache (diagnostics; the ablation
-/// tables report these alongside the timings).
+/// Hit/miss counters of the decode cache (diagnostics; tests pin
+/// exact counts of them).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct DecodeCacheStats {
     /// Queries served from an already-decoded table snapshot.
@@ -81,9 +81,9 @@ struct DecodedTable {
 /// the query falls back to a full re-decode, so correctness never
 /// depends on journal retention. [`FormDb::set_decode_cache`]
 /// switches the cache off and [`FormDb::set_delta_maintenance`]
-/// switches just the repair path off for ablation measurements;
-/// cached, uncached, and delta-maintained paths are byte-identical
-/// (the differential suite pins this).
+/// switches just the repair path off: those are the reference arms of
+/// the differential grids, which pin cached, uncached, and
+/// delta-maintained paths byte-identical.
 ///
 /// # Concurrency
 ///
@@ -137,11 +137,12 @@ pub struct FormDb {
     /// with this viewer constraint (Early Pruning, §3.2).
     pruning: Option<Branches>,
     /// Whether the decode cache is active (`true` by default; the
-    /// ablation experiments switch it off).
+    /// differential grids' uncached reference arm switches it off).
     cache_enabled: bool,
     /// Whether stale cache slots are repaired from the tables' change
     /// journals instead of waiting for a full re-decode (`true` by
-    /// default; the `--deltas` ablation switches it off).
+    /// default; the differential grids' full-re-decode reference arm
+    /// switches it off).
     delta_maintenance: bool,
     decoded: RwLock<HashMap<String, DecodedTable>>,
     cache_hits: AtomicU64,
@@ -236,8 +237,8 @@ impl FormDb {
         self.pruning.as_ref()
     }
 
-    /// Switches the decode cache on or off (ablation hook). Returns
-    /// the previous setting. Disabling also drops any cached
+    /// Switches the decode cache on or off (the uncached reference arm
+    /// of the differential grids). Returns the previous setting. Disabling also drops any cached
     /// snapshots.
     pub fn set_decode_cache(&mut self, enabled: bool) -> bool {
         let was = self.cache_enabled;
@@ -254,9 +255,9 @@ impl FormDb {
         self.cache_enabled
     }
 
-    /// Switches delta maintenance of stale cache slots on or off
-    /// (ablation hook for the write-mix experiments). Returns the
-    /// previous setting. With it off, a stale slot waits for the next
+    /// Switches delta maintenance of stale cache slots on or off (the
+    /// full-re-decode reference arm of the differential grids).
+    /// Returns the previous setting. With it off, a stale slot waits for the next
     /// full-table read to re-decode — the pre-journal behavior.
     pub fn set_delta_maintenance(&mut self, enabled: bool) -> bool {
         let was = self.delta_maintenance;
@@ -452,7 +453,7 @@ impl FormDb {
             }
             // Only count misses while the cache is live — with the
             // cache disabled the stats stay frozen (matching every
-            // other query path), so ablation counters are comparable.
+            // other query path), so counters of the two arms compare.
             self.cache_misses.fetch_add(1, Ordering::Relaxed);
         }
         let width = t.schema().len() - 2;
@@ -692,7 +693,7 @@ impl FormDb {
             self.cache_misses.fetch_add(1, Ordering::Relaxed);
         }
         // Selected-rows-only decode: the selective-miss path above and
-        // the ablation (`cache_enabled == false`) path, which is the
+        // the uncached (`cache_enabled == false`) path, which is the
         // pre-cache behavior.
         let rows = t.rows();
         let mut out = Vec::with_capacity(indices.len());

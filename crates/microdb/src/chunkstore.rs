@@ -90,6 +90,9 @@ pub struct ChunkWriteStats {
     /// the previous manifest without re-encoding, or re-encoded to
     /// bytes already in the store.
     pub reused: usize,
+    /// Chunks encoded and hashed (then written, or found present); a
+    /// chunk carried over by reference is not encoded.
+    pub encoded: usize,
 }
 
 impl ChunkWriteStats {
@@ -97,6 +100,18 @@ impl ChunkWriteStats {
     pub fn absorb(&mut self, other: ChunkWriteStats) {
         self.written += other.written;
         self.reused += other.reused;
+        self.encoded += other.encoded;
+    }
+
+    /// Counts one encoded chunk handed to [`ChunkStore::insert`], which
+    /// reported whether a file was `written`.
+    pub fn note_insert(&mut self, written: bool) {
+        self.encoded += 1;
+        if written {
+            self.written += 1;
+        } else {
+            self.reused += 1;
+        }
     }
 }
 
@@ -361,11 +376,7 @@ pub fn write_row_chunks(
     for chunk in rows.chunks(CHUNK_ROWS) {
         let bytes = encode_row_chunk(chunk);
         let (hash, written) = store.insert(&bytes)?;
-        if written {
-            stats.written += 1;
-        } else {
-            stats.reused += 1;
-        }
+        stats.note_insert(written);
         refs.push(ChunkRef {
             hash,
             rows: chunk.len(),
@@ -397,11 +408,7 @@ pub fn write_dirty_row_chunks(
         if dirty.chunk_is_dirty(ix, prev.len()) {
             let bytes = encode_row_chunk(&rows[start..end]);
             let (hash, written) = store.insert(&bytes)?;
-            if written {
-                stats.written += 1;
-            } else {
-                stats.reused += 1;
-            }
+            stats.note_insert(written);
             refs.push(ChunkRef {
                 hash,
                 rows: end - start,
