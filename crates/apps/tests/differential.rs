@@ -477,13 +477,16 @@ fn delta_maintenance_differential_all_pages_under_writes() {
     check(&on, &off, &papers, "after review delete");
 
     // The twins diverged only in *how* pages were produced: every
-    // write step above is repaired in place by exactly one delta apply
-    // at the next read (the paper and review inserts, the phase flip —
-    // its delete + create land together before the grid reads — the
-    // rescore and the delete), none by a full re-decode.
+    // written table's slot is repaired in place by exactly one delta
+    // apply at its next read, none by a full re-decode. Six writes:
+    // the workload's own set-up phase write (repaired by the first
+    // grid), the paper insert, the review insert (the grid's selective
+    // review reads keep a `review` snapshot), the phase flip (its
+    // delete + create land together before the grid reads), the
+    // rescore and the delete.
     assert_eq!(
         on.db.decode_cache_stats().delta_applies,
-        5,
+        6,
         "the deltas-on twin repairs each write step's slot in place once"
     );
     assert_eq!(

@@ -9,6 +9,7 @@
 //! shared-row optimization.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::branch::{Branch, Branches};
@@ -25,10 +26,16 @@ use crate::view::View;
 /// The rows live behind an `Arc` with copy-on-write mutation:
 /// cloning a list is O(1) and shares storage, which is what lets the
 /// FORM's decoded-row cache hand the same unmarshalled table to many
-/// concurrent requests without per-row copies. Mutators
-/// ([`FacetedList::push`], [`FacetedList::extend_from`], `Extend`)
-/// take the slow path — copying the rows first — only when the
-/// storage is actually shared.
+/// concurrent requests without per-row copies. A list may also be a
+/// *selection*: an ordered list of positions into shared storage,
+/// which is how a query result ([`FacetedList::select`]), a filter
+/// ([`FacetedList::filter_rows`]) or an Early-Pruning pass
+/// ([`FacetedList::prune`]) hands out a subset of a cached table
+/// without copying a row. Mutators ([`FacetedList::push`],
+/// [`FacetedList::extend_from`], `Extend`, …) first materialize a
+/// selection into rows of its own, and copy shared storage only when
+/// it is actually shared. Equality and hashing compare the logical
+/// rows, so a selection equals its materialized copy.
 ///
 /// # Examples
 ///
@@ -42,18 +49,19 @@ use crate::view::View;
 /// assert_eq!(t.project(&View::empty()), vec![&"public row"]);
 /// assert_eq!(t.project(&View::from_labels([k])).len(), 2);
 /// ```
-#[derive(PartialEq, Eq, Hash)]
 pub struct FacetedList<T> {
     rows: Arc<Vec<(Branches, T)>>,
+    /// `Some(positions)`: the list is these physical positions of
+    /// `rows`, in this order. `None`: every row, in order.
+    selection: Option<Arc<[usize]>>,
 }
 
 // Manual impls: the derives would wrongly require `T: Default` /
-// `T: Clone` (the `Arc` clones without cloning rows).
+// `T: Clone` (the `Arc` clones without cloning rows), and would compare
+// storage instead of the rows a selection stands for.
 impl<T> Default for FacetedList<T> {
     fn default() -> FacetedList<T> {
-        FacetedList {
-            rows: Arc::new(Vec::new()),
-        }
+        FacetedList::from_vec(Vec::new())
     }
 }
 
@@ -61,19 +69,42 @@ impl<T> Clone for FacetedList<T> {
     fn clone(&self) -> FacetedList<T> {
         FacetedList {
             rows: Arc::clone(&self.rows),
+            selection: self.selection.clone(),
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for FacetedList<T> {
+    fn eq(&self, other: &FacetedList<T>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Eq> Eq for FacetedList<T> {}
+
+impl<T: Hash> Hash for FacetedList<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.len().hash(state);
+        for row in self.iter() {
+            row.hash(state);
         }
     }
 }
 
 impl<T: fmt::Debug> fmt::Debug for FacetedList<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list()
-            .entries(self.rows.iter().map(|(b, r)| (b, r)))
-            .finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 impl<T> FacetedList<T> {
+    fn from_vec(rows: Vec<(Branches, T)>) -> FacetedList<T> {
+        FacetedList {
+            rows: Arc::new(rows),
+            selection: None,
+        }
+    }
+
     /// Creates an empty collection.
     #[must_use]
     pub fn new() -> FacetedList<T> {
@@ -82,43 +113,81 @@ impl<T> FacetedList<T> {
 
     /// Creates a collection of unguarded (public) rows.
     pub fn from_public<I: IntoIterator<Item = T>>(rows: I) -> FacetedList<T> {
-        FacetedList {
-            rows: Arc::new(rows.into_iter().map(|r| (Branches::new(), r)).collect()),
-        }
+        FacetedList::from_vec(rows.into_iter().map(|r| (Branches::new(), r)).collect())
     }
 
-    /// Number of physical rows (across all facets).
+    /// Number of rows (across all facets).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.selection.as_ref().map_or(self.rows.len(), |s| s.len())
     }
 
-    /// Whether the collection stores no rows at all.
+    /// Whether the collection holds no rows at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over `(guard, row)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Branches, &T)> {
-        self.rows.iter().map(|(b, r)| (b, r))
+        (0..self.len()).map(|ix| self.row(ix))
     }
 
-    /// The `(guard, row)` pair at physical position `ix` — used by
-    /// index-planned queries to address a decoded snapshot by the
-    /// physical row positions the planner returned.
+    /// The `(guard, row)` pair at position `ix`.
     ///
     /// # Panics
     ///
     /// Panics if `ix` is out of bounds.
     #[must_use]
     pub fn row(&self, ix: usize) -> (&Branches, &T) {
-        let (b, r) = &self.rows[ix];
+        let physical = self.selection.as_ref().map_or(ix, |s| s[ix]);
+        let (b, r) = &self.rows[physical];
         (b, r)
     }
 
-    /// Whether this list shares row storage with another (both are
-    /// clones of the same underlying rows — the decode cache's
+    /// The rows at `positions` (in that order), sharing this list's
+    /// storage: no row is copied. Index-planned queries use this to
+    /// address a cached decoded snapshot by the row positions the
+    /// planner returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is out of bounds.
+    #[must_use]
+    pub fn select(&self, positions: &[usize]) -> FacetedList<T> {
+        let physical: Arc<[usize]> = match &self.selection {
+            None => {
+                assert!(
+                    positions.iter().all(|&i| i < self.rows.len()),
+                    "selected position out of bounds"
+                );
+                positions.into()
+            }
+            Some(s) => positions.iter().map(|&i| s[i]).collect(),
+        };
+        FacetedList {
+            rows: Arc::clone(&self.rows),
+            selection: Some(physical),
+        }
+    }
+
+    /// The positions of the rows satisfying `keep`, as a selection (or
+    /// a plain clone when every row is kept).
+    fn select_where(&self, mut keep: impl FnMut(&Branches, &T) -> bool) -> FacetedList<T> {
+        let positions: Vec<usize> = self
+            .iter()
+            .enumerate()
+            .filter(|(_, (b, r))| keep(b, r))
+            .map(|(i, _)| i)
+            .collect();
+        if positions.len() == self.len() {
+            return self.clone();
+        }
+        self.select(&positions)
+    }
+
+    /// Whether this list shares row storage with another (clones and
+    /// selections of the same underlying rows — the decode cache's
     /// zero-copy fast path).
     #[must_use]
     pub fn shares_rows_with(&self, other: &FacetedList<T>) -> bool {
@@ -129,44 +198,25 @@ impl<T> FacetedList<T> {
     /// `L(table T) = {(∅, s) | (B, s) ∈ T, B ∼ L}`.
     #[must_use]
     pub fn project(&self, view: &View) -> Vec<&T> {
-        self.rows
-            .iter()
+        self.iter()
             .filter(|(b, _)| b.visible_to(view))
             .map(|(_, r)| r)
             .collect()
     }
 
     /// Early Pruning (`F-PRUNE`, §4.4): keeps only rows whose guard is
-    /// consistent with the program counter `pc`. When every row
-    /// survives, the result *shares* this list's storage (no copy) —
-    /// the common case for an unconstrained request.
+    /// consistent with the program counter `pc`. The result *shares*
+    /// this list's storage (a selection, or a plain clone when every
+    /// row survives — the common case for an unconstrained request).
     #[must_use]
-    pub fn prune(&self, pc: &Branches) -> FacetedList<T>
-    where
-        T: Clone,
-    {
-        if self.rows.iter().all(|(b, _)| b.consistent_with(pc)) {
-            return self.clone();
-        }
-        FacetedList {
-            rows: Arc::new(
-                self.rows
-                    .iter()
-                    .filter(|(b, _)| b.consistent_with(pc))
-                    .cloned()
-                    .collect(),
-            ),
-        }
+    pub fn prune(&self, pc: &Branches) -> FacetedList<T> {
+        self.select_where(|b, _| b.consistent_with(pc))
     }
 
     /// Every label mentioned by any row guard.
     #[must_use]
     pub fn labels(&self) -> Vec<Label> {
-        let mut out: Vec<Label> = self
-            .rows
-            .iter()
-            .flat_map(|(b, _)| b.labels().collect::<Vec<_>>())
-            .collect();
+        let mut out: Vec<Label> = self.iter().flat_map(|(b, _)| b.labels()).collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -175,34 +225,36 @@ impl<T> FacetedList<T> {
     /// Maps the row type, keeping guards.
     #[must_use]
     pub fn map_rows<U>(&self, mut f: impl FnMut(&T) -> U) -> FacetedList<U> {
-        FacetedList {
-            rows: Arc::new(self.rows.iter().map(|(b, r)| (b.clone(), f(r))).collect()),
-        }
+        FacetedList::from_vec(self.iter().map(|(b, r)| (b.clone(), f(r))).collect())
     }
 
-    /// Filters physical rows by a predicate on the row payload,
-    /// keeping guards (faceted `WHERE`: because secret and public
-    /// facets are separate rows, plain filtering is already
-    /// flow-correct — §3.1.1).
+    /// Filters rows by a predicate on the row payload, keeping guards
+    /// (faceted `WHERE`: because secret and public facets are separate
+    /// rows, plain filtering is already flow-correct — §3.1.1). The
+    /// result is a selection sharing this list's storage.
     #[must_use]
-    pub fn filter_rows(&self, mut pred: impl FnMut(&T) -> bool) -> FacetedList<T>
-    where
-        T: Clone,
-    {
-        FacetedList {
-            rows: Arc::new(self.rows.iter().filter(|(_, r)| pred(r)).cloned().collect()),
-        }
+    pub fn filter_rows(&self, mut pred: impl FnMut(&T) -> bool) -> FacetedList<T> {
+        self.select_where(|_, r| pred(r))
     }
 }
 
 impl<T: Clone> FacetedList<T> {
+    /// The rows as a vector this list owns outright: materializes a
+    /// selection, then copies the storage if it is still shared.
+    fn rows_mut(&mut self) -> &mut Vec<(Branches, T)> {
+        if let Some(selection) = self.selection.take() {
+            self.rows = Arc::new(selection.iter().map(|&i| self.rows[i].clone()).collect());
+        }
+        Arc::make_mut(&mut self.rows)
+    }
+
     /// Appends a guarded row (copy-on-write: clones the storage first
     /// if it is shared).
     pub fn push(&mut self, guard: Branches, row: T) {
-        Arc::make_mut(&mut self.rows).push((guard, row));
+        self.rows_mut().push((guard, row));
     }
 
-    /// Replaces the `(guard, row)` pair at physical position `ix`
+    /// Replaces the `(guard, row)` pair at position `ix`
     /// (copy-on-write, like [`FacetedList::push`]) — the in-place
     /// patch used when a cached decoded snapshot is repaired from a
     /// table's change deltas instead of rebuilt.
@@ -211,31 +263,34 @@ impl<T: Clone> FacetedList<T> {
     ///
     /// Panics if `ix` is out of bounds.
     pub fn replace_row(&mut self, ix: usize, guard: Branches, row: T) {
-        Arc::make_mut(&mut self.rows)[ix] = (guard, row);
+        self.rows_mut()[ix] = (guard, row);
     }
 
-    /// Removes the row at physical position `ix`, shifting later rows
-    /// up (copy-on-write). Callers removing several positions must go
-    /// in descending order so earlier indices stay valid.
+    /// Removes the row at position `ix`, shifting later rows up
+    /// (copy-on-write). Callers removing several positions must go in
+    /// descending order so earlier indices stay valid.
     ///
     /// # Panics
     ///
     /// Panics if `ix` is out of bounds.
     pub fn remove_row(&mut self, ix: usize) {
-        Arc::make_mut(&mut self.rows).remove(ix);
+        self.rows_mut().remove(ix);
     }
 
     /// Consumes the collection, yielding its `(guard, row)` pairs
-    /// (cloning them only if the storage is shared).
+    /// (cloning them only if the storage is shared or selected).
     #[must_use]
-    pub fn into_rows(self) -> Vec<(Branches, T)> {
+    pub fn into_rows(mut self) -> Vec<(Branches, T)> {
+        if self.selection.is_some() {
+            return std::mem::take(self.rows_mut());
+        }
         Arc::try_unwrap(self.rows).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Appends another collection (the `F-UNION` rule: plain
     /// concatenation of guarded rows).
     pub fn extend_from(&mut self, other: FacetedList<T>) {
-        Arc::make_mut(&mut self.rows).extend(other.into_rows());
+        self.rows_mut().extend(other.into_rows());
     }
 }
 
@@ -250,8 +305,8 @@ impl<T: Clone + Ord> FacetedList<T> {
     #[must_use]
     pub fn facet_join(label: Label, high: &FacetedList<T>, low: &FacetedList<T>) -> FacetedList<T> {
         // Multiset intersection by sort-merge over (guard, row) pairs.
-        let mut hi: Vec<(Branches, T)> = (*high.rows).clone();
-        let mut lo: Vec<(Branches, T)> = (*low.rows).clone();
+        let mut hi: Vec<(Branches, T)> = high.clone().into_rows();
+        let mut lo: Vec<(Branches, T)> = low.clone().into_rows();
         hi.sort();
         lo.sort();
         let mut shared: Vec<(Branches, T)> = Vec::new();
@@ -289,9 +344,7 @@ impl<T: Clone + Ord> FacetedList<T> {
                 rows.push((b.with(Branch::neg(label)), r));
             }
         }
-        FacetedList {
-            rows: Arc::new(rows),
-        }
+        FacetedList::from_vec(rows)
     }
 
     /// N-ary `⟨⟨B ? T_H : T_L⟩⟩`, folding [`FacetedList::facet_join`]
@@ -316,9 +369,7 @@ impl<T: Clone + Ord> FacetedList<T> {
 
 impl<T> FromIterator<(Branches, T)> for FacetedList<T> {
     fn from_iter<I: IntoIterator<Item = (Branches, T)>>(iter: I) -> FacetedList<T> {
-        FacetedList {
-            rows: Arc::new(iter.into_iter().collect()),
-        }
+        FacetedList::from_vec(iter.into_iter().collect())
     }
 }
 
@@ -333,7 +384,7 @@ impl<T: Clone> IntoIterator for FacetedList<T> {
 
 impl<T: Clone> Extend<(Branches, T)> for FacetedList<T> {
     fn extend<I: IntoIterator<Item = (Branches, T)>>(&mut self, iter: I) {
-        Arc::make_mut(&mut self.rows).extend(iter);
+        self.rows_mut().extend(iter);
     }
 }
 
@@ -445,6 +496,54 @@ mod tests {
         assert!(!a.shares_rows_with(&b));
         assert_eq!(a.len(), 3);
         assert_eq!(b.len(), 2);
+    }
+
+    #[test]
+    fn selection_equals_its_materialized_copy_and_mutation_copies() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash_of(list: &FacetedList<String>) -> u64 {
+            let mut h = DefaultHasher::new();
+            list.hash(&mut h);
+            h.finish()
+        }
+        let parent: FacetedList<String> = [
+            guarded(&[Branch::pos(k(0))], "a"),
+            guarded(&[], "b"),
+            guarded(&[Branch::neg(k(0))], "c"),
+            guarded(&[], "d"),
+        ]
+        .into_iter()
+        .collect();
+        let selected = parent.select(&[3, 1]);
+        assert!(selected.shares_rows_with(&parent), "no row copied");
+        let copy: FacetedList<String> =
+            [guarded(&[], "d"), guarded(&[], "b")].into_iter().collect();
+        assert!(!copy.shares_rows_with(&parent));
+        assert_eq!(selected, copy, "equality compares logical rows");
+        assert_eq!(hash_of(&selected), hash_of(&copy));
+        assert_ne!(selected, parent.select(&[1, 3]), "order matters");
+        assert_eq!(selected.row(0).1, "d");
+        // A selection of a selection composes positions.
+        assert_eq!(selected.select(&[1]), parent.select(&[1]));
+        // Filters and prunes select too.
+        let pruned = parent.prune(&Branches::new().with(Branch::pos(k(0))));
+        assert!(pruned.shares_rows_with(&parent));
+        assert_eq!(pruned, parent.select(&[0, 1, 3]));
+        assert_eq!(parent.filter_rows(|r| r == "c"), parent.select(&[2]));
+
+        // Mutating a selection materializes it; the parent keeps its rows.
+        let mut grown = selected.clone();
+        grown.push(Branches::new(), "e".to_owned());
+        grown.replace_row(0, Branches::new(), "z".to_owned());
+        assert!(!grown.shares_rows_with(&parent));
+        assert_eq!(
+            grown.iter().map(|(_, r)| r.as_str()).collect::<Vec<_>>(),
+            vec!["z", "b", "e"]
+        );
+        assert_eq!(parent.len(), 4);
+        assert_eq!(parent.row(3).1, "d");
+        assert_eq!(selected, copy, "the selection itself is untouched");
+        assert_eq!(selected.clone().into_rows(), copy.into_rows());
     }
 
     #[test]

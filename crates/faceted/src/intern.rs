@@ -16,7 +16,10 @@
 //!   the worst-case exponential re-canonicalization walks into cache
 //!   hits whenever facet trees share structure (which hash-consing
 //!   makes pervasive: a faceted row count over `n` guarded rows
-//!   collapses from a `2^n`-leaf tree to an `O(n²)`-node DAG).
+//!   collapses from a `2^n`-leaf tree to an `O(n²)`-node DAG). A
+//!   third table memoizes [`Faceted::map_memo`](crate::Faceted::map_memo)
+//!   across calls — e.g. projecting one field of a stored object, which
+//!   policies do on every request.
 //! * **Thread safety** — the store is sharded behind reader-writer
 //!   locks, so `Faceted<T>` is `Send + Sync` and the
 //!   concurrent request executor in the `jacqueline` crate can share
@@ -63,8 +66,8 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 /// optional — correctness of pointer equality depends on it).
 static MEMO_ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Enables or disables operation memoization (`ite`/`assume` computed
-/// tables). Interning itself always stays on. Returns the previous
+/// Enables or disables operation memoization (the `ite`, `assume` and
+/// `map` computed tables). Interning itself always stays on. Returns the previous
 /// setting. Intended for benchmarking the memo contribution, not for
 /// production use.
 pub fn set_memoization(enabled: bool) -> bool {
@@ -84,7 +87,8 @@ pub struct InternStats {
     pub leaves: usize,
     /// Distinct interned split nodes.
     pub splits: usize,
-    /// Entries currently held by the `ite`/`assume` computed tables.
+    /// Entries currently held by the `ite`/`assume`/`map` computed
+    /// tables.
     pub memo_entries: usize,
     /// Computed-table hits since process start.
     pub memo_hits: u64,
@@ -105,7 +109,7 @@ pub fn intern_stats<T: Facet>() -> InternStats {
         let s = shard.read().expect("faceted store poisoned");
         stats.leaves += s.leaves.len();
         stats.splits += s.splits.len();
-        stats.memo_entries += s.ite.len() + s.assume.len();
+        stats.memo_entries += s.ite.len() + s.assume.len() + s.maps.len();
     }
     stats
 }
@@ -129,6 +133,7 @@ pub fn collect_garbage<T: Facet>() -> usize {
     for g in &mut guards {
         g.ite.clear();
         g.assume.clear();
+        g.maps.clear();
     }
     let mut reclaimed = 0;
     loop {
@@ -154,6 +159,11 @@ pub fn collect_garbage<T: Facet>() -> usize {
 /// table: `(label, high id, low id)`.
 type SplitKey = (Label, u64, u64);
 
+/// Key of the `map` computed table: `(input node id, closure type,
+/// caller key)`. Node ids are process-wide and never reused, so the
+/// input node is identified whatever its leaf type.
+pub(crate) type MapKey = (u64, TypeId, u64);
+
 pub(crate) struct Store<T: Facet> {
     shards: Vec<RwLock<Shard<T>>>,
     memo_hits: AtomicU64,
@@ -169,6 +179,9 @@ struct Shard<T: Facet> {
     ite: HashMap<SplitKey, Faceted<T>>,
     /// Computed table for `assume`: `(node, label, polarity)`.
     assume: HashMap<(u64, Label, bool), Faceted<T>>,
+    /// Computed table for `map_memo`, holding results of this store's
+    /// leaf type.
+    maps: HashMap<MapKey, Faceted<T>>,
 }
 
 impl<T: Facet> Default for Shard<T> {
@@ -178,6 +191,7 @@ impl<T: Facet> Default for Shard<T> {
             splits: HashMap::new(),
             ite: HashMap::new(),
             assume: HashMap::new(),
+            maps: HashMap::new(),
         }
     }
 }
@@ -258,57 +272,62 @@ impl<T: Facet> Store<T> {
     }
 
     pub(crate) fn ite_cached(&self, key: SplitKey) -> Option<Faceted<T>> {
-        if !memoization_enabled() {
-            return None;
-        }
-        let shard = &self.shards[shard_index(&key)];
-        let hit = shard
-            .read()
-            .expect("faceted store poisoned")
-            .ite
-            .get(&key)
-            .cloned();
-        self.count(hit.is_some());
-        hit
+        self.cached(&key, |s| &s.ite)
     }
 
     pub(crate) fn ite_insert(&self, key: SplitKey, value: Faceted<T>) {
-        if !memoization_enabled() {
-            return;
-        }
-        let shard = &self.shards[shard_index(&key)];
-        shard
-            .write()
-            .expect("faceted store poisoned")
-            .ite
-            .insert(key, value);
+        self.remember(key, value, |s| &mut s.ite);
     }
 
     pub(crate) fn assume_cached(&self, key: (u64, Label, bool)) -> Option<Faceted<T>> {
+        self.cached(&key, |s| &s.assume)
+    }
+
+    pub(crate) fn assume_insert(&self, key: (u64, Label, bool), value: Faceted<T>) {
+        self.remember(key, value, |s| &mut s.assume);
+    }
+
+    pub(crate) fn map_cached(&self, key: MapKey) -> Option<Faceted<T>> {
+        self.cached(&key, |s| &s.maps)
+    }
+
+    pub(crate) fn map_insert(&self, key: MapKey, value: Faceted<T>) {
+        self.remember(key, value, |s| &mut s.maps);
+    }
+
+    /// Probes one computed table (counted as a hit or a miss); `None`
+    /// without a probe while memoization is off.
+    fn cached<K: Hash + Eq>(
+        &self,
+        key: &K,
+        table: impl Fn(&Shard<T>) -> &HashMap<K, Faceted<T>>,
+    ) -> Option<Faceted<T>> {
         if !memoization_enabled() {
             return None;
         }
-        let shard = &self.shards[shard_index(&key)];
-        let hit = shard
+        let shard = self.shards[shard_index(key)]
             .read()
-            .expect("faceted store poisoned")
-            .assume
-            .get(&key)
-            .cloned();
+            .expect("faceted store poisoned");
+        let hit = table(&shard).get(key).cloned();
         self.count(hit.is_some());
         hit
     }
 
-    pub(crate) fn assume_insert(&self, key: (u64, Label, bool), value: Faceted<T>) {
+    /// Stores a result in one computed table (nothing while
+    /// memoization is off).
+    fn remember<K: Hash + Eq>(
+        &self,
+        key: K,
+        value: Faceted<T>,
+        table: impl Fn(&mut Shard<T>) -> &mut HashMap<K, Faceted<T>>,
+    ) {
         if !memoization_enabled() {
             return;
         }
-        let shard = &self.shards[shard_index(&key)];
-        shard
+        let mut shard = self.shards[shard_index(&key)]
             .write()
-            .expect("faceted store poisoned")
-            .assume
-            .insert(key, value);
+            .expect("faceted store poisoned");
+        table(&mut shard).insert(key, value);
     }
 
     fn count(&self, hit: bool) {

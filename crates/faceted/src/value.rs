@@ -9,6 +9,7 @@
 //! semantic equality ("same value under every view") and pointer
 //! equality all coincide, and shared sub-structure is stored once.
 
+use std::any::TypeId;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -411,7 +412,40 @@ impl<T: Facet> Faceted<T> {
             memo.insert(n.0.id, out.clone());
             out
         }
-        walk(self, store_of::<U>(), f, &mut HashMap::new())
+        let store = store_of::<U>();
+        // A leaf needs no memo map: `f` runs exactly once either way.
+        if let NodeKind::Leaf(v) = &self.0.kind {
+            return store.leaf(f(v));
+        }
+        walk(self, store, f, &mut HashMap::new())
+    }
+
+    /// [`Faceted::map`] memoized *across calls*: the result is kept in
+    /// the output store's `map` computed table under `(this node, the
+    /// type of f, key)`, so mapping the same value with the same
+    /// function again is one table probe. Values built once and read
+    /// by every request — a stored object whose fields the policies
+    /// project — are what this is for.
+    ///
+    /// `key` must determine everything `f` captures (a closure
+    /// projecting column `i` passes `i`): two calls with the same
+    /// closure type and key must compute the same function. The table
+    /// is bypassed while [`crate::set_memoization`] is off and cleared
+    /// by [`crate::collect_garbage`] of the output type.
+    #[must_use]
+    pub fn map_memo<U: Facet, F: FnMut(&T) -> U + 'static>(
+        &self,
+        key: u64,
+        mut f: F,
+    ) -> Faceted<U> {
+        let store = store_of::<U>();
+        let memo_key = (self.0.id, TypeId::of::<F>(), key);
+        if let Some(hit) = store.map_cached(memo_key) {
+            return hit;
+        }
+        let out = self.map(&mut f);
+        store.map_insert(memo_key, out.clone());
+        out
     }
 
     /// Applies a binary function across two faceted values, aligning
@@ -468,7 +502,11 @@ impl<T: Facet> Faceted<T> {
             memo.insert((a.0.id, b.0.id), out.clone());
             out
         }
-        walk(self, other, store_of::<V>(), f, &mut HashMap::new())
+        let store = store_of::<V>();
+        if let (NodeKind::Leaf(x), NodeKind::Leaf(y)) = (&self.0.kind, &other.0.kind) {
+            return store.leaf(f(x, y));
+        }
+        walk(self, other, store, f, &mut HashMap::new())
     }
 
     /// Monadic bind: substitutes a faceted computation for every leaf
@@ -496,6 +534,9 @@ impl<T: Facet> Faceted<T> {
             };
             memo.insert(n.0.id, out.clone());
             out
+        }
+        if let NodeKind::Leaf(v) = &self.0.kind {
+            return f(v);
         }
         walk(self, f, &mut HashMap::new())
     }

@@ -14,7 +14,7 @@ use microdb::{
 
 use crate::error::{FormError, FormResult};
 use crate::meta::{encode_jvars, parse_jvars, JID, JVARS};
-use crate::object::{flatten_object, rebuild_object, FacetedObject, GuardedRow};
+use crate::object::{flatten_object, rebuild_rows, FacetedObject, GuardedRow};
 
 /// Hit/miss counters of the decode cache (diagnostics; tests pin
 /// exact counts of them).
@@ -34,9 +34,9 @@ pub struct DecodeCacheStats {
 /// stamp still equals `generation`. Two independent layers:
 ///
 /// * `rows` — the unmarshalled guarded rows of every physical row,
-///   aligned with physical row order (populated by full-table reads;
-///   `None` while only selective queries have run since the last
-///   write);
+///   aligned with physical row order (populated by the first query of
+///   any shape — selective ones only while delta maintenance is on —
+///   and `None` until then);
 /// * `objects` — facet DAGs of objects already rebuilt at this
 ///   generation ([`FormDb::get`] memoizes per `jid`; facet DAGs are
 ///   hash-consed, so the cached clones are O(1)).
@@ -69,8 +69,9 @@ struct DecodedTable {
 /// `order_by`, `get`, joins) plan against physical row indices and
 /// reuse the decoded rows; Early-Pruning variants apply the viewer
 /// constraint to the decoded rows, not to raw strings. Cache clones
-/// are O(1) ([`FacetedList`] is copy-on-write), so a cache hit costs
-/// no per-row work at all.
+/// are O(1) ([`FacetedList`] is copy-on-write), and a selective query
+/// returns a [`FacetedList::select`]ion of the snapshot, so a cache
+/// hit copies no row at all.
 ///
 /// Invalidation is *delta-maintained*: a write bumps the stamp, but
 /// the next query repairs the stale snapshot from the table's bounded
@@ -660,41 +661,41 @@ impl FormDb {
         let full_selection =
             indices.len() == t.len() && indices.iter().enumerate().all(|(p, &i)| p == i);
         if self.cache_enabled {
-            if let Some(decoded) = self.fresh_snapshot(table, &t) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                drop(t);
-                if full_selection {
-                    // Full-table selection in physical order (e.g.
-                    // `all`): share the snapshot outright.
-                    return Ok(FormDb::pruned(decoded, prune));
+            let decoded = match self.fresh_snapshot(table, &t) {
+                Some(decoded) => {
+                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    Some(decoded)
                 }
-                let subset: FacetedList<GuardedRow> = indices
-                    .iter()
-                    .map(|&i| {
-                        let (guard, row) = decoded.row(i);
-                        (guard.clone(), row.clone())
-                    })
-                    .collect();
-                return Ok(FormDb::pruned(subset, prune));
-            }
-            if full_selection {
-                // Cold/stale snapshot and the query wants everything:
-                // decode once, store, share.
-                let decoded = self.decoded_rows(table, &t)?;
+                // Cold/stale snapshot: decode the table once, store it,
+                // and share it. A selective query (e.g. an indexed `get`
+                // or `filter_eq`) builds the snapshot only while delta
+                // maintenance is on: the deltas then keep it fresh, so a
+                // write+get loop stays one decoded row per write.
+                None if full_selection || self.delta_maintenance => {
+                    Some(self.decoded_rows(table, &t)?)
+                }
+                None => None,
+            };
+            if let Some(decoded) = decoded {
                 drop(t);
-                return Ok(FormDb::pruned(decoded, prune));
+                // The matched rows of the shared snapshot: no row copy.
+                let selected = if full_selection {
+                    decoded
+                } else {
+                    decoded.select(&indices)
+                };
+                return Ok(FormDb::pruned(selected, prune));
             }
-            // Cold/stale snapshot but the query is *selective* (e.g.
-            // an indexed `get` right after a write): decode only the
+            // Deltas off and the query is selective: decode only the
             // matched rows instead of unmarshalling the whole table —
             // otherwise a write+get loop over n objects would cost
-            // O(n²) total decodes. The snapshot is rebuilt by the
-            // next full-table read.
+            // O(n²) total decodes. The snapshot is rebuilt by the next
+            // full-table read.
             self.cache_misses.fetch_add(1, Ordering::Relaxed);
         }
-        // Selected-rows-only decode: the selective-miss path above and
-        // the uncached (`cache_enabled == false`) path, which is the
-        // pre-cache behavior.
+        // Selected-rows-only decode: the path above and the uncached
+        // (`cache_enabled == false`) path, which is the pre-cache
+        // behavior.
         let rows = t.rows();
         let mut out = Vec::with_capacity(indices.len());
         for &i in &indices {
@@ -983,12 +984,12 @@ impl FormDb {
                 jid,
             });
         }
-        let guarded: Vec<(Branches, Row)> = rows
-            .iter()
-            .filter(|(g, _)| prune.is_none_or(|c| g.consistent_with(c)))
-            .map(|(_, r)| (r.guard.clone(), r.fields.clone()))
-            .collect();
-        rebuild_object(jid, &guarded)
+        rebuild_rows(
+            jid,
+            rows.iter()
+                .filter(|(g, _)| prune.is_none_or(|c| g.consistent_with(c)))
+                .map(|(_, r)| (&r.guard, &r.fields)),
+        )
     }
 
     /// Saves an object under a path condition: the paper's guarded
@@ -1710,6 +1711,56 @@ mod tests {
         let misses = db.decode_cache_stats().misses;
         let _ = db.all("t").unwrap();
         assert_eq!(db.decode_cache_stats().misses, misses + 1);
+    }
+
+    #[test]
+    fn warm_indexed_filter_shares_the_snapshot() {
+        let (mut db, k, _) = event_db();
+        db.create_index("event", "location").unwrap();
+        let all = db.all("event").unwrap();
+        let before = db.decode_cache_stats();
+        let hit = db
+            .filter_eq("event", "location", Value::from("Schloss Dagstuhl"))
+            .unwrap();
+        assert!(
+            hit.shares_rows_with(&all),
+            "the matched rows are a selection of the cached snapshot"
+        );
+        assert_eq!(hit.len(), 1);
+        assert_eq!(hit.project(&View::from_labels([k])).len(), 1);
+        let after = db.decode_cache_stats();
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+    }
+
+    #[test]
+    fn selective_reads_of_a_selective_only_table_decode_it_once() {
+        // A table only ever read through an index (reviews, conflicts,
+        // enrollments, waivers) still gets a decoded snapshot: the first
+        // selective read decodes it, every later one selects from it,
+        // and a write is repaired from its delta instead of re-decoded.
+        const READS: u64 = 32;
+        let mut db = FormDb::new();
+        db.create_table("t", vec![ColumnDef::new("v", ColumnType::Int)])
+            .unwrap();
+        db.create_index("t", "v").unwrap();
+        for i in 0..64 {
+            db.insert("t", &Faceted::leaf(Some(vec![Value::Int(i % 16)])))
+                .unwrap();
+        }
+        let before = db.decode_cache_stats();
+        for i in 0..READS {
+            let rows = db.filter_eq("t", "v", Value::Int(i as i64 % 16)).unwrap();
+            assert_eq!(rows.len(), 4);
+        }
+        let after = db.decode_cache_stats();
+        assert_eq!(after.misses - before.misses, 1, "one decode for all reads");
+        assert_eq!(after.hits - before.hits, READS - 1);
+        db.insert("t", &Faceted::leaf(Some(vec![Value::Int(3)])))
+            .unwrap();
+        assert_eq!(db.filter_eq("t", "v", Value::Int(3)).unwrap().len(), 5);
+        let repaired = db.decode_cache_stats();
+        assert_eq!(repaired.misses, after.misses, "the write did not re-decode");
+        assert_eq!(repaired.delta_applies, after.delta_applies + 1);
     }
 
     #[test]

@@ -31,38 +31,51 @@ pub type FacetedObject = Faceted<Option<Row>>;
 /// [`FormError::FacetConflict`] if two rows are visible to the same
 /// view — the stored facets are ambiguous.
 pub fn rebuild_object(jid: i64, rows: &[(Branches, Row)]) -> FormResult<FacetedObject> {
-    // Drop internally contradictory guards: no view can see them.
-    let live: Vec<(Branches, Row)> = rows
-        .iter()
-        .filter(|(g, _)| g.is_consistent())
-        .cloned()
-        .collect();
-    rebuild(jid, &live)
+    rebuild_rows(jid, rows.iter().map(|(g, r)| (g, r)))
 }
 
-fn rebuild(jid: i64, rows: &[(Branches, Row)]) -> FormResult<FacetedObject> {
+/// [`rebuild_object`] over borrowed rows: each row is cloned once,
+/// into its leaf, however deep the facet tree.
+pub(crate) fn rebuild_rows<'a>(
+    jid: i64,
+    rows: impl IntoIterator<Item = (&'a Branches, &'a Row)>,
+) -> FormResult<FacetedObject> {
+    // Drop internally contradictory guards: no view can see them.
+    let live: Vec<(&Branches, &Row)> = rows
+        .into_iter()
+        .filter(|(g, _)| g.is_consistent())
+        .collect();
+    rebuild(jid, &live, None)
+}
+
+/// Splits on the smallest label above `decided` — the labels at or
+/// below it were fixed by the path to this node (the split labels
+/// increase along it), so reading guards only above `decided` is
+/// reading them with those branches stripped.
+fn rebuild(
+    jid: i64,
+    rows: &[(&Branches, &Row)],
+    decided: Option<Label>,
+) -> FormResult<FacetedObject> {
     if rows.is_empty() {
         return Ok(Faceted::leaf(None));
     }
-    // Pick the smallest label mentioned by any guard.
-    let label: Option<Label> = rows.iter().flat_map(|(g, _)| g.labels()).min();
+    let open = |l: &Label| decided.is_none_or(|d| *l > d);
+    let label: Option<Label> = rows.iter().flat_map(|(g, _)| g.labels().filter(open)).min();
     let Some(k) = label else {
         if rows.len() > 1 {
             return Err(FormError::FacetConflict { jid });
         }
         return Ok(Faceted::leaf(Some(rows[0].1.clone())));
     };
-    let side = |polarity: bool| -> Vec<(Branches, Row)> {
+    let side = |polarity: bool| -> Vec<(&Branches, &Row)> {
         rows.iter()
             .filter(|(g, _)| g.polarity_of(k) != Some(!polarity))
-            .map(|(g, r)| {
-                let stripped: Branches = g.iter().filter(|b| b.label() != k).collect();
-                (stripped, r.clone())
-            })
+            .copied()
             .collect()
     };
-    let high = rebuild(jid, &side(true))?;
-    let low = rebuild(jid, &side(false))?;
+    let high = rebuild(jid, &side(true), Some(k))?;
+    let low = rebuild(jid, &side(false), Some(k))?;
     Ok(Faceted::split(k, high, low))
 }
 
@@ -79,9 +92,14 @@ pub fn flatten_object(obj: &FacetedObject) -> Vec<(Branches, Row)> {
 
 /// Projects one field of a faceted object (absent objects yield
 /// `Value::Null`).
+///
+/// Memoized on `(object node, index)` in the `Value` node store's
+/// computed table ([`Faceted::map_memo`]): policies project the same
+/// fields of the same stored objects on every request, and a repeat
+/// projection returns the same node without walking the object.
 #[must_use]
 pub fn object_field(obj: &FacetedObject, index: usize) -> Faceted<Value> {
-    obj.map(&mut |row| match row {
+    obj.map_memo(index as u64, move |row: &Option<Row>| match row {
         Some(r) => r.get(index).cloned().unwrap_or(Value::Null),
         None => Value::Null,
     })

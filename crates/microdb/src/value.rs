@@ -146,11 +146,51 @@ impl Ord for Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             _ => self.rank().cmp(&other.rank()),
         }
+    }
+}
+
+/// Compares an integer with a float *exactly*, placing the integer
+/// where its mathematical value falls in `f64::total_cmp`'s order:
+/// `Int(0)` sits with `+0.0` (above `-0.0`), NaNs stay at the ends, and
+/// an integer no float can represent (beyond ±2^53) lies strictly
+/// between its two neighbouring floats. Rounding the integer to `f64`
+/// instead would make `Int(2^53) == Float(2^53) == Int(2^53 + 1)` while
+/// `Int(2^53) < Int(2^53 + 1)` — not an order at all.
+fn int_float_cmp(a: i64, b: f64) -> Ordering {
+    // 2^63: the first float above every i64 (i64::MIN is exactly -2^63).
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if b.is_nan() {
+        return if b.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if b >= TWO_63 {
+        return Ordering::Less;
+    }
+    if b < -TWO_63 {
+        return Ordering::Greater;
+    }
+    // `b` now lies in [-2^63, 2^63), so its integer part is exact.
+    let whole = b.trunc();
+    match a.cmp(&(whole as i64)) {
+        Ordering::Equal => {
+            let frac = b - whole;
+            if frac > 0.0 {
+                Ordering::Less
+            } else if frac < 0.0 || (b == 0.0 && b.is_sign_negative()) {
+                Ordering::Greater
+            } else {
+                Ordering::Equal
+            }
+        }
+        unequal => unequal,
     }
 }
 
@@ -160,10 +200,18 @@ impl std::hash::Hash for Value {
         match self {
             Value::Null => {}
             Value::Bool(b) => b.hash(state),
-            // Int and Float share a rank; hash through the float bits of
-            // the canonical numeric value so Int(1) == Float(1.0) hash
-            // identically (required by the Eq impl above).
-            Value::Int(i) => (*i as f64).to_bits().hash(state),
+            // Int and Float share a rank, and Int(i) == Float(f) exactly
+            // when f represents i: such an integer hashes through that
+            // float's bits. Any other integer equals no float, so its own
+            // bits will do.
+            Value::Int(i) => {
+                let f = *i as f64;
+                if f as i128 == i128::from(*i) {
+                    f.to_bits().hash(state);
+                } else {
+                    i.hash(state);
+                }
+            }
             Value::Float(f) => f.to_bits().hash(state),
             Value::Str(s) => s.hash(state),
         }
@@ -269,6 +317,48 @@ mod tests {
         assert_eq!(Value::Int(2), Value::Float(2.0));
         assert!(Value::Int(2) < Value::Float(2.5));
         assert!(Value::Float(1.5) < Value::Int(2));
+    }
+
+    #[test]
+    fn int_float_order_is_exact_beyond_two_to_the_53() {
+        // 2^53 + 1 is the first integer no f64 can represent; rounding
+        // it to a float made it equal to Float(2^53) and so, by
+        // transitivity, to Int(2^53) — which it is not.
+        let two53 = 1_i64 << 53;
+        let (a, f, b) = (
+            Value::Int(two53),
+            Value::Float(two53 as f64),
+            Value::Int(two53 + 1),
+        );
+        assert_eq!(a, f);
+        assert!(f < b, "Float(2^53) < Int(2^53 + 1)");
+        assert!(a < b);
+        assert_eq!(hash_of(&a), hash_of(&f));
+        // The order is total: a sort over the mixed values is consistent.
+        let mut vals = [
+            b.clone(),
+            f.clone(),
+            a.clone(),
+            Value::Float(two53 as f64 + 2.0),
+        ];
+        vals.sort();
+        assert_eq!(vals[2], b);
+        for w in vals.windows(2) {
+            assert!(w[0] <= w[1]);
+        }
+        // The ends of the i64 range and the signed zeros.
+        assert!(Value::Int(i64::MAX) < Value::Float(9_223_372_036_854_775_808.0));
+        assert_eq!(
+            Value::Int(i64::MIN),
+            Value::Float(-9_223_372_036_854_775_808.0)
+        );
+        assert!(Value::Int(i64::MIN) > Value::Float(f64::NEG_INFINITY));
+        assert_eq!(Value::Int(0), Value::Float(0.0));
+        assert!(Value::Float(-0.0) < Value::Int(0));
+        assert!(Value::Float(-0.5) < Value::Int(0) && Value::Int(0) < Value::Float(0.5));
+        assert!(Value::Int(-1) < Value::Float(-0.5));
+        assert!(Value::Int(1) > Value::Float(f64::NAN.copysign(-1.0)));
+        assert!(Value::Int(1) < Value::Float(f64::NAN));
     }
 
     #[test]
