@@ -1,0 +1,141 @@
+//! Heap allocations per row of the §6 list pages, pinned. A list page
+//! resolves the policies of every row, and the paper, course and
+//! record checks each read the database (a conflict, enrollment or
+//! waiver lookup), so the count moves whenever a layer under the check
+//! starts or stops copying: routing `FormDb::filter_eq` back through
+//! the query planner, for one, adds allocations to every row of those
+//! three pages.
+//!
+//! It lives in a test binary of its own because it installs a
+//! counting global allocator. Only the calling thread's allocations
+//! count, so the harness's own threads cannot disturb the numbers.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use apps::workload;
+use apps::{conf, courses, health};
+use jacqueline::{App, Request, Router, Viewer};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator,
+// which upholds `GlobalAlloc`'s contract; the counter is a
+// const-initialized thread-local `Cell` without a destructor, so
+// touching it neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` guarantees are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above,
+        // with this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's, passed
+        // through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Rows per page, as in the benchmark's `paper_pages`.
+const N: usize = 1024;
+
+/// Allocations of one render after a warm-up render of the same
+/// request.
+fn allocations(app: &App, router: &Router, path: &str, viewer: i64) -> u64 {
+    let req = Request::new(path, Viewer::User(viewer));
+    let warm = router.handle(app, &req);
+    assert_eq!(warm.status, 200, "{path}");
+    let before = ALLOCATIONS.with(Cell::get);
+    let page = router.handle(app, &req);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(page.body, warm.body, "{path}");
+    allocations
+}
+
+#[test]
+fn list_pages_allocate_at_most_their_pinned_count_per_row() {
+    let conference = workload::conference(N, N);
+    let conf_router = conf::router();
+    let courses = workload::courses(N);
+    let health = workload::health(N);
+    let pages = [
+        (
+            "papers/all",
+            allocations(
+                &conference.app,
+                &conf_router,
+                "papers/all",
+                conference.pc_member,
+            ),
+            PAPERS_ALL,
+        ),
+        (
+            "users/all",
+            allocations(
+                &conference.app,
+                &conf_router,
+                "users/all",
+                conference.pc_member,
+            ),
+            USERS_ALL,
+        ),
+        (
+            "courses/all",
+            allocations(
+                &courses.app,
+                &courses::router(),
+                "courses/all",
+                courses.student,
+            ),
+            COURSES_ALL,
+        ),
+        (
+            "records/all",
+            allocations(&health.app, &health::router(), "records/all", health.doctor),
+            RECORDS_ALL,
+        ),
+    ];
+    let per_row = |n: u64| n as f64 / N as f64;
+    let mut over = Vec::new();
+    for (path, measured, pin) in pages {
+        eprintln!(
+            "{path}: {measured} allocations, {:.3} per row (pin {pin}, {:.3} per row)",
+            per_row(measured),
+            per_row(pin)
+        );
+        if measured > pin {
+            over.push(format!(
+                "{path}: {:.3} > {:.3} per row",
+                per_row(measured),
+                per_row(pin)
+            ));
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "allocations per row above their pins: {over:?}"
+    );
+}
+
+/// The pins: allocations of one `N`-row render, upper bounds equal to
+/// the counts measured when they were set. Lower one when a change
+/// cuts allocations; never raise one to make the test pass.
+const PAPERS_ALL: u64 = 14_002; // 13.674 per row
+const USERS_ALL: u64 = 5_141; // 5.021 per row
+const COURSES_ALL: u64 = 7_711; // 7.530 per row
+const RECORDS_ALL: u64 = 6_612; // 6.457 per row

@@ -51,7 +51,9 @@ pub struct App {
     /// The faceted database.
     pub db: FormDb,
     models: BTreeMap<String, ModelDef>,
-    pub(crate) policies: RwLock<HashMap<Label, Arc<PolicyEntry>>>,
+    /// Policy bindings indexed by [`Label::index`]: labels are dense
+    /// allocation counters, so a lookup is one bounds-checked load.
+    pub(crate) policies: RwLock<Vec<Option<Arc<PolicyEntry>>>>,
     /// Labels allocated per object, in model-policy order — needed to
     /// rebuild facet structure on updates.
     object_labels: RwLock<HashMap<(String, i64), Vec<Label>>>,
@@ -98,7 +100,7 @@ impl App {
         App {
             db: FormDb::new(),
             models: BTreeMap::new(),
-            policies: RwLock::new(HashMap::new()),
+            policies: RwLock::new(Vec::new()),
             object_labels: RwLock::new(HashMap::new()),
             request_locks: crate::executor::RequestLocks::default(),
             render_cache: crate::rendercache::RenderCache::new(),
@@ -343,24 +345,17 @@ impl App {
     /// Serializable policy bindings: for every live label, the
     /// `(label index, model, policy index, jid, creation-time row)`
     /// tuple a restore needs to re-attach the model's check closure.
-    /// Sorted by label index, which for any one object is also its
+    /// In label-index order, which for any one object is also its
     /// model-policy order.
     pub(crate) fn export_policy_bindings(&self) -> Vec<(u32, String, usize, i64, Row)> {
         let policies = self.policies.read().expect("policy lock");
-        let mut out: Vec<(u32, String, usize, i64, Row)> = policies
-            .iter()
-            .map(|(label, e)| {
-                (
-                    label.index(),
-                    e.model.clone(),
-                    e.policy_ix,
-                    e.jid,
-                    e.row.clone(),
-                )
+        (0u32..)
+            .zip(policies.iter())
+            .filter_map(|(index, entry)| {
+                let e = entry.as_ref()?;
+                Some((index, e.model.clone(), e.policy_ix, e.jid, e.row.clone()))
             })
-            .collect();
-        out.sort_by_key(|b| b.0);
-        out
+            .collect()
     }
 
     /// Drops every policy binding and object-label association — the
@@ -400,16 +395,29 @@ impl App {
                 model.policies.len()
             )))
         })?;
-        self.policies.write().expect("policy lock").insert(
-            label,
-            Arc::new(PolicyEntry {
-                check: fp.check.clone(),
-                row: row.clone(),
-                jid,
-                model: model_name.to_owned(),
-                policy_ix,
-            }),
-        );
+        // The binding table is indexed by label, so a label the
+        // registry never allocated (a corrupt checkpoint) must not
+        // size it.
+        let allocated = self.db.labels().len();
+        if label.index() as usize >= allocated {
+            return Err(form::FormError::Db(microdb::DbError::Persist(format!(
+                "checkpoint binds label {label}, past the {allocated} labels allocated"
+            ))));
+        }
+        let entry = Arc::new(PolicyEntry {
+            check: fp.check.clone(),
+            row: row.clone(),
+            jid,
+            model: model_name.to_owned(),
+            policy_ix,
+        });
+        let mut policies = self.policies.write().expect("policy lock");
+        let ix = label.index() as usize;
+        if policies.len() <= ix {
+            policies.resize(ix + 1, None);
+        }
+        policies[ix] = Some(entry);
+        drop(policies);
         let mut object_labels = self.object_labels.write().expect("object-labels lock");
         let labels = object_labels
             .entry((model_name.to_owned(), jid))
@@ -433,7 +441,9 @@ impl App {
             .unwrap_or_default();
         let mut policies = self.policies.write().expect("policy lock");
         for label in labels {
-            policies.remove(&label);
+            if let Some(entry) = policies.get_mut(label.index() as usize) {
+                *entry = None;
+            }
         }
         self.meta_epoch
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -570,8 +580,8 @@ impl App {
         self.policies
             .read()
             .expect("policy lock")
-            .get(&label)
-            .cloned()
+            .get(label.index() as usize)?
+            .clone()
     }
 
     /// Resolves the given labels (and, transitively, every label their
@@ -855,5 +865,19 @@ mod tests {
         let k = app.db.fresh_label("loose");
         let v = Faceted::split(k, Faceted::leaf(1), Faceted::leaf(0));
         assert_eq!(app.show_value(&Viewer::Anonymous, &v), 1);
+    }
+
+    #[test]
+    fn binding_an_unallocated_label_is_rejected() {
+        let app = calendar_app();
+        let row = vec![Value::from("x"), Value::from("y")];
+        let far = Label::from_index(4_000_000_000);
+        let err = app.bind_policy(far, "event", 0, 1, &row).unwrap_err();
+        assert!(
+            matches!(&err, form::FormError::Db(microdb::DbError::Persist(m)) if m.contains("label")),
+            "{err:?}"
+        );
+        assert!(app.policy(far).is_none());
+        assert!(app.policies.read().unwrap().len() <= app.db.labels().len());
     }
 }

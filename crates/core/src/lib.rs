@@ -79,7 +79,9 @@ pub use checkpoint::{
 pub use executor::{
     CheckpointPolicy, Executor, ExecutorService, ServedResponse, DEFAULT_QUEUE_DEPTH,
 };
-pub use http::{Controller, Footprint, ReadController, Request, Response, Router};
+pub use http::{
+    Controller, Footprint, ParamCanonicalizer, ReadController, Request, Response, Router,
+};
 pub use model::{label_for, simple_policy, FieldPolicy, ModelDef, PolicyArgs, PolicyFn, Viewer};
 pub use rendercache::{RenderCacheStats, RenderCacheStatus};
 pub use server::{Server, ServerConfig, Site};

@@ -9,7 +9,7 @@
 //! 1. the **accept thread** hands sockets to a fixed pool of
 //!    connection workers (no thread-per-connection explosion);
 //! 2. a worker parses one request at a time off the socket
-//!    ([`wire::read_request`](crate::wire::read_request)), answers
+//!    ([`wire::read_request`]), answers
 //!    malformed input with the wire layer's status, and resolves the
 //!    viewer through the [`Authenticator`] — an invalid session token
 //!    is a `403` before any controller runs;

@@ -7,9 +7,9 @@
 //! label's policy *once, eagerly*, pruning all other facets instead
 //! of carrying them through the whole computation.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
-use faceted::{Branch, Branches, Faceted, FacetedList, Label};
+use faceted::{Branch, Branches, Faceted, FacetedList, IdHashMap, Label};
 use form::{FacetedObject, GuardedRow};
 use microdb::Row;
 
@@ -27,7 +27,9 @@ pub struct Session {
     viewer: Viewer,
     /// Every label this session has touched: `Some(verdict)` once
     /// resolved, `None` while its policy is still being evaluated.
-    verdicts: HashMap<Label, Option<bool>>,
+    /// Labels are minted by the process, so the map uses the cheap id
+    /// hasher.
+    verdicts: IdHashMap<Label, Option<bool>>,
 }
 
 impl Session {
@@ -36,7 +38,7 @@ impl Session {
     pub fn new(viewer: Viewer) -> Session {
         Session {
             viewer,
-            verdicts: HashMap::new(),
+            verdicts: IdHashMap::default(),
         }
     }
 
@@ -67,13 +69,15 @@ impl Session {
     /// assumption only if the policy verdict is consistent with it —
     /// the maximal-true choice of the constraint semantics.
     pub fn resolve(&mut self, app: &App, label: Label) -> bool {
-        match self.verdicts.get(&label) {
-            Some(Some(verdict)) => return *verdict,
-            // Optimistic self-reference: tentatively shown.
-            Some(None) => return true,
-            None => {}
+        // One probe both answers a repeat and marks a first resolution
+        // in progress. A label still in progress is an optimistic
+        // self-reference: tentatively shown.
+        match self.verdicts.entry(label) {
+            Entry::Occupied(seen) => return seen.get().unwrap_or(true),
+            Entry::Vacant(slot) => {
+                slot.insert(None);
+            }
         }
-        self.verdicts.insert(label, None);
         let verdict = self.policy_verdict(app, label);
         self.verdicts.insert(label, Some(verdict));
         verdict

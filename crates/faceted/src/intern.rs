@@ -1,4 +1,4 @@
-//! The hash-consed node store behind [`Faceted`](crate::Faceted).
+//! The hash-consed node store behind [`Faceted`].
 //!
 //! Faceted values used to be ad-hoc `Rc` trees: canonical by
 //! construction, but re-canonicalized with `O(size)` structural
@@ -36,10 +36,11 @@ use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockWriteGuard};
 
+use crate::idhash::{IdBuildHasher, IdHashMap};
 use crate::label::Label;
 use crate::value::{Faceted, Node, NodeKind};
 
@@ -170,36 +171,48 @@ pub(crate) struct Store<T: Facet> {
     memo_misses: AtomicU64,
 }
 
+/// One shard of a store. Leaves are keyed by values from outside the
+/// process (row contents), so their table keeps the HashDoS-resistant
+/// default hasher; every other table is keyed by labels and node ids
+/// the process mints itself and uses the cheap [`IdHasher`](crate::IdHasher).
 struct Shard<T: Facet> {
     /// Unique table, leaf nodes.
     leaves: HashMap<T, Faceted<T>>,
     /// Unique table, split nodes.
-    splits: HashMap<SplitKey, Faceted<T>>,
+    splits: IdHashMap<SplitKey, Faceted<T>>,
     /// Computed table for `ite`.
-    ite: HashMap<SplitKey, Faceted<T>>,
+    ite: IdHashMap<SplitKey, Faceted<T>>,
     /// Computed table for `assume`: `(node, label, polarity)`.
-    assume: HashMap<(u64, Label, bool), Faceted<T>>,
+    assume: IdHashMap<(u64, Label, bool), Faceted<T>>,
     /// Computed table for `map_memo`, holding results of this store's
     /// leaf type.
-    maps: HashMap<MapKey, Faceted<T>>,
+    maps: IdHashMap<MapKey, Faceted<T>>,
 }
 
 impl<T: Facet> Default for Shard<T> {
     fn default() -> Shard<T> {
         Shard {
             leaves: HashMap::new(),
-            splits: HashMap::new(),
-            ite: HashMap::new(),
-            assume: HashMap::new(),
-            maps: HashMap::new(),
+            splits: IdHashMap::default(),
+            ite: IdHashMap::default(),
+            assume: IdHashMap::default(),
+            maps: IdHashMap::default(),
         }
     }
 }
 
-fn shard_index<K: Hash>(key: &K) -> usize {
+/// The shard of a leaf value (SipHash, like the leaf table itself).
+fn leaf_shard<K: Hash>(key: &K) -> usize {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() as usize) % SHARD_COUNT
+}
+
+/// The shard of an id-keyed entry. Bits 32–35 of the hash: the shard
+/// map itself buckets by the low bits and tags by the top seven, so
+/// these stay independent of both.
+fn id_shard<K: Hash>(key: &K) -> usize {
+    (IdBuildHasher::default().hash_one(key) >> 32) as usize % SHARD_COUNT
 }
 
 fn fresh_id() -> u64 {
@@ -219,7 +232,7 @@ impl<T: Facet> Store<T> {
 
     /// Interns a leaf, returning the canonical node for `value`.
     pub(crate) fn leaf(&self, value: T) -> Faceted<T> {
-        let shard = &self.shards[shard_index(&value)];
+        let shard = &self.shards[leaf_shard(&value)];
         if let Some(hit) = shard
             .read()
             .expect("faceted store poisoned")
@@ -246,7 +259,7 @@ impl<T: Facet> Store<T> {
     pub(crate) fn split(&self, label: Label, high: &Faceted<T>, low: &Faceted<T>) -> Faceted<T> {
         debug_assert!(high != low, "canonical splits have distinct children");
         let key: SplitKey = (label, high.node_id(), low.node_id());
-        let shard = &self.shards[shard_index(&key)];
+        let shard = &self.shards[id_shard(&key)];
         if let Some(hit) = shard
             .read()
             .expect("faceted store poisoned")
@@ -300,12 +313,12 @@ impl<T: Facet> Store<T> {
     fn cached<K: Hash + Eq>(
         &self,
         key: &K,
-        table: impl Fn(&Shard<T>) -> &HashMap<K, Faceted<T>>,
+        table: impl Fn(&Shard<T>) -> &IdHashMap<K, Faceted<T>>,
     ) -> Option<Faceted<T>> {
         if !memoization_enabled() {
             return None;
         }
-        let shard = self.shards[shard_index(key)]
+        let shard = self.shards[id_shard(key)]
             .read()
             .expect("faceted store poisoned");
         let hit = table(&shard).get(key).cloned();
@@ -319,12 +332,12 @@ impl<T: Facet> Store<T> {
         &self,
         key: K,
         value: Faceted<T>,
-        table: impl Fn(&mut Shard<T>) -> &mut HashMap<K, Faceted<T>>,
+        table: impl Fn(&mut Shard<T>) -> &mut IdHashMap<K, Faceted<T>>,
     ) {
         if !memoization_enabled() {
             return;
         }
-        let mut shard = self.shards[shard_index(&key)]
+        let mut shard = self.shards[id_shard(&key)]
             .write()
             .expect("faceted store poisoned");
         table(&mut shard).insert(key, value);

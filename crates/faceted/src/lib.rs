@@ -67,6 +67,7 @@
 
 mod branch;
 mod collection;
+mod idhash;
 pub mod intern;
 mod label;
 pub mod persist;
@@ -75,6 +76,7 @@ mod view;
 
 pub use branch::{Branch, Branches};
 pub use collection::FacetedList;
+pub use idhash::{IdBuildHasher, IdHashMap, IdHasher};
 pub use intern::{collect_garbage, intern_stats, set_memoization, Facet, InternStats};
 pub use label::{Label, LabelRegistry};
 pub use persist::{export_nodes, import_nodes, NodeEntry, NodeTable, PersistError};

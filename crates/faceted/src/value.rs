@@ -10,12 +10,13 @@
 //! equality all coincide, and shared sub-structure is stored once.
 
 use std::any::TypeId;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::branch::{Branch, Branches};
+use crate::idhash::{IdBuildHasher, IdHashMap};
 use crate::intern::{store_of, Facet, Store};
 use crate::label::Label;
 use crate::view::View;
@@ -170,7 +171,11 @@ impl<T: Facet> Faceted<T> {
     /// sorted and deduplicated by construction.
     #[must_use]
     pub fn labels(&self) -> Vec<Label> {
-        fn walk<T: Facet>(n: &Faceted<T>, seen: &mut HashSet<u64>, out: &mut BTreeSet<Label>) {
+        fn walk<T: Facet>(
+            n: &Faceted<T>,
+            seen: &mut HashSet<u64, IdBuildHasher>,
+            out: &mut BTreeSet<Label>,
+        ) {
             if !seen.insert(n.0.id) {
                 return;
             }
@@ -181,7 +186,7 @@ impl<T: Facet> Faceted<T> {
             }
         }
         let mut out = BTreeSet::new();
-        walk(self, &mut HashSet::new(), &mut out);
+        walk(self, &mut HashSet::default(), &mut out);
         out.into_iter().collect()
     }
 
@@ -209,7 +214,7 @@ impl<T: Facet> Faceted<T> {
     /// nodes, saturating instead of overflowing.
     #[must_use]
     pub fn leaf_count(&self) -> usize {
-        fn walk<T: Facet>(n: &Faceted<T>, memo: &mut HashMap<u64, usize>) -> usize {
+        fn walk<T: Facet>(n: &Faceted<T>, memo: &mut IdHashMap<u64, usize>) -> usize {
             if let Some(&c) = memo.get(&n.0.id) {
                 return c;
             }
@@ -222,7 +227,7 @@ impl<T: Facet> Faceted<T> {
             memo.insert(n.0.id, c);
             c
         }
-        walk(self, &mut HashMap::new())
+        walk(self, &mut IdHashMap::default())
     }
 
     /// The canonical facet constructor `⟨⟨k ? high : low⟩⟩` (§4.2).
@@ -396,7 +401,7 @@ impl<T: Facet> Faceted<T> {
             n: &Faceted<T>,
             store: &Store<U>,
             f: &mut impl FnMut(&T) -> U,
-            memo: &mut HashMap<u64, Faceted<U>>,
+            memo: &mut IdHashMap<u64, Faceted<U>>,
         ) -> Faceted<U> {
             if let Some(hit) = memo.get(&n.0.id) {
                 return hit.clone();
@@ -417,7 +422,7 @@ impl<T: Facet> Faceted<T> {
         if let NodeKind::Leaf(v) = &self.0.kind {
             return store.leaf(f(v));
         }
-        walk(self, store, f, &mut HashMap::new())
+        walk(self, store, f, &mut IdHashMap::default())
     }
 
     /// [`Faceted::map`] memoized *across calls*: the result is kept in
@@ -466,7 +471,7 @@ impl<T: Facet> Faceted<T> {
             b: &Faceted<U>,
             store: &Store<V>,
             f: &mut impl FnMut(&T, &U) -> V,
-            memo: &mut HashMap<(u64, u64), Faceted<V>>,
+            memo: &mut IdHashMap<(u64, u64), Faceted<V>>,
         ) -> Faceted<V> {
             if let Some(hit) = memo.get(&(a.0.id, b.0.id)) {
                 return hit.clone();
@@ -506,7 +511,7 @@ impl<T: Facet> Faceted<T> {
         if let (NodeKind::Leaf(x), NodeKind::Leaf(y)) = (&self.0.kind, &other.0.kind) {
             return store.leaf(f(x, y));
         }
-        walk(self, other, store, f, &mut HashMap::new())
+        walk(self, other, store, f, &mut IdHashMap::default())
     }
 
     /// Monadic bind: substitutes a faceted computation for every leaf
@@ -519,7 +524,7 @@ impl<T: Facet> Faceted<T> {
         fn walk<T: Facet, U: Facet>(
             n: &Faceted<T>,
             f: &mut impl FnMut(&T) -> Faceted<U>,
-            memo: &mut HashMap<u64, Faceted<U>>,
+            memo: &mut IdHashMap<u64, Faceted<U>>,
         ) -> Faceted<U> {
             if let Some(hit) = memo.get(&n.0.id) {
                 return hit.clone();
@@ -538,7 +543,7 @@ impl<T: Facet> Faceted<T> {
         if let NodeKind::Leaf(v) = &self.0.kind {
             return f(v);
         }
-        walk(self, f, &mut HashMap::new())
+        walk(self, f, &mut IdHashMap::default())
     }
 
     /// Projects under a *partial* assignment of labels: labels the

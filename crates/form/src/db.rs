@@ -6,10 +6,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
-use faceted::{Branches, FacetedList, Label, LabelRegistry};
+use faceted::{Branches, FacetedList, IdHashMap, Label, LabelRegistry};
 use microdb::{
     ColumnDef, ColumnType, CreateMeta, Database, Operand, Predicate, Query, Row, RowDelta, Schema,
-    SortOrder, Statement, Table, Value,
+    SortOrder, Statement, Table, TableRef, Value,
 };
 
 use crate::error::{FormError, FormResult};
@@ -44,7 +44,7 @@ pub struct DecodeCacheStats {
 struct DecodedTable {
     generation: u64,
     rows: Option<FacetedList<GuardedRow>>,
-    objects: HashMap<i64, FacetedObject>,
+    objects: IdHashMap<i64, FacetedObject>,
 }
 
 /// A faceted database: a relational engine driven purely through
@@ -145,7 +145,10 @@ pub struct FormDb {
     /// default; the differential grids' full-re-decode reference arm
     /// switches it off).
     delta_maintenance: bool,
-    decoded: RwLock<HashMap<String, DecodedTable>>,
+    /// Decode-cache slots by table name. Tables are named by the
+    /// program, object memos by `jid`s it allocates, so both maps use
+    /// the id hasher.
+    decoded: RwLock<IdHashMap<String, DecodedTable>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     delta_applies: AtomicU64,
@@ -160,7 +163,7 @@ impl Default for FormDb {
             pruning: None,
             cache_enabled: true,
             delta_maintenance: true,
-            decoded: RwLock::new(HashMap::new()),
+            decoded: RwLock::new(IdHashMap::default()),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             delta_applies: AtomicU64::new(0),
@@ -178,7 +181,7 @@ impl Clone for FormDb {
             cache_enabled: self.cache_enabled,
             delta_maintenance: self.delta_maintenance,
             // A fresh clone starts cold; snapshots repopulate lazily.
-            decoded: RwLock::new(HashMap::new()),
+            decoded: RwLock::new(IdHashMap::default()),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             delta_applies: AtomicU64::new(0),
@@ -608,16 +611,21 @@ impl FormDb {
     /// *older* generation must never overwrite a newer slot — callers
     /// get `None` in that case and simply skip caching.
     fn slot_at<'c>(
-        cache: &'c mut HashMap<String, DecodedTable>,
+        cache: &'c mut IdHashMap<String, DecodedTable>,
         table: &str,
         generation: u64,
     ) -> Option<&'c mut DecodedTable> {
-        let slot = cache.entry(table.to_owned()).or_default();
+        // Probe before inserting: the table name is copied only once,
+        // when its slot is first created.
+        if !cache.contains_key(table) {
+            cache.insert(table.to_owned(), DecodedTable::default());
+        }
+        let slot = cache.get_mut(table).expect("slot just ensured");
         if slot.generation < generation {
             *slot = DecodedTable {
                 generation,
                 rows: None,
-                objects: HashMap::new(),
+                objects: IdHashMap::default(),
             };
         }
         (slot.generation == generation).then_some(slot)
@@ -644,10 +652,10 @@ impl FormDb {
     ) -> FormResult<FacetedList<GuardedRow>> {
         crate::touched::note_read(table);
         let t = self.db.table(table)?;
-        let width = t.schema().len() - 2;
         let Some(indices) = query.plan_indices(&t)? else {
             // Shapes the index planner cannot express (none of the
             // FORM's own queries hit this; kept for robustness).
+            let width = t.schema().len() - 2;
             drop(t);
             let rows = query.execute_ref(&self.db)?;
             let mut out = Vec::with_capacity(rows.len());
@@ -658,6 +666,50 @@ impl FormDb {
             let list: FacetedList<GuardedRow> = out.into_iter().collect();
             return Ok(FormDb::pruned(list, prune));
         };
+        Ok(FormDb::pruned(self.rows_at(table, t, &indices)?, prune))
+    }
+
+    /// The rows of `table` whose `column` equals `value`, in physical
+    /// order — the read behind [`FormDb::filter_eq`] and a cold
+    /// [`FormDb::get`]. When the column's index is clean and the
+    /// decode cache is on, this is one index probe plus a selection of
+    /// the decoded snapshot: no `Query`, no `Predicate`, no per-row
+    /// re-evaluation. Everything else goes through the planner
+    /// ([`FormDb::select_decoded`]):
+    ///
+    /// * an unindexed column, or an index left dirty by a write;
+    /// * the decode cache off (its reference arm is the planner path);
+    /// * a pruning constraint;
+    /// * a `NULL` literal: SQL `col = NULL` matches nothing, while the
+    ///   index would return the rows holding `NULL`.
+    fn select_eq(
+        &self,
+        table: &str,
+        column: &str,
+        value: &Value,
+        prune: Option<&Branches>,
+    ) -> FormResult<FacetedList<GuardedRow>> {
+        if self.cache_enabled && prune.is_none() && !value.is_null() {
+            crate::touched::note_read(table);
+            let t = self.db.table(table)?;
+            if let Some(hits) = t.index_probe_ref(column, value) {
+                return self.rows_at(table, t, &hits);
+            }
+        }
+        let pred = Predicate::eq(Operand::col(column), Operand::Lit(value.clone()));
+        self.select_decoded(table, &Query::from(table).filter(pred), prune)
+    }
+
+    /// The decoded rows of `table` at physical `indices` (in that
+    /// order), taken under the held table guard `t`: a selection of
+    /// the cached snapshot when there is one, otherwise a decode of
+    /// the snapshot or of just these rows.
+    fn rows_at(
+        &self,
+        table: &str,
+        t: TableRef<'_>,
+        indices: &[usize],
+    ) -> FormResult<FacetedList<GuardedRow>> {
         let full_selection =
             indices.len() == t.len() && indices.iter().enumerate().all(|(p, &i)| p == i);
         if self.cache_enabled {
@@ -679,12 +731,11 @@ impl FormDb {
             if let Some(decoded) = decoded {
                 drop(t);
                 // The matched rows of the shared snapshot: no row copy.
-                let selected = if full_selection {
+                return Ok(if full_selection {
                     decoded
                 } else {
-                    decoded.select(&indices)
-                };
-                return Ok(FormDb::pruned(selected, prune));
+                    decoded.select(indices)
+                });
             }
             // Deltas off and the query is selective: decode only the
             // matched rows instead of unmarshalling the whole table —
@@ -696,14 +747,14 @@ impl FormDb {
         // Selected-rows-only decode: the path above and the uncached
         // (`cache_enabled == false`) path, which is the pre-cache
         // behavior.
+        let width = t.schema().len() - 2;
         let rows = t.rows();
         let mut out = Vec::with_capacity(indices.len());
-        for &i in &indices {
+        for &i in indices {
             let g = FormDb::decode_row(&rows[i], width)?;
             out.push((g.guard.clone(), g));
         }
-        let list: FacetedList<GuardedRow> = out.into_iter().collect();
-        Ok(FormDb::pruned(list, prune))
+        Ok(out.into_iter().collect())
     }
 
     fn pruned(rows: FacetedList<GuardedRow>, prune: Option<&Branches>) -> FacetedList<GuardedRow> {
@@ -782,10 +833,7 @@ impl FormDb {
         column: &str,
         value: Value,
     ) -> FormResult<FacetedList<GuardedRow>> {
-        self.filter(
-            table,
-            Predicate::eq(Operand::col(column), Operand::Lit(value)),
-        )
+        self.select_eq(table, column, &value, self.pruning.as_ref())
     }
 
     /// Faceted `ORDER BY`: relies on SQL sorting of physical rows —
@@ -976,8 +1024,7 @@ impl FormDb {
         jid: i64,
         prune: Option<&Branches>,
     ) -> FormResult<FacetedObject> {
-        let query = Query::from(table).filter(Predicate::eq(Operand::col(JID), Operand::lit(jid)));
-        let rows = self.select_decoded(table, &query, None)?;
+        let rows = self.select_eq(table, JID, &Value::Int(jid), None)?;
         if rows.is_empty() {
             return Err(FormError::NoSuchObject {
                 table: table.to_owned(),
@@ -2305,5 +2352,119 @@ mod tests {
             None,
             "a slid-past window must fall back"
         );
+    }
+
+    /// A result's rows, in order, with their guards and fields.
+    fn listed(rows: &FacetedList<GuardedRow>) -> Vec<(Branches, GuardedRow)> {
+        rows.iter().map(|(g, r)| (g.clone(), r.clone())).collect()
+    }
+
+    /// `filter_eq` must answer exactly what the planner answers for
+    /// `col = v`, row for row, on the direct index probe and on every
+    /// fallback to the planner.
+    #[test]
+    fn filter_eq_matches_the_planner_on_every_path() {
+        let mut db = FormDb::new();
+        db.create_table(
+            "t",
+            vec![
+                ColumnDef::new("k", ColumnType::Int).nullable(),
+                ColumnDef::new("u", ColumnType::Int).nullable(),
+                ColumnDef::new("s", ColumnType::Str),
+            ],
+        )
+        .unwrap();
+        db.create_index("t", "k").unwrap();
+        let labels: Vec<Label> = (0..3).map(|i| db.fresh_label(&format!("l{i}"))).collect();
+        for i in 0..24i64 {
+            // Some keys NULL, some repeated; half the objects faceted.
+            let key = |shift: i64| match (i + shift) % 6 {
+                0 => Value::Null,
+                k => Value::Int(k),
+            };
+            let high = Faceted::leaf(Some(vec![key(0), key(1), Value::from(format!("h{i}"))]));
+            let obj = if i % 2 == 0 {
+                let low = Faceted::leaf(Some(vec![key(2), key(3), Value::from("***")]));
+                Faceted::split(labels[i as usize % 3], high, low)
+            } else {
+                high
+            };
+            db.insert("t", &obj).unwrap();
+        }
+        let probes = [
+            Value::Int(1),
+            Value::Int(3),
+            Value::Int(99),
+            Value::Float(5.0),
+            Value::Float(2.5),
+            Value::Null,
+            Value::from("h4"),
+            Value::from("***"),
+        ];
+        let check = |db: &FormDb, arm: &str| {
+            for column in ["k", "u", "s", JID] {
+                for v in &probes {
+                    let probed = db.filter_eq("t", column, v.clone()).unwrap();
+                    let planned = db
+                        .filter(
+                            "t",
+                            Predicate::eq(Operand::col(column), Operand::Lit(v.clone())),
+                        )
+                        .unwrap();
+                    assert_eq!(listed(&probed), listed(&planned), "{arm}: {column} = {v:?}");
+                    if v.is_null() {
+                        assert!(probed.is_empty(), "{arm}: {column} = NULL matches nothing");
+                    }
+                }
+            }
+            // The Int column really holds what the Float probes.
+            assert!(!db
+                .filter_eq("t", "k", Value::Float(5.0))
+                .unwrap()
+                .is_empty());
+        };
+        check(&db, "clean index");
+
+        // A cold `get` (probe path) builds the same object as the
+        // planner's rows do.
+        for jid in 1..=24 {
+            let cold = db.clone().get("t", jid).unwrap();
+            let query =
+                Query::from("t").filter(Predicate::eq(Operand::col(JID), Operand::lit(jid)));
+            let rows = db.select_decoded("t", &query, None).unwrap();
+            let planned =
+                rebuild_rows(jid, rows.iter().map(|(_, r)| (&r.guard, &r.fields))).unwrap();
+            assert_eq!(cold, planned, "jid {jid}");
+        }
+
+        // An index left dirty by a raw update: the probe must fall back.
+        let mut dirty = db.clone();
+        dirty
+            .raw()
+            .table_mut("t")
+            .unwrap()
+            .update_where(
+                |r| r[0] == Value::Int(2),
+                &[("k".to_owned(), Value::Int(3))],
+            )
+            .unwrap();
+        assert!(dirty
+            .raw_ref()
+            .table("t")
+            .unwrap()
+            .index_probe_ref("k", &Value::Int(3))
+            .is_none());
+        check(&dirty, "dirty index");
+
+        let mut uncached = db.clone();
+        uncached.set_decode_cache(false);
+        check(&uncached, "cache off");
+
+        let mut pruned = db.clone();
+        pruned.set_pruning(Some(Branches::from_iter([
+            Branch::pos(labels[0]),
+            Branch::neg(labels[1]),
+        ])));
+        check(&pruned, "pruning constraint");
     }
 }
