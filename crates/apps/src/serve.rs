@@ -244,9 +244,8 @@ mod tests {
     }
 
     /// Every app's full all-pages × all-viewers grid survives a
-    /// checkpoint → blank process → restore cycle byte-for-byte, with
-    /// facet-DAG sharing intact (the ISSUE's acceptance criterion, in
-    /// its in-process form; `tests/checkpoint_e2e.rs` pins the served
+    /// checkpoint → blank process → restore cycle byte-for-byte (the
+    /// in-process form; `tests/checkpoint_e2e.rs` pins the served
     /// version under concurrent writers).
     #[test]
     fn restored_sites_render_identical_grids() {

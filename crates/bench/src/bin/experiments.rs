@@ -14,6 +14,7 @@
 //! ratios of a fresh run against that committed file.
 
 use std::path::PathBuf;
+use std::time::Instant;
 
 use apps::{conf, courses, health, workload};
 use faceted::{Branch, Branches, FacetedList, Label};
@@ -293,6 +294,16 @@ fn table4(cfg: &Config, report: &mut Report) {
             fmt_secs(tv),
             format!("{:.2}x", tj / tv),
         ]);
+        let w = workload::conference(32, n);
+        let mut vanilla = w.vanilla;
+        first_visits(
+            report,
+            "table4_paper",
+            &format!("papers={n}"),
+            n,
+            |id| conf::single_paper(&w.app, &viewer, id),
+            |id| vanilla.single_paper(&viewer, id),
+        );
     }
 
     println!("\n==== Table 4: time to view a single user ====");
@@ -331,7 +342,53 @@ fn table4(cfg: &Config, report: &mut Report) {
             fmt_secs(tv),
             format!("{:.2}x", tj / tv),
         ]);
+        let w = workload::conference(n, 8);
+        let mut vanilla = w.vanilla;
+        first_visits(
+            report,
+            "table4_user",
+            &format!("users={n}"),
+            n,
+            |id| conf::single_user(&w.app, &viewer, id),
+            |id| vanilla.single_user(&viewer, id),
+        );
     }
+}
+
+/// Table 4's `cold` row: on a fresh app, the first visit of each id
+/// `1..=n` — an object the app has not rebuilt yet — then its
+/// baseline twin; records and prints the medians. The warm row above
+/// it re-renders one id.
+fn first_visits(
+    report: &mut Report,
+    table: &str,
+    label: &str,
+    n: usize,
+    mut jacqueline: impl FnMut(i64) -> String,
+    mut baseline: impl FnMut(i64) -> String,
+) {
+    let (mut tj, mut tv) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for id in 1..=n as i64 {
+        let start = Instant::now();
+        std::hint::black_box(jacqueline(id));
+        tj.push(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        std::hint::black_box(baseline(id));
+        tv.push(start.elapsed().as_secs_f64());
+    }
+    let median = |mut samples: Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+    let (tj, tv) = (median(tj), median(tv));
+    report.record(table, &format!("{label} jacqueline cold"), tj);
+    report.record(table, &format!("{label} baseline cold"), tv);
+    print_row(&[
+        format!("{n} cold"),
+        fmt_secs(tj),
+        fmt_secs(tv),
+        format!("{:.2}x", tj / tv),
+    ]);
 }
 
 /// Figure 9b: health-record stress test.
@@ -476,11 +533,7 @@ fn counting_workload(n: u32) -> FacetedList<GuardedRow> {
             let guard = Branches::new().with(Branch::pos(Label::from_index(i)));
             (
                 guard.clone(),
-                GuardedRow {
-                    jid: i64::from(i),
-                    guard,
-                    fields: vec![Value::Int(1)],
-                },
+                GuardedRow::new(i64::from(i), guard, vec![Value::Int(1)]),
             )
         })
         .collect()

@@ -2,8 +2,7 @@
 //!
 //! The `experiments` binary regenerates every table and figure of the
 //! paper's §6 (run with `--release`) and `bench_guard` gates its
-//! Table 3 ratios in CI; the criterion benches under `benches/` track
-//! the same workloads; `loc_report` reproduces the Figure 6
+//! Table 3 ratios in CI; `loc_report` reproduces the Figure 6
 //! lines-of-code analysis; `server_smoke`, `restore_smoke` and `chaos`
 //! drive the served and persistent stack end to end.
 

@@ -1,6 +1,5 @@
 //! Durable checkpoints for a whole application: database, FORM
-//! metadata, policy bindings, and the interned facet DAGs — with
-//! crash-safe restore.
+//! metadata and policy bindings — with crash-safe restore.
 //!
 //! # What a checkpoint contains
 //!
@@ -20,12 +19,11 @@
 //!    label, which model policy it re-binds to plus the creation-time
 //!    row the check closes over (§2.1.2 — policies are evaluated
 //!    against the creation-time row and the output-time database, so
-//!    both halves must survive);
-//! 3. the **facet DAGs** of every logical object, in object-group
-//!    chunks of 32 jids exported through the interner's topological
-//!    node table ([`faceted::export_nodes`]): restore re-interns them,
-//!    so a rebooted process starts with the same node sharing (and a
-//!    warm object cache) instead of re-deriving every DAG from rows.
+//!    both halves must survive).
+//!
+//! Facet DAGs are not stored: as in the paper's FORM (§3.1), the
+//! guarded `jid`/`jvars` rows are the object, and a restored process
+//! rebuilds each object's DAG from them on its first read.
 //!
 //! Every checkpoint after the first into a directory is incremental:
 //! chunks a table generation or the metadata epoch proves clean are
@@ -56,15 +54,14 @@
 //! dispatches under the exclusive global lock — the same quiescent
 //! point, reached through ordinary request scheduling.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use faceted::NodeTable;
-use form::{FacetedObject, FormError, FormMeta, FormResult};
+use form::{FormError, FormMeta, FormResult};
 use microdb::chunkstore::{
     is_valid_hash, load_rows, write_dirty_row_chunks, write_row_chunks, ChunkRef, ChunkStore,
     ChunkWriteStats, DirtyRows,
@@ -83,6 +80,9 @@ use crate::model::Viewer;
 pub const CHECKPOINT_FILE: &str = "checkpoint.snap";
 /// The storage engine's append-only write log.
 pub const WAL_FILE: &str = "wal.log";
+/// The first line of a checkpoint manifest. Version 2 also stored
+/// every object's facet DAG; version 3 stores rows only.
+const MANIFEST_HEADER: &str = "jacqueline-checkpoint v3";
 
 /// Unbound label indices a replayed create may skip past the
 /// registry's end. A failed create leaves one per model policy, and a
@@ -102,11 +102,8 @@ pub struct CheckpointStats {
     pub tables: usize,
     /// Physical rows captured.
     pub rows: usize,
-    /// Logical objects covered (exported or carried over).
+    /// Logical objects (live `jid`s) across the model tables.
     pub objects: usize,
-    /// Interner nodes across the exported object-group tables (shared
-    /// nodes are counted once per group holding them).
-    pub facet_nodes: usize,
     /// Interner nodes (object-DAG store) before the quiescent GC.
     pub interner_nodes_before: usize,
     /// Interner nodes after the GC.
@@ -130,13 +127,12 @@ impl fmt::Display for CheckpointStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "checkpoint: tables={} rows={} objects={} facet_nodes={} \
+            "checkpoint: tables={} rows={} objects={} \
              interner_nodes={}->{} gc_reclaimed={} chunks_written={} \
              chunks_reused={} mode={}",
             self.tables,
             self.rows,
             self.objects,
-            self.facet_nodes,
             self.interner_nodes_before,
             self.interner_nodes_after,
             self.gc_reclaimed,
@@ -160,8 +156,6 @@ pub struct RestoreStats {
     pub rows: usize,
     /// Policy bindings restored (app-meta chunk + replayed creates).
     pub policies: usize,
-    /// Facet DAGs re-interned into the warm object cache.
-    pub objects_primed: usize,
     /// Write-log records replayed on top of the snapshot.
     pub wal_applied: usize,
     /// Replayed records that created an object.
@@ -172,74 +166,16 @@ impl fmt::Display for RestoreStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "restore: tables={} rows={} policies={} objects_primed={} \
-             wal_applied={} creates_applied={}",
-            self.tables,
-            self.rows,
-            self.policies,
-            self.objects_primed,
-            self.wal_applied,
-            self.creates_applied
+            "restore: tables={} rows={} policies={} wal_applied={} \
+             creates_applied={}",
+            self.tables, self.rows, self.policies, self.wal_applied, self.creates_applied
         )
     }
 }
 
 // ---------------------------------------------------------------------
-// Facet-DAG section codecs: Option<Row> leaves as single-line strings.
+// The chunked manifest (`checkpoint.snap` v3) and its chunk payloads.
 // ---------------------------------------------------------------------
-
-/// Encodes a [`FacetedObject`] leaf: `-` for absent, `+ v v …` for a
-/// row of whitespace-free value tokens.
-fn encode_object_leaf(leaf: &Option<Row>) -> String {
-    match leaf {
-        None => "-".to_owned(),
-        Some(row) => {
-            let mut out = String::from("+");
-            for v in row {
-                out.push(' ');
-                out.push_str(&encode_value(v));
-            }
-            out
-        }
-    }
-}
-
-fn decode_object_leaf(payload: &str) -> Option<Option<Row>> {
-    if payload == "-" {
-        return Some(None);
-    }
-    let rest = payload.strip_prefix('+')?;
-    let row: Result<Row, _> = rest.split_whitespace().map(decode_value).collect();
-    row.ok().map(Some)
-}
-
-// ---------------------------------------------------------------------
-// The chunked manifest (`checkpoint.snap` v2) and its chunk payloads.
-// ---------------------------------------------------------------------
-
-/// Logical objects per jid-range group chunk: group `g` covers jids
-/// `(g·32, (g+1)·32]`. Jid ranges are stable across an object's whole
-/// life (unlike physical row positions, which `save`'s re-insert
-/// moves), so a single-object write dirties exactly one group.
-const GROUP_JIDS: i64 = 32;
-
-/// The group index a jid belongs to.
-fn group_of(jid: i64) -> i64 {
-    (jid - 1).div_euclid(GROUP_JIDS)
-}
-
-/// One object-group chunk as recorded in a manifest's model section.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct GroupRef {
-    /// Group index (jid range `(group·32, (group+1)·32]`).
-    pub(crate) group: i64,
-    /// Content hash of the group chunk.
-    pub(crate) hash: String,
-    /// Logical objects in the group.
-    pub(crate) objects: usize,
-    /// Node-table entries in the group's exported DAG table.
-    pub(crate) nodes: usize,
-}
 
 /// One table's entry in the manifest: everything `TableSnapshot`
 /// carried except the rows themselves, which live in content-addressed
@@ -254,16 +190,6 @@ pub(crate) struct TableManifest {
     pub(crate) chunks: Vec<ChunkRef>,
 }
 
-/// One model's object-group directory in the manifest.
-pub(crate) struct ModelManifest {
-    pub(crate) table: String,
-    /// The model table's generation when the groups were captured —
-    /// restore primes the warm object cache only while this still
-    /// matches after WAL replay.
-    pub(crate) generation: u64,
-    pub(crate) groups: Vec<GroupRef>,
-}
-
 /// The root manifest: the one small file naming every chunk of a
 /// checkpoint. Committed atomically via tmp + rename; everything
 /// heavy lives in the `chunks/` store it points into.
@@ -271,14 +197,13 @@ pub(crate) struct Manifest {
     /// Hash of the app-meta chunk (FORM metadata + policy bindings).
     pub(crate) app_meta: String,
     pub(crate) tables: Vec<TableManifest>,
-    pub(crate) models: Vec<ModelManifest>,
 }
 
 impl Manifest {
     fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "jacqueline-checkpoint v2");
+        let _ = writeln!(out, "{MANIFEST_HEADER}");
         let _ = writeln!(out, "app-meta {}", self.app_meta);
         let _ = writeln!(out, "db-tables {}", self.tables.len());
         for t in &self.tables {
@@ -298,20 +223,6 @@ impl Manifest {
             }
             let _ = writeln!(out, "end");
         }
-        let _ = writeln!(out, "objects {}", self.models.len());
-        for m in &self.models {
-            let _ = writeln!(
-                out,
-                "model {} {} {}",
-                escape_token(&m.table),
-                m.generation,
-                m.groups.len()
-            );
-            for g in &m.groups {
-                let _ = writeln!(out, "g {} {} {} {}", g.group, g.hash, g.objects, g.nodes);
-            }
-            let _ = writeln!(out, "end");
-        }
         // The terminator proves the manifest was not truncated: every
         // prefix of the file fails to parse.
         let _ = writeln!(out, "manifest-end");
@@ -326,11 +237,6 @@ impl Manifest {
         for t in &self.tables {
             for c in &t.chunks {
                 keep.insert(c.hash.clone());
-            }
-        }
-        for m in &self.models {
-            for g in &m.groups {
-                keep.insert(g.hash.clone());
             }
         }
         keep
@@ -425,54 +331,10 @@ impl Manifest {
                 chunks,
             });
         }
-        let n_models = count(next("objects")?, "objects ")?;
-        let mut models = Vec::with_capacity(n_models);
-        for _ in 0..n_models {
-            let spec = field(next("model")?, "model ")?;
-            let mut parts = spec.split(' ');
-            let bad = || persist_err(format!("bad model line {spec:?}"));
-            let table = unescape_token(parts.next().ok_or_else(bad)?)?;
-            let generation: u64 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-            let n_groups: usize = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-            if parts.next().is_some() {
-                return Err(bad());
-            }
-            let mut groups = Vec::with_capacity(n_groups);
-            for _ in 0..n_groups {
-                let spec = field(next("group")?, "g ")?;
-                let bad = || persist_err(format!("bad group line {spec:?}"));
-                let mut parts = spec.split(' ');
-                let group: i64 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-                let hash = hash_of(parts.next().ok_or_else(bad)?)?;
-                let objects: usize = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-                let nodes: usize = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-                if parts.next().is_some() {
-                    return Err(bad());
-                }
-                groups.push(GroupRef {
-                    group,
-                    hash,
-                    objects,
-                    nodes,
-                });
-            }
-            if next("model end")? != "end" {
-                return Err(persist_err(format!("unterminated model {table:?}")));
-            }
-            models.push(ModelManifest {
-                table,
-                generation,
-                groups,
-            });
-        }
         if next("manifest terminator")? != "manifest-end" {
             return Err(persist_err("manifest missing terminator"));
         }
-        Ok(Manifest {
-            app_meta,
-            tables,
-            models,
-        })
+        Ok(Manifest { app_meta, tables })
     }
 }
 
@@ -559,53 +421,6 @@ fn decode_app_meta_chunk(bytes: &[u8]) -> FormResult<(FormMeta, Bindings)> {
     Ok((meta, bindings))
 }
 
-/// An object-group chunk: the group's jids (ascending) followed by the
-/// exported node table of their facet DAGs, roots aligned with the
-/// jid list.
-fn encode_group_chunk(jids: &[i64], facets: &NodeTable) -> Vec<u8> {
-    let mut out = format!("group v1 {}\n", jids.len());
-    for jid in jids {
-        out.push_str(&format!("f {jid}\n"));
-    }
-    out.push_str(&facets.to_text());
-    out.into_bytes()
-}
-
-fn decode_group_chunk(bytes: &[u8]) -> FormResult<(Vec<i64>, NodeTable)> {
-    let text = std::str::from_utf8(bytes).map_err(|_| persist_err("group chunk is not UTF-8"))?;
-    let mut cursor = text.lines();
-    let header = cursor
-        .next()
-        .ok_or_else(|| persist_err("empty group chunk"))?;
-    let n_jids: usize = header
-        .strip_prefix("group v1 ")
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| persist_err(format!("bad group header {header:?}")))?;
-    let mut jids = Vec::with_capacity(n_jids);
-    for _ in 0..n_jids {
-        let line = cursor
-            .next()
-            .ok_or_else(|| persist_err("group chunk truncated at jid"))?;
-        let jid: i64 = line
-            .strip_prefix("f ")
-            .and_then(|j| j.parse().ok())
-            .ok_or_else(|| persist_err(format!("bad group jid line {line:?}")))?;
-        jids.push(jid);
-    }
-    let facets = NodeTable::from_lines(&mut cursor).map_err(persist_err)?;
-    if facets.roots.len() != jids.len() {
-        return Err(persist_err(format!(
-            "group chunk lists {} jids but its node table has {} roots",
-            jids.len(),
-            facets.roots.len()
-        )));
-    }
-    if cursor.next().is_some() {
-        return Err(persist_err("trailing lines in group chunk"));
-    }
-    Ok((jids, facets))
-}
-
 // ---------------------------------------------------------------------
 // Clean-chunk memory and observability.
 // ---------------------------------------------------------------------
@@ -623,7 +438,6 @@ pub(crate) struct CheckpointMemory {
     pub(crate) app_meta_epoch: Option<u64>,
     pub(crate) app_meta_hash: String,
     pub(crate) tables: BTreeMap<String, TableMemory>,
-    pub(crate) models: BTreeMap<String, ModelMemory>,
     /// Chunk counters of the checkpoint that produced this memory.
     pub(crate) last_written: usize,
     pub(crate) last_reused: usize,
@@ -634,11 +448,6 @@ pub(crate) struct TableMemory {
     pub(crate) generation: u64,
     pub(crate) rows: usize,
     pub(crate) chunks: Vec<ChunkRef>,
-}
-
-pub(crate) struct ModelMemory {
-    pub(crate) generation: u64,
-    pub(crate) groups: Vec<GroupRef>,
 }
 
 /// A snapshot of checkpoint observability for `admin/health` and
@@ -732,8 +541,15 @@ pub(crate) fn read_manifest_file(path: &Path) -> FormResult<Manifest> {
     let header = cursor
         .next()
         .ok_or_else(|| persist_err("empty checkpoint manifest"))?;
-    if header != "jacqueline-checkpoint v2" {
-        return Err(persist_err(format!("bad checkpoint header {header:?}")));
+    if header != MANIFEST_HEADER {
+        return Err(persist_err(
+            match header.strip_prefix("jacqueline-checkpoint ") {
+                Some(version) => format!(
+                "unsupported checkpoint format {version} (this build reads {MANIFEST_HEADER:?})"
+            ),
+                None => format!("bad checkpoint header {header:?}"),
+            },
+        ));
     }
     Manifest::from_lines(cursor)
 }
@@ -783,8 +599,8 @@ impl App {
 
     /// Takes a checkpoint **assuming the caller holds a quiescent
     /// point** (no concurrent writers): snapshots the database,
-    /// exports FORM metadata, policy bindings and every object's
-    /// facet DAG, atomically replaces `dir/checkpoint.snap`,
+    /// exports FORM metadata and policy bindings, atomically replaces
+    /// `dir/checkpoint.snap`,
     /// compacts the attached log (the checkpoint supersedes it),
     /// and finally runs the interner's garbage collector — the
     /// quiescent point is exactly when dead nodes from completed
@@ -908,80 +724,11 @@ impl App {
             });
         }
 
-        // Object-group chunks: each model's objects partition into
-        // fixed jid ranges; `touched_jids_since` names the groups a
-        // write dirtied, everything else carries its previous
-        // reference over without re-walking a DAG.
-        let mut models = Vec::new();
         for model in self.model_names() {
-            let generation = db.generation(&model)?;
-            let jids = self.db.object_jids(&model)?;
-            let prev = memory.as_ref().and_then(|m| m.models.get(&model));
-            let prev_groups: BTreeMap<i64, &GroupRef> = prev
-                .map(|p| p.groups.iter().map(|g| (g.group, g)).collect())
-                .unwrap_or_default();
-            // Which groups changed? `None` means "unknown — treat all
-            // as dirty" (no memory, or the journal window slid).
-            let touched: Option<BTreeSet<i64>> = match prev {
-                Some(p) if p.generation == generation => Some(BTreeSet::new()),
-                Some(p) => self
-                    .db
-                    .touched_jids_since(&model, p.generation)?
-                    .map(|jids| jids.iter().map(|&j| group_of(j)).collect()),
-                None => None,
-            };
-            let mut groups: Vec<GroupRef> = Vec::new();
-            let mut ix = 0;
-            while ix < jids.len() {
-                let group = group_of(jids[ix]);
-                let mut end = ix;
-                while end < jids.len() && group_of(jids[end]) == group {
-                    end += 1;
-                }
-                let members = &jids[ix..end];
-                ix = end;
-                let clean = match (&touched, prev_groups.get(&group)) {
-                    (Some(t), Some(p)) => !t.contains(&group) && p.objects == members.len(),
-                    _ => false,
-                };
-                if let Some(p) = clean.then(|| prev_groups[&group]) {
-                    chunk_stats.reused += 1;
-                    stats.objects += p.objects;
-                    stats.facet_nodes += p.nodes;
-                    groups.push((*p).clone());
-                    continue;
-                }
-                let mut roots: Vec<FacetedObject> = Vec::with_capacity(members.len());
-                for &jid in members {
-                    roots.push(self.db.get(&model, jid)?);
-                }
-                let facets =
-                    faceted::export_nodes(&roots, |leaf: &Option<Row>| encode_object_leaf(leaf));
-                let (hash, written) = store
-                    .insert(&encode_group_chunk(members, &facets))
-                    .map_err(|e| persist_err(format!("write group chunk of {model:?}: {e}")))?;
-                chunk_stats.note_insert(written);
-                stats.objects += members.len();
-                stats.facet_nodes += facets.entries.len();
-                groups.push(GroupRef {
-                    group,
-                    hash,
-                    objects: members.len(),
-                    nodes: facets.entries.len(),
-                });
-            }
-            models.push(ModelManifest {
-                table: model,
-                generation,
-                groups,
-            });
+            stats.objects += self.db.object_jids(&model)?.len();
         }
 
-        let manifest = Manifest {
-            app_meta,
-            tables,
-            models,
-        };
+        let manifest = Manifest { app_meta, tables };
         stats.chunks_written = chunk_stats.written;
         stats.chunks_reused = chunk_stats.reused;
         stats.chunks_encoded = chunk_stats.encoded;
@@ -1013,7 +760,7 @@ impl App {
         let _ = store.sweep(&manifest.referenced_hashes());
 
         // GC at the quiescent point: request-scoped temporaries are
-        // dead, the exported roots (and the caches) stay pinned. The
+        // dead, the caches keep what they hold pinned. The
         // incremental path skips it — a scheduled checkpoint after one
         // small write should not pay a full-store sweep.
         if !incremental {
@@ -1039,19 +786,6 @@ impl App {
                             generation: t.generation,
                             rows: t.rows,
                             chunks: t.chunks.clone(),
-                        },
-                    )
-                })
-                .collect(),
-            models: manifest
-                .models
-                .iter()
-                .map(|m| {
-                    (
-                        m.table.clone(),
-                        ModelMemory {
-                            generation: m.generation,
-                            groups: m.groups.clone(),
                         },
                     )
                 })
@@ -1106,11 +840,11 @@ impl App {
     /// Restores this application from `dir`'s checkpoint: the
     /// snapshot is loaded (label registry first, so no index can
     /// alias), the policy bindings re-bind to this app's registered
-    /// models, the write log is replayed on top — rows, and each
-    /// replayed create's labels and bindings — and the exported facet
-    /// DAGs are re-interned into the warm object cache. The app must
-    /// already have its models registered — the same application
-    /// code that produced the checkpoint.
+    /// models, and the write log is replayed on top — rows, and each
+    /// replayed create's labels and bindings. Objects are not
+    /// restored as such: each rebuilds from its rows on first read.
+    /// The app must already have its models registered — the same
+    /// application code that produced the checkpoint.
     ///
     /// # Errors
     ///
@@ -1221,36 +955,7 @@ impl App {
             }
         }
 
-        // 5. Warm start: re-intern the exported facet DAGs and prime
-        //    the object cache, group chunk by group chunk — but only
-        //    for models whose restored generation still matches the
-        //    manifest (a WAL-replayed write supersedes the exported
-        //    DAGs of its table).
-        for m in &manifest.models {
-            if self.db.raw_ref().generation(&m.table)? != m.generation {
-                continue;
-            }
-            for g in &m.groups {
-                let bytes = store
-                    .read(&g.hash)
-                    .map_err(|e| persist_err(format!("read group chunk of {:?}: {e}", m.table)))?;
-                let (jids, facets) = decode_group_chunk(&bytes)?;
-                if jids.len() != g.objects || facets.entries.len() != g.nodes {
-                    return Err(persist_err(format!(
-                        "group chunk of {:?} does not match its manifest entry",
-                        m.table
-                    )));
-                }
-                let imported =
-                    faceted::import_nodes(&facets, decode_object_leaf).map_err(persist_err)?;
-                for (jid, obj) in jids.iter().zip(&imported) {
-                    self.db.prime_object(&m.table, *jid, obj)?;
-                    stats.objects_primed += 1;
-                }
-            }
-        }
-
-        // 6. Seed the clean-chunk memory from the *manifest* (not the
+        // 5. Seed the clean-chunk memory from the *manifest* (not the
         //    live tables): the row journal restarts right after each
         //    table's restored generation, so the next checkpoint's
         //    delta walk covers everything the log replayed on top.
@@ -1272,19 +977,6 @@ impl App {
                             generation: t.generation,
                             rows: t.rows,
                             chunks: t.chunks.clone(),
-                        },
-                    )
-                })
-                .collect(),
-            models: manifest
-                .models
-                .iter()
-                .map(|m| {
-                    (
-                        m.table.clone(),
-                        ModelMemory {
-                            generation: m.generation,
-                            groups: m.groups.clone(),
                         },
                     )
                 })
@@ -1466,14 +1158,12 @@ mod tests {
         assert_eq!(stats.tables, 1);
         assert_eq!(stats.rows, 10, "5 notes × 2 facet rows");
         assert_eq!(stats.objects, 5);
-        assert!(stats.facet_nodes > 0);
 
         // "Kill" the process state: a brand-new app, models re-registered.
         let mut restored = note_app();
         let rstats = restored.restore_from(&dir).unwrap();
         assert_eq!(rstats.rows, 10);
         assert_eq!(rstats.policies, 5);
-        assert_eq!(rstats.objects_primed, 5);
         assert_eq!(grid(&restored, 5), before, "byte-identical grid");
 
         // Policies still live: a *new* viewer-owned note behaves
@@ -1669,31 +1359,6 @@ mod tests {
             .collect();
         assert!(stray.is_empty(), "{stray:?}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn restore_preserves_facet_dag_sharing() {
-        let dir = temp_dir("sharing");
-        let app = note_app();
-        for i in 0..8 {
-            app.create("note", vec![Value::Int(i % 2), Value::from("same text")])
-                .unwrap();
-        }
-        let stats = app.checkpoint_quiescent(&dir).unwrap();
-        // 8 objects share leaf structure ("same text" rows differ only
-        // in owner): the node table must be far smaller than
-        // 8 × nodes-per-object.
-        assert!(stats.facet_nodes > 0);
-
-        let mut restored = note_app();
-        restored.restore_from(&dir).unwrap();
-        let again = restored.checkpoint_quiescent(temp_dir("sharing2")).unwrap();
-        assert_eq!(
-            again.facet_nodes, stats.facet_nodes,
-            "re-interned DAGs have identical node counts (sharing preserved)"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(temp_dir("sharing2"));
     }
 
     #[test]
@@ -2100,8 +1765,8 @@ mod tests {
         assert!(second.incremental);
         assert_eq!(
             (second.chunks_encoded, second.chunks_written),
-            (2, 2),
-            "a single-row write re-encodes one row chunk and one object-group chunk"
+            (1, 1),
+            "a single-row write re-encodes exactly one row chunk"
         );
         assert!(
             second.chunks_reused > first.chunks_written / 2,
@@ -2129,6 +1794,54 @@ mod tests {
         restored.restore_from(&dir).unwrap();
         assert_eq!(grid(&restored, 5), grid(&app, 5));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A model whose objects carry `labels` policy labels: one string
+    /// column per label, each hidden from everyone but user 1.
+    fn labelled_app(labels: usize) -> App {
+        let mut def = ModelDef::public(
+            "doc",
+            (0..labels)
+                .map(|i| ColumnDef::new(&format!("c{i}"), ColumnType::Str))
+                .collect(),
+        );
+        for i in 0..labels {
+            def = def.with_policy(simple_policy(
+                &format!("doc_c{i}"),
+                vec![i],
+                |_| vec![Value::from("[private]")],
+                |args| args.viewer.user_jid() == Some(1),
+            ));
+        }
+        let mut app = App::new();
+        app.register_model(def).unwrap();
+        app
+    }
+
+    /// The rows are the whole durable state of an object: after one
+    /// `create`, a checkpoint encodes exactly the model's dirty row
+    /// chunk plus the app-meta chunk, whatever the label count.
+    #[test]
+    fn checkpoint_after_one_create_encodes_one_row_chunk_and_app_meta() {
+        for labels in 1..=3 {
+            let dir = temp_dir(&format!("one_create_{labels}"));
+            let app = labelled_app(labels);
+            let doc = || (0..labels).map(|i| Value::from(format!("v{i}"))).collect();
+            for _ in 0..3 {
+                app.create("doc", doc()).unwrap();
+            }
+            app.checkpoint_quiescent(&dir).unwrap();
+            app.create("doc", doc()).unwrap();
+            let stats = app.checkpoint_quiescent(&dir).unwrap();
+            assert!(stats.incremental);
+            assert_eq!(
+                (stats.chunks_encoded, stats.chunks_written),
+                (2, 2),
+                "{labels} label(s): one row chunk + the app-meta chunk"
+            );
+            assert_eq!(stats.objects, 4);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Satellite: the ablation knob — with incremental checkpoints

@@ -33,9 +33,10 @@
 //! referenced outside the store.
 
 use std::any::{Any, TypeId};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockWriteGuard};
@@ -145,7 +146,7 @@ pub fn collect_garbage<T: Facet>() -> usize {
             // parent split would hold a second strong reference).
             let before = g.splits.len() + g.leaves.len();
             g.splits.retain(|_, f| Arc::strong_count(&f.0) > 1);
-            g.leaves.retain(|_, f| Arc::strong_count(&f.0) > 1);
+            g.leaves.retain(|f| Arc::strong_count(&f.0 .0) > 1);
             dropped += before - (g.splits.len() + g.leaves.len());
         }
         if dropped == 0 {
@@ -171,13 +172,44 @@ pub(crate) struct Store<T: Facet> {
     memo_misses: AtomicU64,
 }
 
+/// A leaf node as an entry of the unique table: hashed and compared
+/// by its value, and borrowable as it, so the table is probed with a
+/// plain `&T` while the value itself is stored once, inside the node.
+struct LeafEntry<T: Facet>(Faceted<T>);
+
+impl<T: Facet> LeafEntry<T> {
+    fn value(&self) -> &T {
+        self.0.as_leaf().expect("the leaf table holds only leaves")
+    }
+}
+
+impl<T: Facet> Borrow<T> for LeafEntry<T> {
+    fn borrow(&self) -> &T {
+        self.value()
+    }
+}
+
+impl<T: Facet> PartialEq for LeafEntry<T> {
+    fn eq(&self, other: &LeafEntry<T>) -> bool {
+        self.value() == other.value()
+    }
+}
+
+impl<T: Facet> Eq for LeafEntry<T> {}
+
+impl<T: Facet> Hash for LeafEntry<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.value().hash(state);
+    }
+}
+
 /// One shard of a store. Leaves are keyed by values from outside the
 /// process (row contents), so their table keeps the HashDoS-resistant
 /// default hasher; every other table is keyed by labels and node ids
 /// the process mints itself and uses the cheap [`IdHasher`](crate::IdHasher).
 struct Shard<T: Facet> {
     /// Unique table, leaf nodes.
-    leaves: HashMap<T, Faceted<T>>,
+    leaves: HashSet<LeafEntry<T>>,
     /// Unique table, split nodes.
     splits: IdHashMap<SplitKey, Faceted<T>>,
     /// Computed table for `ite`.
@@ -192,7 +224,7 @@ struct Shard<T: Facet> {
 impl<T: Facet> Default for Shard<T> {
     fn default() -> Shard<T> {
         Shard {
-            leaves: HashMap::new(),
+            leaves: HashSet::new(),
             splits: IdHashMap::default(),
             ite: IdHashMap::default(),
             assume: IdHashMap::default(),
@@ -232,24 +264,35 @@ impl<T: Facet> Store<T> {
 
     /// Interns a leaf, returning the canonical node for `value`.
     pub(crate) fn leaf(&self, value: T) -> Faceted<T> {
-        let shard = &self.shards[leaf_shard(&value)];
+        self.intern_leaf(value, |v| v)
+    }
+
+    /// [`Store::leaf`] by reference: clones `value` only on a miss.
+    pub(crate) fn leaf_ref(&self, value: &T) -> Faceted<T> {
+        self.intern_leaf(value, T::clone)
+    }
+
+    /// The canonical leaf equal to `value`, interning `own(value)` if
+    /// there is none yet.
+    fn intern_leaf<V: Borrow<T>>(&self, value: V, own: impl FnOnce(V) -> T) -> Faceted<T> {
+        let shard = &self.shards[leaf_shard(value.borrow())];
         if let Some(hit) = shard
             .read()
             .expect("faceted store poisoned")
             .leaves
-            .get(&value)
+            .get(value.borrow())
         {
-            return hit.clone();
+            return hit.0.clone();
         }
         let mut s = shard.write().expect("faceted store poisoned");
-        if let Some(hit) = s.leaves.get(&value) {
-            return hit.clone();
+        if let Some(hit) = s.leaves.get(value.borrow()) {
+            return hit.0.clone();
         }
         let node = Faceted(Arc::new(Node {
             id: fresh_id(),
-            kind: NodeKind::Leaf(value.clone()),
+            kind: NodeKind::Leaf(own(value)),
         }));
-        s.leaves.insert(value, node.clone());
+        s.leaves.insert(LeafEntry(node.clone()));
         node
     }
 

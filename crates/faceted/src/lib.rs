@@ -70,7 +70,6 @@ mod collection;
 mod idhash;
 pub mod intern;
 mod label;
-pub mod persist;
 mod value;
 mod view;
 
@@ -79,6 +78,5 @@ pub use collection::FacetedList;
 pub use idhash::{IdBuildHasher, IdHashMap, IdHasher};
 pub use intern::{collect_garbage, intern_stats, set_memoization, Facet, InternStats};
 pub use label::{Label, LabelRegistry};
-pub use persist::{export_nodes, import_nodes, NodeEntry, NodeTable, PersistError};
 pub use value::Faceted;
 pub use view::View;

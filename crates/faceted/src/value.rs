@@ -109,18 +109,19 @@ impl<T: Facet> Faceted<T> {
         store_of::<T>().leaf(value)
     }
 
+    /// [`Faceted::leaf`] by reference: `value` is cloned only when no
+    /// equal leaf is interned yet.
+    #[must_use]
+    pub fn leaf_ref(value: &T) -> Faceted<T> {
+        store_of::<T>().leaf_ref(value)
+    }
+
     /// The interned node id: unique per canonical value within this
     /// process. Two faceted values are semantically equal iff their
     /// node ids are equal.
     #[must_use]
     pub fn node_id(&self) -> u64 {
         self.0.id
-    }
-
-    /// Crate-internal structural access (the persistence walker needs
-    /// the children of a split without re-deriving them by cofactor).
-    pub(crate) fn kind(&self) -> &NodeKind<T> {
-        &self.0.kind
     }
 
     /// If this value is a plain (non-faceted) leaf, returns it.
@@ -239,6 +240,14 @@ impl<T: Facet> Faceted<T> {
     #[must_use]
     pub fn split(label: Label, high: Faceted<T>, low: Faceted<T>) -> Faceted<T> {
         let store = store_of::<T>();
+        // A canonical root carries its value's smallest label, so when
+        // `label` sits below both roots it occurs in neither side and
+        // the node is already canonical: intern it directly, without a
+        // trip through the `ite` computed table.
+        let below = |v: &Faceted<T>| v.root_label().is_none_or(|l| label < l);
+        if below(&high) && below(&low) {
+            return Faceted::mk_in(store, label, high, low);
+        }
         let high = high.assume_in(store, label, true);
         let low = low.assume_in(store, label, false);
         Faceted::ite_in(store, label, &high, &low)

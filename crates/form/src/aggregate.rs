@@ -78,11 +78,7 @@ mod tests {
     fn grow(guard: Branches, v: i64) -> (Branches, GuardedRow) {
         (
             guard.clone(),
-            GuardedRow {
-                jid: 1,
-                guard,
-                fields: vec![Value::Int(v)],
-            },
+            GuardedRow::new(1, guard, vec![Value::Int(v)]),
         )
     }
 
@@ -118,11 +114,7 @@ mod tests {
         let mut rows = FacetedList::new();
         rows.push(
             Branches::new(),
-            GuardedRow {
-                jid: 1,
-                guard: Branches::new(),
-                fields: vec![Value::from("x")],
-            },
+            GuardedRow::new(1, Branches::new(), vec![Value::from("x")]),
         );
         assert!(faceted_sum(&rows, 0).is_err());
     }

@@ -9,7 +9,7 @@ use std::sync::{Mutex, RwLock, RwLockReadGuard};
 use faceted::{Branches, FacetedList, IdHashMap, Label, LabelRegistry};
 use microdb::{
     ColumnDef, ColumnType, CreateMeta, Database, Operand, Predicate, Query, Row, RowDelta, Schema,
-    SortOrder, Statement, Table, TableRef, Value,
+    SortOrder, Statement, Table, Value,
 };
 
 use crate::error::{FormError, FormResult};
@@ -45,6 +45,21 @@ struct DecodedTable {
     generation: u64,
     rows: Option<FacetedList<GuardedRow>>,
     objects: IdHashMap<i64, FacetedObject>,
+}
+
+/// What [`FormDb::probe_object`] found in a current cache slot.
+enum ObjectProbe {
+    /// The object's memoized facet DAG.
+    Built(FacetedObject),
+    /// No DAG yet, but the decoded snapshot of the object's table.
+    Unbuilt(FacetedList<GuardedRow>),
+    /// Neither: the slot is missing, stale, or holds no snapshot.
+    Stale,
+}
+
+/// A decoded row as rebuild input: its guard and its interned leaf.
+fn leaf_of(row: &GuardedRow) -> (&Branches, &FacetedObject) {
+    (&row.guard, row.leaf())
 }
 
 /// A faceted database: a relational engine driven purely through
@@ -435,11 +450,11 @@ impl FormDb {
         let jvars = row[width + 1]
             .as_str()
             .ok_or_else(|| FormError::BadJvars("jvars is not a string".into()))?;
-        Ok(GuardedRow {
+        Ok(GuardedRow::new(
             jid,
-            guard: parse_jvars(jvars)?,
-            fields: row[..width].to_vec(),
-        })
+            parse_jvars(jvars)?,
+            row[..width].to_vec(),
+        ))
     }
 
     /// The decoded rows of `table` under an already-held table guard:
@@ -595,15 +610,21 @@ impl FormDb {
         self.delta_applies.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The rebuilt facet DAG of `(table, jid)` from the object layer
-    /// of the decode cache, if the slot is still current.
-    fn cached_object(&self, table: &str, generation: u64, jid: i64) -> Option<FacetedObject> {
+    /// One shared-lock probe of the decode cache for `(table, jid)` at
+    /// `generation`: the memoized facet DAG, else the decoded snapshot
+    /// to rebuild it from.
+    fn probe_object(&self, table: &str, generation: u64, jid: i64) -> ObjectProbe {
         let cache = self.decoded.read().expect("decode cache lock");
-        let slot = cache.get(table)?;
-        if slot.generation != generation {
-            return None;
+        match cache.get(table) {
+            Some(slot) if slot.generation == generation => match slot.objects.get(&jid) {
+                Some(obj) => ObjectProbe::Built(obj.clone()),
+                None => slot
+                    .rows
+                    .clone()
+                    .map_or(ObjectProbe::Stale, ObjectProbe::Unbuilt),
+            },
+            _ => ObjectProbe::Stale,
         }
-        slot.objects.get(&jid).cloned()
     }
 
     /// The cache slot for `(table, generation)`, creating or resetting
@@ -666,7 +687,7 @@ impl FormDb {
             let list: FacetedList<GuardedRow> = out.into_iter().collect();
             return Ok(FormDb::pruned(list, prune));
         };
-        Ok(FormDb::pruned(self.rows_at(table, t, &indices)?, prune))
+        Ok(FormDb::pruned(self.rows_at(table, &t, &indices)?, prune))
     }
 
     /// The rows of `table` whose `column` equals `value`, in physical
@@ -693,7 +714,7 @@ impl FormDb {
             crate::touched::note_read(table);
             let t = self.db.table(table)?;
             if let Some(hits) = t.index_probe_ref(column, value) {
-                return self.rows_at(table, t, &hits);
+                return self.rows_at(table, &t, hits);
             }
         }
         let pred = Predicate::eq(Operand::col(column), Operand::Lit(value.clone()));
@@ -701,19 +722,19 @@ impl FormDb {
     }
 
     /// The decoded rows of `table` at physical `indices` (in that
-    /// order), taken under the held table guard `t`: a selection of
-    /// the cached snapshot when there is one, otherwise a decode of
+    /// order), taken under the caller's table guard `t`: a selection
+    /// of the cached snapshot when there is one, otherwise a decode of
     /// the snapshot or of just these rows.
     fn rows_at(
         &self,
         table: &str,
-        t: TableRef<'_>,
+        t: &Table,
         indices: &[usize],
     ) -> FormResult<FacetedList<GuardedRow>> {
         let full_selection =
             indices.len() == t.len() && indices.iter().enumerate().all(|(p, &i)| p == i);
         if self.cache_enabled {
-            let decoded = match self.fresh_snapshot(table, &t) {
+            let decoded = match self.fresh_snapshot(table, t) {
                 Some(decoded) => {
                     self.cache_hits.fetch_add(1, Ordering::Relaxed);
                     Some(decoded)
@@ -724,12 +745,11 @@ impl FormDb {
                 // maintenance is on: the deltas then keep it fresh, so a
                 // write+get loop stays one decoded row per write.
                 None if full_selection || self.delta_maintenance => {
-                    Some(self.decoded_rows(table, &t)?)
+                    Some(self.decoded_rows(table, t)?)
                 }
                 None => None,
             };
             if let Some(decoded) = decoded {
-                drop(t);
                 // The matched rows of the shared snapshot: no row copy.
                 return Ok(if full_selection {
                     decoded
@@ -992,28 +1012,43 @@ impl FormDb {
         prune: Option<&Branches>,
     ) -> FormResult<FacetedObject> {
         crate::touched::note_read(table);
-        if self.cache_enabled && prune.is_none() {
-            let (generation, cached) = {
-                let t = self.db.table(table)?;
-                let generation = t.generation();
-                // On a miss, repair a stale slot before probing again,
-                // so memos of objects the write did not touch stay
-                // warm.
-                let cached = self.cached_object(table, generation, jid).or_else(|| {
-                    self.try_delta_advance(table, &t);
-                    self.cached_object(table, generation, jid)
-                });
-                (generation, cached)
-            };
-            if let Some(obj) = cached {
+        if !self.cache_enabled || prune.is_some() {
+            return self.rebuild_from_rows(table, jid, prune);
+        }
+        let t = self.db.table(table)?;
+        let generation = t.generation();
+        // On a miss, repair a stale slot before probing again, so
+        // memos of objects the write did not touch stay warm.
+        let probe = match self.probe_object(table, generation, jid) {
+            ObjectProbe::Stale => {
+                self.try_delta_advance(table, &t);
+                self.probe_object(table, generation, jid)
+            }
+            probe => probe,
+        };
+        // The cold object of a warm snapshot: its rows' leaves are
+        // already interned, so the rebuild only links splits.
+        let rebuilt = match probe {
+            ObjectProbe::Built(obj) => {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(obj);
             }
-            let obj = self.rebuild_from_rows(table, jid, None)?;
-            self.store_object(table, generation, jid, &obj);
-            return Ok(obj);
-        }
-        self.rebuild_from_rows(table, jid, prune)
+            ObjectProbe::Unbuilt(rows) => t
+                .index_probe_ref(JID, &Value::Int(jid))
+                .filter(|hits| !hits.is_empty())
+                .map(|hits| {
+                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    rebuild_rows(jid, hits.len(), |i| leaf_of(rows.row(hits[i]).1))
+                }),
+            ObjectProbe::Stale => None,
+        };
+        drop(t);
+        let obj = match rebuilt {
+            Some(obj) => obj?,
+            None => self.rebuild_from_rows(table, jid, None)?,
+        };
+        self.store_object(table, generation, jid, &obj);
+        Ok(obj)
     }
 
     /// Rebuilds one object's facet DAG from its (decoded) physical
@@ -1031,12 +1066,8 @@ impl FormDb {
                 jid,
             });
         }
-        rebuild_rows(
-            jid,
-            rows.iter()
-                .filter(|(g, _)| prune.is_none_or(|c| g.consistent_with(c)))
-                .map(|(_, r)| (&r.guard, &r.fields)),
-        )
+        let rows = FormDb::pruned(rows, prune);
+        rebuild_rows(jid, rows.len(), |i| leaf_of(rows.row(i).1))
     }
 
     /// Saves an object under a path condition: the paper's guarded
@@ -1246,25 +1277,8 @@ impl FormDb {
         Ok(())
     }
 
-    /// Seeds the decode cache's object layer with an already-rebuilt
-    /// facet DAG for `(table, jid)` **at the table's current
-    /// generation** — the warm-start path of checkpoint restore
-    /// (imported DAGs are re-interned, so priming preserves the
-    /// exporting process's node sharing).
-    ///
-    /// # Errors
-    ///
-    /// Table-lookup errors.
-    pub fn prime_object(&self, table: &str, jid: i64, obj: &FacetedObject) -> FormResult<()> {
-        let generation = self.db.table(table)?.generation();
-        if self.cache_enabled {
-            self.store_object(table, generation, jid, obj);
-        }
-        Ok(())
-    }
-
     /// The `jid`s of every logical object in `table`, ascending — the
-    /// checkpoint writer enumerates objects with this.
+    /// checkpoint writer counts objects with this.
     ///
     /// # Errors
     ///
@@ -2107,32 +2121,6 @@ mod tests {
     }
 
     #[test]
-    fn prime_object_warms_the_object_layer() {
-        let (db, _, jid) = event_db();
-        let obj = db.get("event", jid).unwrap();
-        let mut fresh = FormDb::new();
-        fresh
-            .create_table(
-                "event",
-                vec![
-                    ColumnDef::new("name", ColumnType::Str),
-                    ColumnDef::new("location", ColumnType::Str),
-                ],
-            )
-            .unwrap();
-        fresh.restore_database(&db.raw_ref().snapshot()).unwrap();
-        fresh.prime_object("event", jid, &obj).unwrap();
-        let misses = fresh.decode_cache_stats().misses;
-        let got = fresh.get("event", jid).unwrap();
-        assert_eq!(got, obj);
-        assert_eq!(
-            fresh.decode_cache_stats().misses,
-            misses,
-            "primed object served without a decode"
-        );
-    }
-
-    #[test]
     fn attached_wal_captures_marshalled_rows() {
         let path = std::env::temp_dir().join(format!("form_wal_test_{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -2432,8 +2420,7 @@ mod tests {
             let query =
                 Query::from("t").filter(Predicate::eq(Operand::col(JID), Operand::lit(jid)));
             let rows = db.select_decoded("t", &query, None).unwrap();
-            let planned =
-                rebuild_rows(jid, rows.iter().map(|(_, r)| (&r.guard, &r.fields))).unwrap();
+            let planned = rebuild_rows(jid, rows.len(), |i| leaf_of(rows.row(i).1)).unwrap();
             assert_eq!(cold, planned, "jid {jid}");
         }
 

@@ -1,6 +1,8 @@
 //! Logical objects: reconstruction of facet structure from guarded
 //! physical rows, and flattening back.
 
+use std::cell::Cell;
+
 use faceted::{Branches, Faceted, Label};
 use microdb::{Row, Value};
 
@@ -8,6 +10,10 @@ use crate::error::{FormError, FormResult};
 
 /// One physical row of a logical object, with its parsed guard. The
 /// `fields` exclude the meta columns.
+///
+/// The row also carries its interned `Some(fields)` leaf: the leaf a
+/// rebuilt [`FacetedObject`] places under this row's guard, so a
+/// rebuild from decoded rows interns no leaf and copies no row.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GuardedRow {
     /// Logical object id.
@@ -16,6 +22,30 @@ pub struct GuardedRow {
     pub guard: Branches,
     /// The user-visible columns.
     pub fields: Row,
+    leaf: FacetedObject,
+}
+
+impl GuardedRow {
+    /// A guarded row of `fields`, with its leaf interned (the row is
+    /// copied only if no equal leaf is interned yet).
+    #[must_use]
+    pub fn new(jid: i64, guard: Branches, fields: Row) -> GuardedRow {
+        let mut row = Some(fields);
+        let leaf = Faceted::leaf_ref(&row);
+        GuardedRow {
+            jid,
+            guard,
+            fields: row.take().unwrap_or_default(),
+            leaf,
+        }
+    }
+
+    /// The row as the interned `Some(fields)` leaf of its object's
+    /// facet tree.
+    #[must_use]
+    pub fn leaf(&self) -> &FacetedObject {
+        &self.leaf
+    }
 }
 
 /// A reconstructed logical object: its facet tree over field rows.
@@ -31,51 +61,78 @@ pub type FacetedObject = Faceted<Option<Row>>;
 /// [`FormError::FacetConflict`] if two rows are visible to the same
 /// view — the stored facets are ambiguous.
 pub fn rebuild_object(jid: i64, rows: &[(Branches, Row)]) -> FormResult<FacetedObject> {
-    rebuild_rows(jid, rows.iter().map(|(g, r)| (g, r)))
+    let leaves: Vec<FacetedObject> = rows
+        .iter()
+        .map(|(_, r)| Faceted::leaf(Some(r.clone())))
+        .collect();
+    rebuild_rows(jid, rows.len(), |i| (&rows[i].0, &leaves[i]))
 }
 
-/// [`rebuild_object`] over borrowed rows: each row is cloned once,
-/// into its leaf, however deep the facet tree.
+thread_local! {
+    /// The rebuild's scratch stack of row positions, kept per thread so
+    /// that a rebuild allocates nothing once the stack has grown.
+    static SCRATCH: Cell<Vec<usize>> = const { Cell::new(Vec::new()) };
+}
+
+/// [`rebuild_object`] over `n` rows whose fields are already interned
+/// leaves (a decoded [`GuardedRow`]'s [`GuardedRow::leaf`]), row `i`
+/// being `row(i)`: no leaf is interned or copied, and the facet tree
+/// is built bottom-up over one scratch stack of row positions.
 pub(crate) fn rebuild_rows<'a>(
     jid: i64,
-    rows: impl IntoIterator<Item = (&'a Branches, &'a Row)>,
+    n: usize,
+    row: impl Fn(usize) -> (&'a Branches, &'a FacetedObject),
 ) -> FormResult<FacetedObject> {
+    let mut stack = SCRATCH.with(Cell::take);
+    stack.clear();
     // Drop internally contradictory guards: no view can see them.
-    let live: Vec<(&Branches, &Row)> = rows
-        .into_iter()
-        .filter(|(g, _)| g.is_consistent())
-        .collect();
-    rebuild(jid, &live, None)
+    stack.extend((0..n).filter(|&i| row(i).0.is_consistent()));
+    let built = rebuild(jid, &row, &mut stack, 0, None);
+    SCRATCH.with(|s| s.set(stack));
+    built
 }
 
-/// Splits on the smallest label above `decided` — the labels at or
-/// below it were fixed by the path to this node (the split labels
-/// increase along it), so reading guards only above `decided` is
-/// reading them with those branches stripped.
-fn rebuild(
+/// Builds the facet tree of the rows at `stack[start..]`, all of whose
+/// guards agree with the branches taken on the way here. Splits on the
+/// smallest label above `decided` — the labels at or below it were
+/// fixed by the path to this node (the split labels increase along
+/// it), so reading guards only above `decided` is reading them with
+/// those branches stripped. Each side's rows are pushed above
+/// `stack[start..]` and popped once built. The split label sits below
+/// every label of both sides, so each split is interned as built,
+/// children first.
+fn rebuild<'a>(
     jid: i64,
-    rows: &[(&Branches, &Row)],
+    row: &impl Fn(usize) -> (&'a Branches, &'a FacetedObject),
+    stack: &mut Vec<usize>,
+    start: usize,
     decided: Option<Label>,
 ) -> FormResult<FacetedObject> {
-    if rows.is_empty() {
-        return Ok(Faceted::leaf(None));
-    }
+    let end = stack.len();
     let open = |l: &Label| decided.is_none_or(|d| *l > d);
-    let label: Option<Label> = rows.iter().flat_map(|(g, _)| g.labels().filter(open)).min();
+    let label = stack[start..]
+        .iter()
+        .filter_map(|&i| row(i).0.labels().find(open))
+        .min();
     let Some(k) = label else {
-        if rows.len() > 1 {
-            return Err(FormError::FacetConflict { jid });
+        return match stack[start..] {
+            [] => Ok(Faceted::leaf(None)),
+            [i] => Ok(row(i).1.clone()),
+            _ => Err(FormError::FacetConflict { jid }),
+        };
+    };
+    let mut side = |polarity: bool| -> FormResult<FacetedObject> {
+        for p in start..end {
+            if row(stack[p]).0.polarity_of(k) != Some(!polarity) {
+                stack.push(stack[p]);
+            }
         }
-        return Ok(Faceted::leaf(Some(rows[0].1.clone())));
+        let built = rebuild(jid, row, stack, end, Some(k));
+        stack.truncate(end);
+        built
     };
-    let side = |polarity: bool| -> Vec<(&Branches, &Row)> {
-        rows.iter()
-            .filter(|(g, _)| g.polarity_of(k) != Some(!polarity))
-            .copied()
-            .collect()
-    };
-    let high = rebuild(jid, &side(true), Some(k))?;
-    let low = rebuild(jid, &side(false), Some(k))?;
+    let high = side(true)?;
+    let low = side(false)?;
     Ok(Faceted::split(k, high, low))
 }
 

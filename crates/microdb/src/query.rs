@@ -192,7 +192,7 @@ impl Query {
             .index_candidate()
             .and_then(|(col, val)| table.index_probe_ref(col, val));
         let candidates: Vec<usize> = match probed {
-            Some(hits) => hits,
+            Some(hits) => hits.to_vec(),
             None => (0..rows.len()).collect(),
         };
         let mut kept = Vec::with_capacity(candidates.len());

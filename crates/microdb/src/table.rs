@@ -366,13 +366,13 @@ impl Table {
     /// exists — the pre-cache anomaly was unmarshalling noise at
     /// microsecond scale, and the post-cache sweep is flat).
     #[must_use]
-    pub fn index_probe_ref(&self, column: &str, value: &Value) -> Option<Vec<usize>> {
+    pub fn index_probe_ref(&self, column: &str, value: &Value) -> Option<&[usize]> {
         let ix = self.schema.column_index(column)?;
         let index = self.indexes.iter().find(|i| i.column == ix)?;
         if index.dirty {
             return None;
         }
-        Some(index.map.get(value).cloned().unwrap_or_default())
+        Some(index.map.get(value).map_or(&[], Vec::as_slice))
     }
 
     /// Rebuilds every dirty index now, so subsequent read-only probes

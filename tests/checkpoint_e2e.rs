@@ -3,8 +3,8 @@
 //! `admin/checkpoint` route, killed, and booted from the checkpoint
 //! directory in fresh process state — and every page of the
 //! all-pages × all-viewers differential grid must come back
-//! byte-identical over a real TCP round-trip, with the interner's
-//! facet-DAG sharing (node count) preserved across the round trip.
+//! byte-identical over a real TCP round-trip, with every object
+//! (live `jid`) accounted for on both sides of the kill.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -122,7 +122,7 @@ fn capture_grid(addr: SocketAddr, n_users: i64, pages: &[String]) -> Vec<(u16, S
 }
 
 /// Parses a counter out of the `admin/checkpoint` response body
-/// (`checkpoint: … facet_nodes=N …`).
+/// (`checkpoint: … objects=N …`).
 fn stat(body: &str, key: &str) -> u64 {
     body.split_whitespace()
         .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
@@ -172,12 +172,11 @@ fn served_app_survives_kill_and_restore_byte_identically() {
     });
 
     // A final checkpoint so the snapshot covers the complete state —
-    // and so both processes' facet-node counts are comparable.
+    // and so both processes' object counts are comparable.
     let mut admin = Client::connect(addr);
     admin.login(1);
     let final_checkpoint = admin.post("admin/checkpoint", "");
     assert_eq!(final_checkpoint.status, 200);
-    let nodes_before = stat(&final_checkpoint.text(), "facet_nodes");
     let objects_before = stat(&final_checkpoint.text(), "objects");
     assert_eq!(
         objects_before as i64,
@@ -198,17 +197,12 @@ fn served_app_survives_kill_and_restore_byte_identically() {
         assert_eq!(b, a, "grid cell {i} (page {:?})", pages[i % pages.len()]);
     }
 
-    // Sharing across the round trip: re-checkpointing the restored
-    // app exports a node table of exactly the same size.
+    // Every object survives the kill: re-checkpointing the restored
+    // app counts the same live jids.
     let mut admin = Client::connect(restored.addr());
     admin.login(1);
     let again = admin.post("admin/checkpoint", "");
     assert_eq!(again.status, 200, "{}", again.text());
-    assert_eq!(
-        stat(&again.text(), "facet_nodes"),
-        nodes_before,
-        "facet-DAG sharing preserved across kill/restore"
-    );
     assert_eq!(stat(&again.text(), "objects"), objects_before);
     restored.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -287,5 +281,39 @@ fn admin_checkpoint_route_is_gated() {
         "the authenticated checkpoint captured the new paper"
     );
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A version-2 manifest, which also listed facet-DAG object groups
+/// (`objects` / `model … ` / `g …` lines), is refused with an error
+/// naming its version, and the refused boot writes nothing.
+#[test]
+fn v2_manifest_with_object_groups_is_refused() {
+    let dir = temp_dir("v2");
+    let site = serve::conference_site_persistent(workload::conference(3, 2).app, &dir)
+        .expect("persistent site");
+    drop(site);
+    let path = dir.join(CHECKPOINT_FILE);
+    let v3 = std::fs::read_to_string(&path).expect("boot checkpoint");
+    let hash = v3
+        .lines()
+        .find_map(|l| l.strip_prefix("app-meta "))
+        .expect("app-meta line")
+        .to_owned();
+    let v2 = v3
+        .replacen("jacqueline-checkpoint v3", "jacqueline-checkpoint v2", 1)
+        .replacen(
+            "manifest-end\n",
+            &format!("objects 1\nmodel paper 2 1\ng 0 {hash} 2 5\nend\nmanifest-end\n"),
+            1,
+        );
+    std::fs::write(&path, &v2).unwrap();
+
+    let err = match serve::conference_site_restored(&dir) {
+        Ok(_) => panic!("a v2 manifest must be refused"),
+        Err(e) => e.to_string(),
+    };
+    assert!(err.contains("v2"), "the error names the version: {err}");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), v2, "left as found");
     let _ = std::fs::remove_dir_all(&dir);
 }
