@@ -21,20 +21,23 @@
 //!   flip the app to read-only (writes `503 Retry-After`, reads and
 //!   `admin/health` keep answering), and a successful
 //!   `admin/checkpoint` must clear it.
-//! * **Backpressure** — flooding a one-worker executor with a small
-//!   queue bound must shed with `503 Retry-After` rather than queue
-//!   without limit, and the service must serve normally again once
-//!   the flood drains.
+//! * **Backpressure** — flooding a one-permit admission gate with a
+//!   line of four must shed exactly the requests past the line with
+//!   `503 Retry-After` rather than queue without limit, and the
+//!   service must serve normally again once the flood drains.
 //!
 //! Determinism: the only randomness is a [`SplitMix64`] stream seeded
-//! from the caller, so a failing seed replays exactly (`chaos --seed
+//! from the caller, and every request — scheduled checkpoint included
+//! — runs on the driver's thread through [`ExecutorService::serve`],
+//! so a seed replays exactly, report line and all (`chaos --seed
 //! N`). The fault registry is process-global — callers running
 //! several seeds in one process must run them **sequentially** (the
 //! `chaos_e2e` test and the `chaos` binary both do).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use apps::{serve, workload};
@@ -99,7 +102,7 @@ pub struct ChaosReport {
     pub restore_retries: usize,
     /// Full degraded arcs (fault → read-only → checkpoint → healthy).
     pub degraded_arcs: usize,
-    /// Requests shed by the bounded executor queue in the flood stage.
+    /// Requests shed by the admission gate in the flood stage.
     pub sheds: usize,
     /// Grid cells (page × viewer) compared byte-for-byte.
     pub grid_cells_checked: usize,
@@ -107,8 +110,8 @@ pub struct ChaosReport {
     /// (accumulated across kills, since each restore starts a fresh
     /// cache).
     pub fragment_repairs: u64,
-    /// Checkpoints the executor's record-pressure scheduler ran on
-    /// its own (accumulated across kills, like `fragment_repairs`).
+    /// Checkpoints the service's record-pressure scheduler ran after
+    /// a request (accumulated across kills, like `fragment_repairs`).
     pub scheduled_checkpoints: u64,
 }
 
@@ -241,20 +244,23 @@ struct Scenario {
     next_marker: usize,
 }
 
-const EXECUTOR_THREADS: usize = 3;
-const SCENARIO_QUEUE: usize = 64;
+/// Scenarios started in this process.
+static SCENARIO_RUNS: AtomicUsize = AtomicUsize::new(0);
+
 /// The scheduled-checkpoint policy the scenarios run under:
 /// record-count-only, so the schedule is a pure function of the WAL
 /// stream (a wall-clock term would make the interleaving depend on
 /// machine speed and break seed replay).
 const SCHEDULE_EVERY_RECORDS: u64 = 3;
 
+/// The scenario's service. The driver is sequential, so one permit
+/// and no line suffice.
 fn start_service(site: &Site) -> ExecutorService {
     ExecutorService::start_scheduled(
         Arc::clone(&site.app),
         Arc::clone(&site.router),
-        EXECUTOR_THREADS,
-        SCENARIO_QUEUE,
+        1,
+        0,
         CheckpointPolicy {
             every_records: Some(SCHEDULE_EVERY_RECORDS),
             every: None,
@@ -284,7 +290,11 @@ impl Scenario {
         fragments: bool,
         incremental: bool,
     ) -> Result<Scenario, String> {
-        let frag = format!("jacq_chaos_s{seed}_{}_{}", kind.name(), std::process::id());
+        // The run number keeps two runs of one seed in one process
+        // (the replay test) out of each other's directory and faults.
+        let run = SCENARIO_RUNS.fetch_add(1, Ordering::Relaxed);
+        let pid = std::process::id();
+        let frag = format!("jacq_chaos_s{seed}_{}_{pid}_{run}", kind.name());
         let dir = std::env::temp_dir().join(&frag);
         let _ = std::fs::remove_dir_all(&dir);
         let site = kind
@@ -760,62 +770,70 @@ impl Scenario {
     }
 }
 
-/// Floods a one-worker, depth-4 executor with slow requests: the
-/// bound must shed (503 + `Retry-After`), never queue past the
-/// limit, and the service must answer normally once drained.
-fn flood_stage(report: &mut ChaosReport) -> Result<(), String> {
-    let app = Arc::new(App::new());
-    let mut router = Router::new();
-    router.route_read("chaos/slow", |_app: &App, _req| {
-        std::thread::sleep(Duration::from_millis(2));
-        Response::ok("slow\n".to_owned())
-    });
-    let router = Arc::new(router);
-    let service = ExecutorService::start_bounded(Arc::clone(&app), Arc::clone(&router), 1, 4);
+/// The flood stage's admission line: requests that may wait for the
+/// one permit.
+const FLOOD_LINE: usize = 4;
+/// Requests flooded at the gate on top of the one that holds its
+/// permit.
+const FLOOD: usize = 48;
 
-    let receivers: Vec<_> = (0..48)
-        .map(|i| {
-            service.submit(
-                Request::new("chaos/slow", Viewer::Anonymous).with_param("i", &i.to_string()),
-            )
-        })
-        .collect();
-    let mut ok = 0usize;
-    let mut shed = 0usize;
-    for rx in receivers {
-        let served = rx.recv().map_err(|e| format!("flood recv: {e}"))?;
-        match served.response.status {
-            200 => ok += 1,
-            503 => {
-                if served.response.header("retry-after").is_none() {
-                    return Err("shed response missing Retry-After".to_owned());
-                }
-                shed += 1;
-            }
-            other => return Err(format!("flood response had status {other}")),
+/// Sends `1 + FLOOD` requests at once, each on its own thread, through
+/// a one-permit gate with a line of [`FLOOD_LINE`]; the route parks
+/// until released. One request takes the permit and parks and the
+/// line fills behind it, so every other request must be shed at once
+/// with `503` + `Retry-After`, never queued past the bound. Once
+/// released, the holder and the line are served, and the gate serves
+/// normally again.
+fn flood_stage(report: &mut ChaosReport) -> Result<(), String> {
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    let mut router = Router::new();
+    // Parks until the stage drops its release sender.
+    router.route_read("chaos/park", move |_app: &App, _req| {
+        let _ = release_rx.lock().expect("release").recv();
+        Response::ok("parked\n".to_owned())
+    });
+    let service =
+        ExecutorService::start_bounded(Arc::new(App::new()), Arc::new(router), 1, FLOOD_LINE);
+    let park = || Request::new("chaos/park", Viewer::Anonymous);
+
+    let (early, mut late) = std::thread::scope(|scope| {
+        let (done_tx, done_rx) = mpsc::channel();
+        for _ in 0..=FLOOD {
+            let (service, done_tx) = (&service, done_tx.clone());
+            scope.spawn(move || done_tx.send(service.serve(park()).response));
         }
-    }
-    if shed == 0 {
-        return Err("bounded queue never shed under flood".to_owned());
-    }
-    if ok == 0 {
-        return Err("bounded queue served nothing under flood".to_owned());
-    }
-    if service.sheds() != shed {
+        drop(done_tx);
+        // Nothing admitted can finish while the permit holder is
+        // parked, so every answer before the release is a shed.
+        let early: Vec<Response> = (0..FLOOD - FLOOD_LINE)
+            .map_while(|_| done_rx.recv_timeout(Duration::from_secs(10)).ok())
+            .collect();
+        drop(release_tx);
+        (early, done_rx.iter().collect::<Vec<_>>())
+    });
+    // Recovery: the drained gate serves normally.
+    late.push(service.serve(park()).response);
+    let answers = |responses: &[Response]| -> Vec<(u16, Option<String>)> {
+        responses
+            .iter()
+            .map(|r| (r.status, r.header("retry-after").map(str::to_owned)))
+            .collect()
+    };
+    let (early, late) = (answers(&early), answers(&late));
+    if early != vec![(503, Some("1".to_owned())); FLOOD - FLOOD_LINE]
+        || late != vec![(200, None); FLOOD_LINE + 2]
+        || service.sheds() != early.len()
+    {
         return Err(format!(
-            "shed counter {} disagrees with observed sheds {shed}",
-            service.sheds()
+            "flood answered {early:?} while the permit was held and {late:?} after \
+             (shed counter {}); want {} sheds with Retry-After, then the holder, \
+             the line of {FLOOD_LINE} and one more request served",
+            service.sheds(),
+            FLOOD - FLOOD_LINE
         ));
     }
-    // Recovery: the drained service serves normally.
-    let after = service
-        .serve(Request::new("chaos/slow", Viewer::Anonymous).with_param("i", "after"))
-        .response;
-    if after.status != 200 {
-        return Err(format!("post-flood request got {}", after.status));
-    }
-    report.sheds += shed;
-    service.shutdown();
+    report.sheds += early.len();
     Ok(())
 }
 
@@ -831,7 +849,7 @@ pub fn run_seed(seed: u64) -> Result<ChaosReport, String> {
 }
 
 /// Runs one full chaos seed: a randomized scenario over each of the
-/// three applications, then the executor flood stage. `fragments`
+/// three applications, then the admission flood stage. `fragments`
 /// is the scenario knob for render-cache fragment repair: with it
 /// off, every stale cache entry pays a full re-render, giving an
 /// ablated arm whose interleaving is bit-identical (the knob never
@@ -954,6 +972,6 @@ mod tests {
     fn flood_sheds_and_recovers() {
         let mut report = ChaosReport::default();
         flood_stage(&mut report).expect("flood stage invariants");
-        assert!(report.sheds > 0);
+        assert_eq!(report.sheds, FLOOD - FLOOD_LINE);
     }
 }

@@ -8,6 +8,12 @@
 //! replaces only the plan under the same fragment — so the tests of
 //! this file may run in parallel without disarming each other.
 
+/// The counts a scenario knob must leave alone: both arms of a seed
+/// replay one interleaving.
+fn interleaving(r: &jbench::chaos::ChaosReport) -> (usize, usize, usize, u64) {
+    (r.steps, r.kills, r.checkpoints, r.scheduled_checkpoints)
+}
+
 #[test]
 fn pinned_chaos_seeds_hold_every_invariant() {
     for seed in [1, 7, 0xc4a0] {
@@ -16,7 +22,10 @@ fn pinned_chaos_seeds_hold_every_invariant() {
         println!("{report}");
         assert!(report.kills >= 3, "every app gets killed at least once");
         assert!(report.degraded_arcs >= 3, "every app degrades + recovers");
-        assert!(report.sheds > 0, "the flood stage must shed");
+        assert_eq!(
+            report.sheds, 44,
+            "the flood sheds exactly what is past the line"
+        );
         assert!(report.writes_ok > 0, "scenarios must land real writes");
         assert!(report.grid_cells_checked > 0);
         assert!(
@@ -52,8 +61,8 @@ fn pinned_fragment_seed_repairs_and_its_ablation_does_not() {
         "the ablated arm never repairs — it discards and re-renders"
     );
     assert_eq!(
-        (off.steps, off.kills, off.checkpoints),
-        (on.steps, on.kills, on.checkpoints),
+        interleaving(&off),
+        interleaving(&on),
         "the knob never draws from the RNG: both arms replay one interleaving"
     );
 }
@@ -86,8 +95,24 @@ fn pinned_incremental_seed_matches_its_full_snapshot_ablation() {
         "the full-snapshot arm schedules checkpoints too"
     );
     assert_eq!(
-        (off.steps, off.kills, off.checkpoints),
-        (on.steps, on.kills, on.checkpoints),
+        interleaving(&off),
+        interleaving(&on),
         "the knob never draws from the RNG: both arms replay one interleaving"
     );
+}
+
+/// Seeds replay exactly: every request, the scheduled checkpoints its
+/// post-request hook runs included, executes on the driver's thread,
+/// so two runs of one seed print the same report line — scheduled
+/// checkpoint and shed counts too.
+#[test]
+fn pinned_seeds_replay_identical_reports() {
+    for seed in [0xc4a0, 0x1c4e] {
+        let [first, second] = [0, 1].map(|_| {
+            jbench::chaos::run_seed(seed)
+                .unwrap_or_else(|violation| panic!("chaos seed {seed}: {violation}"))
+                .to_string()
+        });
+        assert_eq!(first, second, "chaos seed {seed} did not replay");
+    }
 }

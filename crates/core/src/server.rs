@@ -13,19 +13,20 @@
 //!    malformed input with the wire layer's status, and resolves the
 //!    viewer through the [`Authenticator`] — an invalid session token
 //!    is a `403` before any controller runs;
-//! 3. the authenticated request passes the **admission gate** — at
-//!    most [`ServerConfig::executor_threads`] requests dispatch at
-//!    once, at most [`ServerConfig::queue_depth`] more wait for a
-//!    permit, and the rest are shed with `503 Retry-After: 1` — and
-//!    the same worker then dispatches it itself
-//!    (`Executor::dispatch_traced`) under the route's footprint
-//!    locks on the shared [`App`]; there is no hand-off to another
-//!    thread. How long it waited vs. executed goes out as
-//!    `X-Queue-Us` / `X-Service-Us` response headers;
-//! 4. the response is serialized back, then the post-request hook
-//!    runs a scheduled checkpoint if the [`crate::CheckpointPolicy`]
-//!    says one is due; the connection stays open for the next request
-//!    unless the peer (or HTTP/1.0) asked to close.
+//! 3. the authenticated request goes through the server's
+//!    [`ExecutorService`] on the same worker — there is no hand-off to
+//!    another thread. Its **admission gate** lets at most
+//!    [`ServerConfig::executor_threads`] requests dispatch at once and
+//!    at most [`ServerConfig::queue_depth`] more wait for a permit;
+//!    the rest are shed with `503 Retry-After: 1`. An admitted request
+//!    is dispatched under the route's footprint locks on the shared
+//!    [`App`]. How long it waited for the permit vs. executed goes out
+//!    as `X-Queue-Us` / `X-Service-Us` response headers;
+//! 4. the response is serialized back, then the service's
+//!    post-request hook runs a scheduled checkpoint if the
+//!    [`crate::CheckpointPolicy`] says one is due; the connection
+//!    stays open for the next request unless the peer (or HTTP/1.0)
+//!    asked to close.
 //!
 //! [`Server::shutdown`] stops accepting, unblocks parked readers by
 //! shutting their sockets down, and joins every thread — tests and
@@ -35,15 +36,14 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::app::App;
 use crate::auth::{AuthOutcome, Authenticator};
-use crate::executor::{CheckpointScheduler, Executor, ServedResponse};
+use crate::executor::ExecutorService;
 use crate::http::{Request, Response, Router};
-use crate::rendercache::RenderCacheStatus;
 use crate::wire::{self, WireError, WireRequest};
 
 /// Everything one served application needs: the shared [`App`], its
@@ -120,68 +120,11 @@ impl Default for ServerConfig {
 /// How long the accept loop sleeps after a failed `accept`.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-/// The admission gate: a counting semaphore of `permits` with a
-/// bounded line of waiters. Requests past the line are shed.
-struct Admission {
-    permits: usize,
-    max_waiting: usize,
-    /// `(dispatching, waiting)`.
-    state: Mutex<(usize, usize)>,
-    freed: Condvar,
-    sheds: AtomicUsize,
-}
-
-/// A held admission permit, returned on drop.
-struct Permit<'a>(&'a Admission);
-
-impl Admission {
-    fn new(permits: usize, max_waiting: usize) -> Admission {
-        Admission {
-            permits: permits.max(1),
-            max_waiting,
-            state: Mutex::new((0, 0)),
-            freed: Condvar::new(),
-            sheds: AtomicUsize::new(0),
-        }
-    }
-
-    /// Takes a permit, waiting for one if all are held; `None` (the
-    /// request is shed) when the line of waiters is already full.
-    fn enter(&self) -> Option<Permit<'_>> {
-        let mut state = self.state.lock().expect("admission gate");
-        if state.0 >= self.permits {
-            if state.1 >= self.max_waiting {
-                drop(state);
-                self.sheds.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            state.1 += 1;
-            while state.0 >= self.permits {
-                state = self.freed.wait(state).expect("admission gate");
-            }
-            state.1 -= 1;
-        }
-        state.0 += 1;
-        Some(Permit(self))
-    }
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        let mut state = self.0.state.lock().expect("admission gate");
-        state.0 -= 1;
-        let waiting = state.1 > 0;
-        drop(state);
-        if waiting {
-            self.0.freed.notify_one();
-        }
-    }
-}
-
 struct ServerShared {
     site: Site,
-    admission: Admission,
-    checkpoints: Option<CheckpointScheduler>,
+    /// The admission gate, dispatch and post-request hook every
+    /// request goes through.
+    service: ExecutorService,
     config: ServerConfig,
     conns: Mutex<VecDeque<TcpStream>>,
     conn_ready: Condvar,
@@ -216,11 +159,16 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        site.app.request_locks.ensure(site.router.declared_tables());
+        let service = ExecutorService::start_scheduled(
+            Arc::clone(&site.app),
+            Arc::clone(&site.router),
+            config.executor_threads,
+            config.queue_depth,
+            config.checkpoint,
+        );
         let shared = Arc::new(ServerShared {
             site,
-            admission: Admission::new(config.executor_threads, config.queue_depth),
-            checkpoints: CheckpointScheduler::new(config.checkpoint),
+            service,
             config,
             conns: Mutex::new(VecDeque::new()),
             conn_ready: Condvar::new(),
@@ -269,7 +217,7 @@ impl Server {
     /// dispatch) since start.
     #[must_use]
     pub fn sheds(&self) -> usize {
-        self.shared.admission.sheds.load(Ordering::Relaxed)
+        self.shared.service.sheds()
     }
 
     fn accept_loop(listener: &TcpListener, shared: &ServerShared) {
@@ -372,9 +320,7 @@ impl Server {
             {
                 return;
             }
-            if let Some(checkpoints) = &shared.checkpoints {
-                checkpoints.after_request(&shared.site.app);
-            }
+            shared.service.after_request();
             if !keep_alive {
                 let _ = writer.shutdown(Shutdown::Both);
                 return;
@@ -413,7 +359,7 @@ impl Server {
             viewer,
             params: wire_request.params,
         };
-        let served = Server::dispatch(shared, &request);
+        let served = shared.service.dispatch(&request);
         // Timing and cache-status headers are appended *after*
         // dispatch, so a render-cache hit still reports its own fresh
         // queue/service numbers instead of replaying the ones stored
@@ -423,20 +369,6 @@ impl Server {
             .with_header("X-Queue-Us", &served.queued.as_micros().to_string())
             .with_header("X-Service-Us", &served.service.as_micros().to_string())
             .with_header("X-Render-Cache", served.render_cache.as_str())
-    }
-
-    /// Runs one request under an admission permit, or sheds it.
-    fn dispatch(shared: &ServerShared, request: &Request) -> ServedResponse {
-        let arrived = Instant::now();
-        let Some(_permit) = shared.admission.enter() else {
-            return ServedResponse {
-                response: Response::unavailable("server overloaded: the admission queue is full"),
-                queued: Duration::ZERO,
-                service: Duration::ZERO,
-                render_cache: RenderCacheStatus::Bypass,
-            };
-        };
-        Executor::serve_timed(&shared.site.app, &shared.site.router, request, arrived)
     }
 
     /// Stops the server: no new connections, parked readers unblocked,
@@ -883,7 +815,7 @@ mod tests {
             .unwrap();
             let conn = TcpStream::connect(server.addr()).unwrap();
             std::thread::sleep(Duration::from_micros(250 * cycle));
-            let started = Instant::now();
+            let started = std::time::Instant::now();
             server.shutdown();
             assert!(
                 started.elapsed() < Duration::from_secs(1),
