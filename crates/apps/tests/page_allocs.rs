@@ -11,6 +11,12 @@
 //! rebuild reuses the decoded rows' interned leaves, so it allocates
 //! only the facet splits and its scratch buffer, never a row copy.
 //!
+//! A third pin counts *bytes*: what one cached `papers/all` miss
+//! leaves resident through the served path. A render-cache entry keeps
+//! its page once, plus a 16-byte span per object for fragment repair;
+//! storing the fragments again as strings of their own roughly doubles
+//! it.
+//!
 //! It lives in a test binary of its own because it installs a
 //! counting global allocator. Only the calling thread's allocations
 //! count, so the harness's own threads cannot disturb the numbers.
@@ -20,26 +26,34 @@ use std::cell::Cell;
 
 use apps::workload;
 use apps::{conf, courses, health};
-use jacqueline::{App, Request, Router, Viewer};
+use jacqueline::{App, Executor, Request, Router, Viewer};
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn live_bytes(delta: i64) {
+    LIVE_BYTES.with(|n| n.set(n.get() + delta));
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator,
-// which upholds `GlobalAlloc`'s contract; the counter is a
-// const-initialized thread-local `Cell` without a destructor, so
-// touching it neither allocates nor re-enters the allocator.
+// which upholds `GlobalAlloc`'s contract; the counters are
+// const-initialized thread-local `Cell`s without a destructor, so
+// touching them neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        live_bytes(layout.size() as i64);
         // SAFETY: the caller's `layout` guarantees are passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_bytes(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above,
         // with this `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
@@ -47,6 +61,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        live_bytes(new_size as i64 - layout.size() as i64);
         // SAFETY: as for `dealloc`; `new_size` is the caller's, passed
         // through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -168,6 +183,40 @@ fn cold_gets_allocate_at_most_their_pinned_count() {
     );
 }
 
+#[test]
+fn a_cached_page_keeps_its_bytes_once() {
+    let conference = workload::conference(N, N);
+    let app = &conference.app;
+    let router = conf::router();
+    let request = [Request::new(
+        "papers/all",
+        Viewer::User(conference.pc_member),
+    )];
+    // Warm every layer under the page, then drop the stored entry so
+    // the measured request misses again.
+    let warm = Executor::run(app, &router, &request);
+    app.set_render_cache(false);
+    app.set_render_cache(true);
+    let before = LIVE_BYTES.with(Cell::get);
+    let page = Executor::run(app, &router, &request);
+    let body = page[0].body.len() as i64;
+    assert_eq!(page, warm);
+    drop(page);
+    let retained = LIVE_BYTES.with(Cell::get) - before;
+    let stats = app.render_cache_stats();
+    assert_eq!((stats.misses, stats.hits), (2, 0), "both requests missed");
+    let pin = body + 16 * N as i64 + CACHED_PAGE_SLACK;
+    eprintln!(
+        "papers/all miss: {retained} bytes retained for a {body}-byte page \
+         ({:.1} per paper above the body; pin {pin})",
+        (retained - body) as f64 / N as f64
+    );
+    assert!(
+        retained <= pin,
+        "a cached papers/all page retains {retained} bytes, over its pin of {pin}"
+    );
+}
+
 /// The pins: allocations of one `N`-row render, upper bounds equal to
 /// the counts measured when they were set. Lower one when a change
 /// cuts allocations; never raise one to make the test pass.
@@ -182,3 +231,8 @@ const RECORDS_ALL: u64 = 6_471; // 6.319 per row
 /// 8 204 allocations for the papers and 10 250 for the users.
 const COLD_PAPER_GETS: u64 = 12;
 const COLD_USER_GETS: u64 = 10;
+
+/// Bytes a cached page may retain beyond its body and one 16-byte span
+/// per object: the key, the generation stamp and the decomposition's
+/// table name.
+const CACHED_PAGE_SLACK: i64 = 128;

@@ -41,6 +41,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
+use faceted::IdHashMap;
+
 use crate::app::App;
 use crate::http::{Footprint, Request, Response, Router};
 use crate::rendercache::{FragmentedPage, Lookup, RenderCacheStatus, RenderKey, StaleEntry};
@@ -241,7 +243,7 @@ impl Executor {
                     }
                     let key = Executor::render_key(router, request);
                     let db = app.db.raw_ref();
-                    match cache.lookup(&key, |table| db.generation(table).ok()) {
+                    match cache.lookup(&key, fp, |table| db.generation(table).ok()) {
                         Lookup::Hit(response) => return (response, RenderCacheStatus::Hit),
                         Lookup::Stale(stale) => {
                             if let Some(response) =
@@ -263,7 +265,7 @@ impl Executor {
                     // chaos cached-vs-uncached oracle pin end-to-end.
                     let (response, fragments) =
                         match Executor::render_fragmented(app, router, request) {
-                            Some((page, body)) => {
+                            Some((body, page)) => {
                                 #[cfg(debug_assertions)]
                                 {
                                     let checked =
@@ -284,7 +286,7 @@ impl Executor {
                                         body.len(),
                                     );
                                 }
-                                (Response::ok(body), Some(page))
+                                (Response::ok(body), page)
                             }
                             None => {
                                 let response =
@@ -299,11 +301,7 @@ impl Executor {
                     // under. A table the footprint names but the
                     // database lacks (possible in synthetic tests)
                     // makes the page unstampable — skip the store.
-                    let generations: Option<Vec<(String, u64)>> = fp
-                        .tables()
-                        .map(|t| db.generation(t).ok().map(|g| (t.to_owned(), g)))
-                        .collect();
-                    if let Some(generations) = generations {
+                    if let Some(generations) = Executor::stamp(app, fp) {
                         cache.store(key, generations, &response, fragments);
                     }
                     (response, RenderCacheStatus::Miss)
@@ -362,12 +360,20 @@ impl Executor {
         }
     }
 
+    /// The generation of every table of `fp`, in [`Footprint::tables`]
+    /// order — the render-cache stamp. `None` when a table is missing.
+    fn stamp(app: &App, fp: &Footprint) -> Option<Box<[u64]>> {
+        let db = app.db.raw_ref();
+        fp.tables().map(|t| db.generation(t).ok()).collect()
+    }
+
     /// Renders a fragment-registered page **fragment-wise**: the
     /// shell plus every fragment of the table in first-appearance jid
     /// order, each through full faceted projection under the
-    /// request's viewer. One pass produces both the response bytes
-    /// and the decomposition the repair path needs — a cold miss on a
-    /// fragment route costs a single render, not a render plus a
+    /// request's viewer, pushed into one page buffer whose span ends
+    /// are recorded as it grows. One pass produces both the response
+    /// bytes and the decomposition the repair path needs — a cold miss
+    /// on a fragment route costs a single render, not a render plus a
     /// decompose. Byte-identity with the route's own controller is
     /// the registration contract ([`Router::route_fragments`]):
     /// asserted against a real controller render in debug builds at
@@ -378,30 +384,47 @@ impl Executor {
         app: &App,
         router: &Router,
         request: &Request,
-    ) -> Option<(FragmentedPage, String)> {
+    ) -> Option<(String, Option<FragmentedPage>)> {
         if !app.render_cache.fragments_enabled() {
             return None;
         }
         let spec = router.fragment_spec(&request.path)?;
         let order = app.db.jid_order(&spec.table).ok()?;
-        let (prefix, suffix) = (spec.shell)(app, request);
-        let mut body = prefix.clone();
-        let mut fragments = Vec::with_capacity(order.len());
+        let shell = (spec.shell)(app, request);
+        Executor::assemble(&spec.table, shell, order, 0, |jid, body| {
+            body.push_str(&(spec.fragment)(app, request, jid));
+            Some(())
+        })
+    }
+
+    /// Assembles a fragmented page into one buffer: the shell's prefix,
+    /// each jid's fragment as `push` appends it, then the suffix,
+    /// recording where each fragment ends. `None` as soon as `push`
+    /// gives up. A page beyond `u32::MAX` bytes keeps no decomposition
+    /// (its spans could not be recorded), so it is cached whole.
+    fn assemble(
+        table: &str,
+        (prefix, suffix): (String, String),
+        order: Vec<i64>,
+        capacity: usize,
+        mut push: impl FnMut(i64, &mut String) -> Option<()>,
+    ) -> Option<(String, Option<FragmentedPage>)> {
+        let mut body = prefix;
+        body.reserve(capacity.saturating_sub(body.len()));
+        let start = body.len();
+        let mut spans = Vec::with_capacity(order.len());
         for jid in order {
-            let piece = (spec.fragment)(app, request, jid);
-            body.push_str(&piece);
-            fragments.push((jid, piece));
+            push(jid, &mut body)?;
+            // Truncation only matters past `u32::MAX`, checked below.
+            spans.push((jid, body.len() as u32));
         }
         body.push_str(&suffix);
-        Some((
-            FragmentedPage {
-                table: spec.table.clone(),
-                prefix,
-                suffix,
-                fragments,
-            },
-            body,
-        ))
+        let page = u32::try_from(body.len()).is_ok().then(|| FragmentedPage {
+            table: table.to_owned(),
+            start: start as u32,
+            spans,
+        });
+        Some((body, page))
     }
 
     /// Attempts to repair a stale fragmented entry from the write
@@ -417,12 +440,14 @@ impl Executor {
     ///
     /// On success, only the touched jids' fragments re-render — full
     /// faceted projection under the entry's viewer, so no bytes are
-    /// spliced that didn't pass policy enforcement — the shell and
-    /// untouched fragments are reused, and the entry is restored with
-    /// a fresh generation vector read under the caller's still-held
-    /// shared footprint locks. Any failure returns `None` and the
-    /// caller falls back to the full re-render: correctness never
-    /// depends on the journal.
+    /// spliced that didn't pass policy enforcement. The shell renders
+    /// afresh, every untouched fragment is copied from its span of the
+    /// old body, and the entry is restored with a fresh generation
+    /// vector read under the caller's still-held shared footprint
+    /// locks. Any failure — including an untouched jid with no stored
+    /// span, or a span that does not fall on the old body's character
+    /// boundaries — returns `None` and the caller falls back to the
+    /// full re-render: correctness never depends on the journal.
     fn try_repair(
         app: &App,
         router: &Router,
@@ -440,58 +465,38 @@ impl Executor {
         if spec.table != page.table {
             return None;
         }
-        let db = app.db.raw_ref();
-        let mut stamped = None;
-        for (table, gen) in &stale.generations {
-            let live = db.generation(table).ok()?;
-            if *table == page.table {
-                stamped = Some(*gen);
-            } else if live != *gen {
-                return None;
-            }
+        // The stamp is positional over the footprint's tables: the
+        // fragment table's slot holds the stamped generation, and every
+        // other slot must still be live. The caller's shared locks keep
+        // `live` current through the repair, so it is the new stamp.
+        let live = Executor::stamp(app, fp)?;
+        let slot = fp.tables().position(|t| t == page.table)?;
+        let then = &stale.generations;
+        if then.len() != live.len() || (0..live.len()).any(|i| i != slot && then[i] != live[i]) {
+            return None;
         }
-        let touched = app.db.touched_jids_since(&page.table, stamped?).ok()??;
+        let touched = app.db.touched_jids_since(&page.table, then[slot]).ok()??;
         let order = app.db.jid_order(&page.table).ok()?;
-        let stored: BTreeMap<i64, &str> = page
-            .fragments
-            .iter()
-            .map(|(jid, piece)| (*jid, piece.as_str()))
-            .collect();
-        let (prefix, suffix) = (spec.shell)(app, request);
-        let mut body = prefix.clone();
-        let mut fragments = Vec::with_capacity(order.len());
+        let stored: IdHashMap<_, _> = page.fragments().collect();
+        let old = stale.body;
+        let shell = (spec.shell)(app, request);
         let mut rerendered = 0u64;
-        for jid in order {
-            let piece = if touched.binary_search(&jid).is_ok() {
-                rerendered += 1;
-                (spec.fragment)(app, request, jid)
-            } else {
-                // An untouched jid absent from the stored decomposition
-                // would mean the journal missed a write; treat it like
-                // a decode error and fall back.
-                (*stored.get(&jid)?).to_owned()
-            };
-            body.push_str(&piece);
-            fragments.push((jid, piece));
-        }
-        body.push_str(&suffix);
-        let generations: Vec<(String, u64)> = fp
-            .tables()
-            .map(|t| db.generation(t).ok().map(|g| (t.to_owned(), g)))
-            .collect::<Option<_>>()?;
+        let (body, fragments) =
+            Executor::assemble(&page.table, shell, order, old.len(), |jid, body| {
+                if touched.binary_search(&jid).is_ok() {
+                    rerendered += 1;
+                    body.push_str(&(spec.fragment)(app, request, jid));
+                } else {
+                    // An untouched jid absent from the stored decomposition
+                    // would mean the journal missed a write; treat it like
+                    // a decode error and fall back.
+                    body.push_str(old.get(stored.get(&jid)?.clone())?);
+                }
+                Some(())
+            })?;
         let response = Response::ok(body);
         cache.note_repaired(rerendered);
-        cache.store(
-            key.clone(),
-            generations,
-            &response,
-            Some(FragmentedPage {
-                table: page.table,
-                prefix,
-                suffix,
-                fragments,
-            }),
-        );
+        cache.store(key.clone(), live, &response, fragments);
         Some(response)
     }
 
@@ -1446,6 +1451,78 @@ mod tests {
         let hot = service.serve(Request::new("notes", Viewer::User(1)));
         assert_eq!(hot.render_cache, RenderCacheStatus::Hit);
         assert_eq!(hot.response, repaired.response);
+    }
+
+    /// Repair copies untouched fragments out of the stored body by
+    /// byte span. Multi-byte UTF-8 fragments sit next to empty ones
+    /// (notes the viewer may not read render nothing), so a span end
+    /// that is off by one either splits a character — and the repair
+    /// falls back to a miss — or copies the wrong bytes.
+    #[test]
+    fn repair_splices_multibyte_fragments_by_span() {
+        let app = Arc::new(note_app());
+        let text = |row: Option<&[Value]>| {
+            row.and_then(|r| r[1].as_str())
+                .filter(|t| *t != "[private]")
+                .map_or_else(String::new, |t| format!("{t}\n"))
+        };
+        let mut router = Router::new();
+        router.route_read_tables("notes", &["note"], move |app: &App, req| {
+            let rows = app.all("note").unwrap_or_default();
+            let mut session = crate::Session::new(req.viewer.clone());
+            let page: String = session
+                .view_rows(app, &rows)
+                .into_iter()
+                .map(|row| text(Some(row)))
+                .collect();
+            Response::ok(format!("« notes »\n{page}— end —\n"))
+        });
+        router.route_fragments(
+            "notes",
+            "note",
+            |_, _| ("« notes »\n".to_owned(), "— end —\n".to_owned()),
+            move |app: &App, req, jid| {
+                let mut session = crate::Session::new(req.viewer.clone());
+                let row = app
+                    .get("note", jid)
+                    .ok()
+                    .and_then(|obj| session.view_object(app, &obj));
+                text(row.as_deref())
+            },
+        );
+        let router = Arc::new(router);
+        let service = ExecutorService::start(Arc::clone(&app), Arc::clone(&router), 2);
+        let viewers: Vec<Viewer> = (0..7)
+            .map(Viewer::User)
+            .chain([Viewer::Anonymous])
+            .collect();
+        let check = |step: &str, expect: RenderCacheStatus| {
+            for viewer in &viewers {
+                let served = service.serve(Request::new("notes", viewer.clone()));
+                assert_eq!(served.render_cache, expect, "{step}, {viewer}");
+                let uncached = router.handle(&app, &Request::new("notes", viewer.clone()));
+                assert_eq!(served.response, uncached, "{step}, {viewer}");
+            }
+        };
+        let pc = faceted::Branches::new();
+        let cafe = app
+            .create("note", vec![Value::Int(1), Value::from("Café — naïve")])
+            .unwrap();
+        check("cold", RenderCacheStatus::Miss);
+        app.create("note", vec![Value::Int(2), Value::from("über ✓")])
+            .unwrap();
+        check("insert", RenderCacheStatus::Repair);
+        app.update_fields("note", cafe, &[(1, Value::from("Ça — naïf"))], &pc)
+            .unwrap();
+        check("in-place save", RenderCacheStatus::Repair);
+        app.db.delete("note", cafe, &pc).unwrap();
+        check("delete", RenderCacheStatus::Repair);
+        let stats = app.render_cache_stats();
+        assert_eq!(
+            (stats.repairs, stats.repaired_fragments),
+            (24, 16),
+            "per viewer, an insert or save re-renders one fragment and a delete none"
+        );
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   exactly what the faceted runtime exists to protect (the LWeb
 //!   argument: label-based enforcement must survive caching).
 //! * **Stamp**: the generation vector of the route's declared
-//!   footprint tables, captured at render time **while the executor
-//!   still holds the route's shared footprint locks** — a writer
-//!   cannot slip between render and stamp, so a stored entry's vector
-//!   is exactly the state its bytes were rendered from.
+//!   footprint tables, in the footprint's canonical table order (so
+//!   it names no table), captured at render time **while the
+//!   executor still holds the route's shared footprint locks** — a
+//!   writer cannot slip between render and stamp, so a stored entry's
+//!   vector is exactly the state its bytes were rendered from.
 //! * **Validation**: lookup compares the stored vector against live
 //!   [`microdb`] table generations. Any mismatch removes the entry
 //!   and hands its carcass back to the executor, which either
@@ -27,14 +28,15 @@
 //!   changes nothing leaves every entry valid.
 //! * **Repair**: routes that register a fragment renderer
 //!   ([`Router::route_fragments`](crate::Router::route_fragments))
-//!   have their pages stored as a [`FragmentedPage`] — a shell
-//!   (prefix + suffix) around per-object fragments keyed by jid. On a
-//!   generation mismatch where the fragment table is the *only* mover,
-//!   the executor pulls the table's `deltas_since(stamped_gen)`
-//!   journal, re-renders only the fragments whose jids the deltas
-//!   touch (full faceted projection under the entry's viewer — no
-//!   bytes are spliced that didn't pass policy enforcement), splices
-//!   them into the shell, and restamps the generation vector. A
+//!   have their pages stored with a [`FragmentedPage`] — 16-byte
+//!   spans, one per object jid, into the entry's single body buffer,
+//!   so a page's bytes are kept once. On a generation mismatch where
+//!   the fragment table is the *only* mover, the executor pulls the
+//!   table's `deltas_since(stamped_gen)` journal, re-renders only the
+//!   fragments whose jids the deltas touch (full faceted projection
+//!   under the entry's viewer — no bytes are spliced that didn't pass
+//!   policy enforcement), copies every untouched fragment's span out
+//!   of the old body, and restamps the generation vector. A
 //!   single-row write thus repairs a hot page at O(1) fragment cost
 //!   instead of invalidating every viewer's copy. Window overflow,
 //!   movement of any *other* footprint table, or any decomposition
@@ -52,10 +54,11 @@
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use crate::http::Response;
+use crate::http::{Footprint, Response};
 use crate::model::Viewer;
 
 /// Number of independently locked shards. Lookups on different shards
@@ -77,8 +80,8 @@ pub enum RenderCacheStatus {
     /// Rendered and stored (or at least render-cache-eligible).
     Miss,
     /// A stale entry was repaired in place from the write journal:
-    /// only the touched fragments re-rendered, the shell and every
-    /// untouched fragment's bytes were reused.
+    /// only the touched fragments re-rendered, every untouched
+    /// fragment's bytes were copied from the stored body.
     Repair,
     /// Not eligible: cache disabled, write route, footprint-less read
     /// route, or unknown path.
@@ -133,33 +136,47 @@ pub(crate) struct RenderKey {
     pub(crate) viewer: Viewer,
 }
 
-/// The fragment decomposition of a cached page: a shell (prefix +
-/// suffix) around per-object fragments in first-appearance row order,
-/// each keyed by the jid of the object that rendered it. Stored only
-/// for routes that registered a fragment renderer, and only when the
-/// decomposition reassembled byte-identically to the controller's own
-/// render — so splicing repaired fragments back in can never produce
-/// bytes a full render would not.
+/// The fragment decomposition of a cached page, as byte offsets into
+/// the entry's one body buffer: the prefix ends at `start`, each
+/// object's fragment runs from the previous fragment's end (or
+/// `start`) to its own `end`, in first-appearance row order, and the
+/// suffix is whatever follows the last span. Stored only for routes
+/// that registered a fragment renderer, and only when the page was
+/// assembled from those fragments — so copying untouched spans next to
+/// repaired fragments can never produce bytes a full render would not.
+/// A page longer than `u32::MAX` bytes keeps no decomposition.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct FragmentedPage {
     /// The table whose rows the fragments decompose (the journal the
     /// repair path replays).
     pub(crate) table: String,
-    /// Bytes before the first fragment.
-    pub(crate) prefix: String,
-    /// Bytes after the last fragment.
-    pub(crate) suffix: String,
-    /// `(jid, rendered bytes)` in page order. An object the entry's
-    /// viewer cannot see contributes an empty fragment.
-    pub(crate) fragments: Vec<(i64, String)>,
+    /// End of the prefix: where the first fragment starts.
+    pub(crate) start: u32,
+    /// `(jid, end offset)` in page order. An object the entry's viewer
+    /// cannot see has an empty span.
+    pub(crate) spans: Vec<(i64, u32)>,
 }
 
-/// A stored page: the bytes plus the footprint-table generations they
-/// were rendered under, and — for fragment-registered routes — the
-/// decomposition the repair path splices into.
+impl FragmentedPage {
+    /// Every fragment's `(jid, byte range)` in page order.
+    pub(crate) fn fragments(&self) -> impl Iterator<Item = (i64, Range<usize>)> + '_ {
+        let mut from = self.start as usize;
+        self.spans.iter().map(move |&(jid, end)| {
+            let range = from..end as usize;
+            from = range.end;
+            (jid, range)
+        })
+    }
+}
+
+/// A stored page: the body bytes, once, plus the footprint-table
+/// generations they were rendered under and — for fragment-registered
+/// routes — the spans the repair path copies from. Only plain `200`s
+/// without headers are stored, so a hit rebuilds its [`Response`] from
+/// the body alone.
 struct Entry {
-    generations: Vec<(String, u64)>,
-    response: Response,
+    generations: Box<[u64]>,
+    body: String,
     fragments: Option<FragmentedPage>,
 }
 
@@ -168,8 +185,11 @@ struct Entry {
 /// attempt resolves: [`RenderCache::note_repaired`] on success,
 /// [`RenderCache::note_invalidated`] on fallback.
 pub(crate) struct StaleEntry {
-    /// The generation vector the bytes were rendered under.
-    pub(crate) generations: Vec<(String, u64)>,
+    /// The generation vector the bytes were rendered under, one per
+    /// table in [`Footprint::tables`] order.
+    pub(crate) generations: Box<[u64]>,
+    /// The stored body the spans index into.
+    pub(crate) body: String,
     /// The stored decomposition, if the entry was fragmented.
     pub(crate) fragments: Option<FragmentedPage>,
 }
@@ -286,16 +306,22 @@ impl RenderCache {
         &self.shards[(self.hasher.hash_one(key) as usize) % SHARDS]
     }
 
-    /// Looks up `key`, validating the stored generation vector with
-    /// `live` (a closure over the live database; `None` means the
-    /// table is gone, which also invalidates). A valid entry returns
-    /// its bytes ([`Lookup::Hit`], counted); a missing entry is a
-    /// counted [`Lookup::Cold`]. A *stale* entry is removed from the
-    /// map and handed back **uncounted** — the caller resolves it via
-    /// [`RenderCache::note_repaired`] or
+    /// Looks up `key`, validating the stored generation vector against
+    /// `live` over the route footprint's tables (a closure over the
+    /// live database; `None` means the table is gone, which also
+    /// invalidates, as does a vector of the wrong length). A valid
+    /// entry returns its bytes ([`Lookup::Hit`], counted); a missing
+    /// entry is a counted [`Lookup::Cold`]. A *stale* entry is removed
+    /// from the map and handed back **uncounted** — the caller
+    /// resolves it via [`RenderCache::note_repaired`] or
     /// [`RenderCache::note_invalidated`] once the repair attempt
     /// settles.
-    pub(crate) fn lookup(&self, key: &RenderKey, live: impl Fn(&str) -> Option<u64>) -> Lookup {
+    pub(crate) fn lookup(
+        &self,
+        key: &RenderKey,
+        footprint: &Footprint,
+        live: impl Fn(&str) -> Option<u64>,
+    ) -> Lookup {
         let shard = self.shard(key);
         {
             let map = shard.read().expect("render cache shard");
@@ -305,13 +331,15 @@ impl RenderCache {
                     return Lookup::Cold;
                 }
                 Some(entry) => {
+                    let mut tables = footprint.tables();
                     let valid = entry
                         .generations
                         .iter()
-                        .all(|(table, gen)| live(table) == Some(*gen));
+                        .all(|gen| tables.next().and_then(&live) == Some(*gen))
+                        && tables.next().is_none();
                     if valid {
                         self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Lookup::Hit(entry.response.clone());
+                        return Lookup::Hit(Response::ok(entry.body.clone()));
                     }
                 }
             }
@@ -319,6 +347,7 @@ impl RenderCache {
         match shard.write().expect("render cache shard").remove(key) {
             Some(entry) => Lookup::Stale(StaleEntry {
                 generations: entry.generations,
+                body: entry.body,
                 fragments: entry.fragments,
             }),
             // Another worker took the stale entry between our read and
@@ -339,7 +368,7 @@ impl RenderCache {
     pub(crate) fn store(
         &self,
         key: RenderKey,
-        generations: Vec<(String, u64)>,
+        generations: Box<[u64]>,
         response: &Response,
         fragments: Option<FragmentedPage>,
     ) {
@@ -362,7 +391,7 @@ impl RenderCache {
             key,
             Entry {
                 generations,
-                response: response.clone(),
+                body: response.body.clone(),
                 fragments,
             },
         );
@@ -390,8 +419,13 @@ mod tests {
         }
     }
 
-    fn gens(v: &[(&str, u64)]) -> Vec<(String, u64)> {
-        v.iter().map(|(t, g)| ((*t).to_owned(), *g)).collect()
+    /// A stamp over one table, `paper` at generation `gen`.
+    fn gens(gen: u64) -> Box<[u64]> {
+        Box::new([gen])
+    }
+
+    fn paper() -> Footprint {
+        Footprint::reads(&["paper"])
     }
 
     fn as_hit(probe: Lookup) -> Option<Response> {
@@ -401,30 +435,36 @@ mod tests {
         }
     }
 
-    fn page(table: &str, fragments: &[(i64, &str)]) -> FragmentedPage {
-        FragmentedPage {
+    /// A page of `fragments` under the `== P ==` prefix and an
+    /// empty suffix: the body and its decomposition.
+    fn page(table: &str, fragments: &[(i64, &str)]) -> (Response, FragmentedPage) {
+        let mut body = "== P ==\n".to_owned();
+        let start = body.len() as u32;
+        let spans = fragments
+            .iter()
+            .map(|(jid, f)| {
+                body.push_str(f);
+                (*jid, body.len() as u32)
+            })
+            .collect();
+        let page = FragmentedPage {
             table: table.to_owned(),
-            prefix: "== P ==\n".to_owned(),
-            suffix: String::new(),
-            fragments: fragments
-                .iter()
-                .map(|(jid, f)| (*jid, (*f).to_owned()))
-                .collect(),
-        }
+            start,
+            spans,
+        };
+        (Response::ok(body), page)
     }
 
     #[test]
     fn hit_after_store_while_generations_hold() {
         let cache = RenderCache::new();
         let k = key("papers/all", Viewer::User(1));
-        assert!(matches!(cache.lookup(&k, |_| Some(3)), Lookup::Cold));
-        cache.store(
-            k.clone(),
-            gens(&[("paper", 3)]),
-            &Response::ok("page".into()),
-            None,
-        );
-        let hit = as_hit(cache.lookup(&k, |_| Some(3))).expect("valid entry hits");
+        assert!(matches!(
+            cache.lookup(&k, &paper(), |_| Some(3)),
+            Lookup::Cold
+        ));
+        cache.store(k.clone(), gens(3), &Response::ok("page".into()), None);
+        let hit = as_hit(cache.lookup(&k, &paper(), |_| Some(3))).expect("valid entry hits");
         assert_eq!(hit.body, "page");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.invalidated), (1, 1, 0));
@@ -434,13 +474,8 @@ mod tests {
     fn generation_move_invalidates_exactly_once() {
         let cache = RenderCache::new();
         let k = key("papers/all", Viewer::User(1));
-        cache.store(
-            k.clone(),
-            gens(&[("paper", 3)]),
-            &Response::ok("old".into()),
-            None,
-        );
-        let probe = cache.lookup(&k, |_| Some(4));
+        cache.store(k.clone(), gens(3), &Response::ok("old".into()), None);
+        let probe = cache.lookup(&k, &paper(), |_| Some(4));
         assert!(matches!(probe, Lookup::Stale(_)), "stale vector");
         assert_eq!(cache.len(), 0, "stale entry removed");
         // A stale probe is uncounted until the caller resolves it.
@@ -451,7 +486,10 @@ mod tests {
         assert_eq!((stats.misses, stats.invalidated), (1, 1));
         // The follow-up miss is a plain cold miss, not another
         // invalidation.
-        assert!(matches!(cache.lookup(&k, |_| Some(4)), Lookup::Cold));
+        assert!(matches!(
+            cache.lookup(&k, &paper(), |_| Some(4)),
+            Lookup::Cold
+        ));
         assert_eq!(cache.stats().invalidated, 1);
     }
 
@@ -459,13 +497,11 @@ mod tests {
     fn dropped_table_invalidates() {
         let cache = RenderCache::new();
         let k = key("papers/all", Viewer::Anonymous);
-        cache.store(
-            k.clone(),
-            gens(&[("paper", 1)]),
-            &Response::ok("p".into()),
-            None,
-        );
-        assert!(matches!(cache.lookup(&k, |_| None), Lookup::Stale(_)));
+        cache.store(k.clone(), gens(1), &Response::ok("p".into()), None);
+        assert!(matches!(
+            cache.lookup(&k, &paper(), |_| None),
+            Lookup::Stale(_)
+        ));
         assert_eq!(cache.len(), 0);
     }
 
@@ -473,19 +509,20 @@ mod tests {
     fn stale_entries_carry_their_decomposition_out() {
         let cache = RenderCache::new();
         let k = key("papers/all", Viewer::User(1));
-        cache.store(
-            k.clone(),
-            gens(&[("paper", 3)]),
-            &Response::ok("== P ==\na\nb\n".into()),
-            Some(page("paper", &[(1, "a\n"), (2, "b\n")])),
-        );
-        let Lookup::Stale(stale) = cache.lookup(&k, |_| Some(4)) else {
+        let (body, fragments) = page("paper", &[(1, "a\n"), (2, "b\n")]);
+        assert_eq!(body.body, "== P ==\na\nb\n");
+        cache.store(k.clone(), gens(3), &body, Some(fragments));
+        let Lookup::Stale(stale) = cache.lookup(&k, &paper(), |_| Some(4)) else {
             panic!("stale probe expected");
         };
-        assert_eq!(stale.generations, gens(&[("paper", 3)]));
+        assert_eq!(stale.generations, gens(3));
+        assert_eq!(
+            stale.body, body.body,
+            "the old body rides out with its spans"
+        );
         let fragments = stale.fragments.expect("decomposition preserved");
         assert_eq!(fragments.table, "paper");
-        assert_eq!(fragments.fragments.len(), 2);
+        assert_eq!(fragments.spans.len(), 2);
         cache.note_repaired(1);
         let stats = cache.stats();
         assert_eq!((stats.repairs, stats.repaired_fragments), (1, 1));
@@ -501,13 +538,9 @@ mod tests {
         let cache = RenderCache::new();
         assert!(cache.set_fragments_enabled(false), "was enabled");
         let k = key("papers/all", Viewer::User(1));
-        cache.store(
-            k.clone(),
-            gens(&[("paper", 3)]),
-            &Response::ok("p".into()),
-            Some(page("paper", &[(1, "p")])),
-        );
-        let Lookup::Stale(stale) = cache.lookup(&k, |_| Some(4)) else {
+        let (body, fragments) = page("paper", &[(1, "p")]);
+        cache.store(k.clone(), gens(3), &body, Some(fragments));
+        let Lookup::Stale(stale) = cache.lookup(&k, &paper(), |_| Some(4)) else {
             panic!("stale probe expected");
         };
         assert!(
@@ -518,22 +551,67 @@ mod tests {
     }
 
     #[test]
+    fn stale_spans_reassemble_the_stored_body() {
+        let cache = RenderCache::new();
+        let k = key("papers/all", Viewer::User(1));
+        // Multi-byte text next to an empty (hidden) fragment.
+        let (body, fragments) = page("paper", &[(7, "Café — naïve\n"), (3, ""), (9, "z\n")]);
+        cache.store(k.clone(), gens(3), &body, Some(fragments));
+        let Lookup::Stale(stale) = cache.lookup(&k, &paper(), |_| Some(4)) else {
+            panic!("stale probe expected");
+        };
+        let fragments = stale.fragments.expect("decomposition preserved");
+        let old = &stale.body;
+        let pieces: Vec<(i64, &str)> = fragments
+            .fragments()
+            .map(|(jid, range)| (jid, &old[range]))
+            .collect();
+        assert_eq!(pieces, [(7, "Café — naïve\n"), (3, ""), (9, "z\n")]);
+        let prefix = &old[..fragments.start as usize];
+        let tail = fragments
+            .spans
+            .last()
+            .map_or(fragments.start, |&(_, end)| end);
+        let middle: String = pieces.iter().map(|(_, piece)| *piece).collect();
+        assert_eq!(
+            format!("{prefix}{middle}{}", &old[tail as usize..]),
+            body.body,
+            "spans reassemble the body byte for byte"
+        );
+    }
+
+    #[test]
+    fn stale_entry_of_another_footprint_never_validates() {
+        let cache = RenderCache::new();
+        let k = key("papers/all", Viewer::User(1));
+        cache.store(k.clone(), gens(3), &Response::ok("p".into()), None);
+        let wider = Footprint::reads(&["paper", "review"]);
+        assert!(
+            matches!(cache.lookup(&k, &wider, |_| Some(3)), Lookup::Stale(_)),
+            "a stamp whose length differs from the footprint is stale"
+        );
+    }
+
+    #[test]
     fn viewers_never_share_entries() {
         let cache = RenderCache::new();
         let alice = key("papers/all", Viewer::User(1));
         let bob = key("papers/all", Viewer::User(2));
         cache.store(
             alice.clone(),
-            gens(&[("paper", 1)]),
+            gens(1),
             &Response::ok("alice's view".into()),
             None,
         );
         assert!(
-            as_hit(cache.lookup(&bob, |_| Some(1))).is_none(),
+            as_hit(cache.lookup(&bob, &paper(), |_| Some(1))).is_none(),
             "a page rendered for one viewer must never serve another"
         );
-        assert!(as_hit(cache.lookup(&key("papers/all", Viewer::Anonymous), |_| Some(1))).is_none());
-        let hit = as_hit(cache.lookup(&alice, |_| Some(1))).unwrap();
+        assert!(
+            as_hit(cache.lookup(&key("papers/all", Viewer::Anonymous), &paper(), |_| Some(1)))
+                .is_none()
+        );
+        let hit = as_hit(cache.lookup(&alice, &paper(), |_| Some(1))).unwrap();
         assert_eq!(hit.body, "alice's view");
     }
 
@@ -544,30 +622,35 @@ mod tests {
         one.params = vec![("id".to_owned(), "1".to_owned())];
         let mut two = one.clone();
         two.params = vec![("id".to_owned(), "2".to_owned())];
-        cache.store(
-            one.clone(),
-            gens(&[("paper", 1)]),
-            &Response::ok("p1".into()),
-            None,
+        cache.store(one.clone(), gens(1), &Response::ok("p1".into()), None);
+        assert!(as_hit(cache.lookup(&two, &paper(), |_| Some(1))).is_none());
+        assert_eq!(
+            as_hit(cache.lookup(&one, &paper(), |_| Some(1)))
+                .unwrap()
+                .body,
+            "p1"
         );
-        assert!(as_hit(cache.lookup(&two, |_| Some(1))).is_none());
-        assert_eq!(as_hit(cache.lookup(&one, |_| Some(1))).unwrap().body, "p1");
     }
 
     #[test]
     fn only_plain_200_responses_are_stored() {
         let cache = RenderCache::new();
         let k = key("x", Viewer::Anonymous);
-        cache.store(k.clone(), Vec::new(), &Response::not_found(), None);
-        cache.store(k.clone(), Vec::new(), &Response::forbidden("no"), None);
+        cache.store(k.clone(), Box::default(), &Response::not_found(), None);
+        cache.store(k.clone(), Box::default(), &Response::forbidden("no"), None);
         cache.store(
             k.clone(),
-            Vec::new(),
+            Box::default(),
             &Response::ok("s".into()).with_header("Set-Cookie", "session=x"),
             None,
         );
         assert_eq!(cache.len(), 0, "errors and cookie-setters never cached");
-        cache.store(k.clone(), Vec::new(), &Response::ok("plain".into()), None);
+        cache.store(
+            k.clone(),
+            Box::default(),
+            &Response::ok("plain".into()),
+            None,
+        );
         assert_eq!(cache.len(), 1);
     }
 
@@ -575,12 +658,7 @@ mod tests {
     fn disable_clears_and_reports_previous_setting() {
         let cache = RenderCache::new();
         let k = key("papers/all", Viewer::User(1));
-        cache.store(
-            k.clone(),
-            gens(&[("paper", 1)]),
-            &Response::ok("p".into()),
-            None,
-        );
+        cache.store(k.clone(), gens(1), &Response::ok("p".into()), None);
         assert_eq!(cache.len(), 1);
         assert!(cache.set_enabled(false), "was enabled");
         assert_eq!(cache.len(), 0, "disable drops stored pages");
@@ -593,7 +671,7 @@ mod tests {
         for i in 0..(SHARDS * SHARD_CAP * 2) {
             cache.store(
                 key(&format!("page/{i}"), Viewer::Anonymous),
-                gens(&[("t", 1)]),
+                gens(1),
                 &Response::ok(i.to_string()),
                 None,
             );

@@ -1306,7 +1306,8 @@ impl FormDb {
         crate::touched::note_read(table);
         let t = self.db.table(table)?;
         let jid_ix = t.schema().len() - 2;
-        let mut seen = std::collections::HashSet::new();
+        // Jids are minted by the process, so the id hasher is safe here.
+        let mut seen = std::collections::HashSet::<i64, faceted::IdBuildHasher>::default();
         let mut jids = Vec::new();
         for row in t.rows() {
             if let Some(jid) = row[jid_ix].as_int() {
