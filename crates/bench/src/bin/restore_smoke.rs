@@ -93,7 +93,20 @@ fn run() -> Result<(), String> {
     let restored =
         Server::bind(restored_site, "127.0.0.1:0", config).map_err(|e| format!("bind: {e}"))?;
 
-    // 5. Verify reads: same viewer, same pages, same bytes.
+    // 5. Verify reads: same viewers, same pages, same bytes — the
+    //    anonymous view first.
+    let mut anon = HttpClient::connect(restored.addr());
+    let anon_after = anon.get("papers/all");
+    // Leak canary: that paper exists only in the log, and a label
+    // whose binding row was lost would default to shown.
+    check(
+        !anon_after.text().contains("after checkpoint"),
+        "anonymous papers/all hides the log-only paper's title after restore",
+    )?;
+    check(
+        anon_after.text() == anon_before.text(),
+        "anonymous view byte-identical after restore",
+    )?;
     let mut client = HttpClient::connect(restored.addr());
     check(client.login(2).status == 200, "login after the restore")?;
     let papers_after = client.get("papers/all");
@@ -111,11 +124,6 @@ fn run() -> Result<(), String> {
     check(
         users_after.text() == users_before.text(),
         "users/all byte-identical after restore",
-    )?;
-    let mut anon = HttpClient::connect(restored.addr());
-    check(
-        anon.get("papers/all").text() == anon_before.text(),
-        "anonymous view byte-identical after restore",
     )?;
 
     // 6. The restored app keeps working: a fresh write, then read-back.

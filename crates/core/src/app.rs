@@ -14,10 +14,10 @@ use crate::model::{ModelDef, PolicyArgs, PolicyFn, Viewer};
 /// A policy attached to a live label: the check plus the
 /// creation-time row snapshot it closes over (§2.1.2: "with respect
 /// to the value of event at the time a value is created and the state
-/// of the system at the time of output"). The `model`/`policy_ix`
-/// pair names where the check came from, so a checkpoint can persist
-/// the binding and a restore can re-attach the (unserializable)
-/// closure from the re-registered model.
+/// of the system at the time of output"). The durable binding is the
+/// object's row in its model's binding table, from which a restore
+/// re-attaches the (unserializable) closure of the re-registered
+/// model.
 ///
 /// Entries are shared behind an `Arc`: resolving a label looks its
 /// entry up and runs the check on it, which then costs one reference
@@ -26,8 +26,6 @@ pub(crate) struct PolicyEntry {
     pub(crate) check: PolicyFn,
     pub(crate) row: Row,
     pub(crate) jid: i64,
-    pub(crate) model: String,
-    pub(crate) policy_ix: usize,
 }
 
 /// A Jacqueline application: registered models, the faceted database,
@@ -56,7 +54,7 @@ pub struct App {
     pub(crate) policies: RwLock<Vec<Option<Arc<PolicyEntry>>>>,
     /// Labels allocated per object, in model-policy order — needed to
     /// rebuild facet structure on updates.
-    object_labels: RwLock<HashMap<(String, i64), Vec<Label>>>,
+    pub(crate) object_labels: RwLock<HashMap<(String, i64), Vec<Label>>>,
     /// Request-level footprint locks, owned by the app so concurrent
     /// executor runs against the same app isolate against each other.
     pub(crate) request_locks: crate::executor::RequestLocks,
@@ -75,13 +73,6 @@ pub struct App {
     /// The persistence directory [`App::enable_persistence`] attached
     /// its log to — where scheduled checkpoints land.
     pub(crate) persist_dir: RwLock<Option<std::path::PathBuf>>,
-    /// Bumped by every mutation of checkpointable app metadata (label
-    /// allocation + policy binding + jid-cursor movement, i.e. every
-    /// `create`/`bind_policy`). The incremental checkpointer keys the
-    /// app-meta chunk on this: an unchanged epoch means the chunk can
-    /// be carried over without re-exporting [`form::FormMeta`] or the
-    /// bindings.
-    pub(crate) meta_epoch: std::sync::atomic::AtomicU64,
     /// Whether checkpoints may reuse clean chunks from the previous
     /// checkpoint (the default) or must re-export everything (the
     /// `--no-incremental` ablation).
@@ -106,7 +97,6 @@ impl App {
             render_cache: crate::rendercache::RenderCache::new(),
             degraded: RwLock::new(None),
             persist_dir: RwLock::new(None),
-            meta_epoch: std::sync::atomic::AtomicU64::new(0),
             incremental_checkpoints: std::sync::atomic::AtomicBool::new(true),
             ckpt_memory: std::sync::Mutex::new(None),
             scheduled_checkpoints: std::sync::atomic::AtomicU64::new(0),
@@ -231,13 +221,19 @@ impl App {
         self.render_cache.stats()
     }
 
-    /// Registers a model, creating its backing table.
+    /// Registers a model, creating its backing table and, when it has
+    /// policies, its binding table (see
+    /// [`FormDb::create_binding_table`]).
     ///
     /// # Errors
     ///
     /// Propagates table-creation errors.
     pub fn register_model(&mut self, model: ModelDef) -> FormResult<()> {
         self.db.create_table(&model.name, model.columns.clone())?;
+        if !model.policies.is_empty() {
+            self.db
+                .create_binding_table(&model.name, model.policies.len())?;
+        }
         self.models.insert(model.name.clone(), model);
         Ok(())
     }
@@ -272,18 +268,14 @@ impl App {
     }
 
     fn create_impl(&self, model_name: &str, row: Row) -> FormResult<i64> {
-        let model = self.model(model_name).clone();
+        let model = self.model(model_name);
         let jid = self.db.reserve_jid(&model.name);
-        // The jid cursor moved (and labels/bindings follow): the
-        // checkpointed app-meta chunk is stale.
-        self.meta_epoch
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let labels: Vec<Label> = model
             .policies
             .iter()
             .map(|fp| {
                 self.db
-                    .fresh_label(&format!("{model_name}.{}", fp.label_name))
+                    .fresh_label(&bound_label_name(model_name, &fp.label_name, jid))
             })
             .collect();
         // Bind before the rows land: a reader must never find a facet
@@ -312,20 +304,12 @@ impl App {
             });
             object = Faceted::split(*label, object, public_side);
         }
-        // The labels and the creation-time row go into the rows' own
-        // write-log record: durable together or not at all.
-        let create = {
-            let registry = self.db.labels();
-            microdb::CreateMeta {
-                jid,
-                labels: labels
-                    .iter()
-                    .map(|l| (l.index(), registry.name(*l).to_owned()))
-                    .collect(),
-                row,
-            }
-        };
-        if let Err(e) = self.db.insert_created(&model.name, &create, &object) {
+        // The binding row (labels and creation-time row) commits with
+        // the facet rows: durable together or not at all.
+        if let Err(e) = self
+            .db
+            .insert_created(&model.name, jid, &object, &row, &labels)
+        {
             // Nothing of the object became durable: take its bindings
             // back so no checkpoint exports them. The labels stay
             // allocated — skipped indices are harmless, reused ones
@@ -342,25 +326,9 @@ impl App {
         self.models.keys().cloned().collect()
     }
 
-    /// Serializable policy bindings: for every live label, the
-    /// `(label index, model, policy index, jid, creation-time row)`
-    /// tuple a restore needs to re-attach the model's check closure.
-    /// In label-index order, which for any one object is also its
-    /// model-policy order.
-    pub(crate) fn export_policy_bindings(&self) -> Vec<(u32, String, usize, i64, Row)> {
-        let policies = self.policies.read().expect("policy lock");
-        (0u32..)
-            .zip(policies.iter())
-            .filter_map(|(index, entry)| {
-                let e = entry.as_ref()?;
-                Some((index, e.model.clone(), e.policy_ix, e.jid, e.row.clone()))
-            })
-            .collect()
-    }
-
     /// Drops every policy binding and object-label association — the
-    /// first step of a restore (the checkpoint's bindings replace
-    /// them wholesale).
+    /// first step of a restore's rebinding (the binding tables'
+    /// rows replace them wholesale).
     pub(crate) fn clear_policy_state(&self) {
         self.policies.write().expect("policy lock").clear();
         self.object_labels
@@ -372,7 +340,7 @@ impl App {
     /// Re-attaches one persisted policy binding: the check closure
     /// comes from this app's registered model (closures cannot be
     /// serialized; the `(model, policy index)` pair is their stable
-    /// name), everything else from the checkpoint or the create. Also
+    /// name), everything else from the binding row or the create. Also
     /// appends the label to the object's label list (once — binding
     /// is idempotent) — callers bind in model-policy order.
     pub(crate) fn bind_policy(
@@ -408,8 +376,6 @@ impl App {
             check: fp.check.clone(),
             row: row.clone(),
             jid,
-            model: model_name.to_owned(),
-            policy_ix,
         });
         let mut policies = self.policies.write().expect("policy lock");
         let ix = label.index() as usize;
@@ -425,8 +391,6 @@ impl App {
         if !labels.contains(&label) {
             labels.push(label);
         }
-        self.meta_epoch
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
     }
 
@@ -445,8 +409,6 @@ impl App {
                 *entry = None;
             }
         }
-        self.meta_epoch
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Updates columns of an object, preserving its labels and
@@ -655,6 +617,13 @@ impl App {
         let view = self.view_for(&obj.labels(), viewer);
         obj.project(&view).clone()
     }
+}
+
+/// The name of the label bound to policy `label` of object `jid` of
+/// `model`: a function of the binding, minted at create time and
+/// derived again at restore, so no label name is ever stored.
+pub(crate) fn bound_label_name(model: &str, label: &str, jid: i64) -> String {
+    format!("{model}.{label}@{jid}")
 }
 
 impl Default for App {

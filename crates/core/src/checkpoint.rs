@@ -1,5 +1,5 @@
-//! Durable checkpoints for a whole application: database, FORM
-//! metadata and policy bindings — with crash-safe restore.
+//! Durable checkpoints for a whole application: its tables, policy
+//! bindings included, with crash-safe restore.
 //!
 //! # What a checkpoint contains
 //!
@@ -9,38 +9,42 @@
 //! see [`microdb::chunkstore`]) that the manifest names by hash, and
 //! the write log (`wal.log`). The manifest and its chunks hold:
 //!
-//! 1. the **tables**: per table the manifest records the schema,
+//! 1. the FORM's per-table `jid` cursors ([`form::FormMeta`], a few
+//!    lines in the manifest itself);
+//! 2. the **tables**: per table the manifest records the schema,
 //!    hash-index declarations, auto-increment cursor and generation
-//!    stamp, plus the ordered list of row chunks;
-//! 2. one **app-meta chunk**: the FORM metadata ([`form::FormMeta`]:
-//!    label-registry names in allocation order and per-table `jid`
-//!    cursors — the state that keeps restored label indices from ever
-//!    being re-allocated) and the **policy bindings**: for every live
-//!    label, which model policy it re-binds to plus the creation-time
-//!    row the check closes over (§2.1.2 — policies are evaluated
-//!    against the creation-time row and the output-time database, so
-//!    both halves must survive).
+//!    stamp, plus the ordered list of row chunks. Besides each
+//!    model's table of facet rows, a model with policies has a
+//!    FORM-internal **binding table** `_bind_<model>`
+//!    ([`form::FormDb::create_binding_table`]): one row per object
+//!    with its `jid`, the creation-time row its policies close over
+//!    (§2.1.2 — policies are evaluated against the creation-time row
+//!    and the output-time database, so both halves must survive) and
+//!    the index of each policy's label.
 //!
-//! Facet DAGs are not stored: as in the paper's FORM (§3.1), the
-//! guarded `jid`/`jvars` rows are the object, and a restored process
-//! rebuilds each object's DAG from them on its first read.
+//! Nothing else is stored. As in the paper's FORM (§3.1), the guarded
+//! `jid`/`jvars` rows are the object, and a restored process rebuilds
+//! each object's facet DAG from them on its first read. A bound
+//! label's name is a function of its binding (`{model}.{label}@{jid}`),
+//! so restore rebuilds the label registry from the binding tables.
 //!
 //! Every checkpoint after the first into a directory is incremental:
-//! chunks a table generation or the metadata epoch proves clean are
-//! carried over by hash, not rewritten.
+//! chunks a table generation proves clean are carried over by hash,
+//! not rewritten, so a checkpoint after one `create` encodes one
+//! chunk of facet rows and one of binding rows, whatever the app's
+//! size.
 //!
 //! # Between checkpoints
 //!
 //! [`App::enable_persistence`] attaches the storage engine's write
 //! log (`wal.log`, see [`microdb::wal`]): the one change stream. Each
-//! committed batch appends one record of its row deltas, and a
-//! `create`'s record also carries the labels it allocated and its
-//! creation-time row ([`microdb::CreateMeta`]) — so a create's policy
-//! bindings and its rows survive a crash together or not at all.
-//! Restore loads the checkpoint, then replays the log: rows
-//! physically, creates by importing each label at its recorded index
-//! and re-binding its policies. Each checkpoint compacts the log down
-//! to the records newer than the generations it captured.
+//! committed batch appends one record of its row deltas; a `create`'s
+//! record has one section for its facet rows and one for its binding
+//! row — so a create's policy bindings and its rows survive a crash
+//! together or not at all. Restore loads the checkpoint, replays the
+//! log physically, then rebinds every policy by scanning the binding
+//! tables. Each checkpoint compacts the log down to the records newer
+//! than the generations it captured.
 //!
 //! # Quiescence and garbage collection
 //!
@@ -61,18 +65,16 @@ use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use form::{FormError, FormMeta, FormResult};
+use form::{binding_table, Binding, FormError, FormMeta, FormResult};
 use microdb::chunkstore::{
     is_valid_hash, load_rows, write_dirty_row_chunks, write_row_chunks, ChunkRef, ChunkStore,
     ChunkWriteStats, DirtyRows,
 };
 use microdb::faults::{self, FaultKind, FaultPoint};
-use microdb::snapshot::{
-    decode_value, encode_column, encode_value, escape_token, parse_column, unescape_token,
-};
-use microdb::{CreateMeta, Row, Snapshot, TableSnapshot, Value, WriteLog};
+use microdb::snapshot::{encode_column, escape_token, parse_column, unescape_token};
+use microdb::{Row, Snapshot, TableSnapshot, Value, WriteLog};
 
-use crate::app::App;
+use crate::app::{bound_label_name, App};
 use crate::http::{Response, Router};
 use crate::model::Viewer;
 
@@ -81,14 +83,15 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.snap";
 /// The storage engine's append-only write log.
 pub const WAL_FILE: &str = "wal.log";
 /// The first line of a checkpoint manifest. Version 2 also stored
-/// every object's facet DAG; version 3 stores rows only.
-const MANIFEST_HEADER: &str = "jacqueline-checkpoint v3";
+/// every object's facet DAG, and version 3 label names and policy
+/// bindings in an app-meta chunk; version 4 stores tables only.
+const MANIFEST_HEADER: &str = "jacqueline-checkpoint v4";
 
-/// Unbound label indices a replayed create may skip past the
-/// registry's end. A failed create leaves one per model policy, and a
+/// Unbound label indices a bound label may sit past the bound label
+/// below it. A failed create leaves one per model policy, and a
 /// failed append puts a served app into read-only degraded mode until
-/// a checkpoint absorbs them, so an index further out is corruption —
-/// and must not size the registry's allocation.
+/// a checkpoint, so an index further out is corruption — and must not
+/// size the registry's allocation.
 const MAX_LABEL_GAP: usize = 1 << 16;
 
 fn persist_err(what: impl fmt::Display) -> FormError {
@@ -102,7 +105,7 @@ pub struct CheckpointStats {
     pub tables: usize,
     /// Physical rows captured.
     pub rows: usize,
-    /// Logical objects (live `jid`s) across the model tables.
+    /// Logical objects (distinct `jid`s) across the model tables.
     pub objects: usize,
     /// Interner nodes (object-DAG store) before the quiescent GC.
     pub interner_nodes_before: usize,
@@ -118,6 +121,8 @@ pub struct CheckpointStats {
     /// Chunks encoded and hashed by this checkpoint (written, or found
     /// already stored); clean chunks carried over are not encoded.
     pub chunks_encoded: usize,
+    /// Bytes of the chunks this checkpoint encoded.
+    pub bytes_encoded: usize,
     /// Whether this checkpoint ran the incremental (clean-chunk
     /// carry-over) path rather than a full re-export.
     pub incremental: bool,
@@ -154,11 +159,13 @@ pub struct RestoreStats {
     pub tables: usize,
     /// Physical rows restored from the snapshot section.
     pub rows: usize,
-    /// Policy bindings restored (app-meta chunk + replayed creates).
+    /// Policy labels re-bound from the binding tables.
     pub policies: usize,
     /// Write-log records replayed on top of the snapshot.
     pub wal_applied: usize,
-    /// Replayed records that created an object.
+    /// Creates the log replay added: binding rows past the
+    /// checkpoint's (a model without policies has none, so its
+    /// creates are not counted).
     pub creates_applied: usize,
 }
 
@@ -174,7 +181,7 @@ impl fmt::Display for RestoreStats {
 }
 
 // ---------------------------------------------------------------------
-// The chunked manifest (`checkpoint.snap` v3) and its chunk payloads.
+// The chunked manifest (`checkpoint.snap` v4).
 // ---------------------------------------------------------------------
 
 /// One table's entry in the manifest: everything `TableSnapshot`
@@ -194,8 +201,8 @@ pub(crate) struct TableManifest {
 /// checkpoint. Committed atomically via tmp + rename; everything
 /// heavy lives in the `chunks/` store it points into.
 pub(crate) struct Manifest {
-    /// Hash of the app-meta chunk (FORM metadata + policy bindings).
-    pub(crate) app_meta: String,
+    /// The FORM's `jid` cursors.
+    pub(crate) form: FormMeta,
     pub(crate) tables: Vec<TableManifest>,
 }
 
@@ -204,7 +211,7 @@ impl Manifest {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "{MANIFEST_HEADER}");
-        let _ = writeln!(out, "app-meta {}", self.app_meta);
+        out.push_str(&self.form.to_text());
         let _ = writeln!(out, "db-tables {}", self.tables.len());
         for t in &self.tables {
             let _ = writeln!(out, "table {}", escape_token(&t.name));
@@ -233,7 +240,6 @@ impl Manifest {
     /// post-checkpoint store sweep.
     fn referenced_hashes(&self) -> HashSet<String> {
         let mut keep = HashSet::new();
-        keep.insert(self.app_meta.clone());
         for t in &self.tables {
             for c in &t.chunks {
                 keep.insert(c.hash.clone());
@@ -243,6 +249,7 @@ impl Manifest {
     }
 
     fn from_lines<'a>(mut cursor: impl Iterator<Item = &'a str>) -> FormResult<Manifest> {
+        let form = FormMeta::from_lines(&mut cursor)?;
         let mut next = |what: &str| -> FormResult<&str> {
             cursor
                 .next()
@@ -265,7 +272,6 @@ impl Manifest {
                 Err(persist_err(format!("malformed chunk hash {tok:?}")))
             }
         };
-        let app_meta = hash_of(&field(next("app-meta")?, "app-meta ")?)?;
         let n_tables = count(next("db-tables")?, "db-tables ")?;
         let mut tables = Vec::with_capacity(n_tables);
         for _ in 0..n_tables {
@@ -334,91 +340,8 @@ impl Manifest {
         if next("manifest terminator")? != "manifest-end" {
             return Err(persist_err("manifest missing terminator"));
         }
-        Ok(Manifest { app_meta, tables })
+        Ok(Manifest { form, tables })
     }
-}
-
-// ---------------------------------------------------------------------
-// Chunk payload codecs.
-// ---------------------------------------------------------------------
-
-fn encode_binding(b: &(u32, String, usize, i64, Row)) -> String {
-    let (ix, model, policy_ix, jid, row) = b;
-    let mut out = format!(
-        "b {ix} {} {policy_ix} {jid} {}",
-        escape_token(model),
-        row.len()
-    );
-    for v in row {
-        out.push(' ');
-        out.push_str(&encode_value(v));
-    }
-    out.push_str(" .");
-    out
-}
-
-fn decode_binding(line: &str) -> FormResult<(u32, String, usize, i64, Row)> {
-    let bad = || persist_err(format!("bad binding line {line:?}"));
-    let mut tokens = line.split_whitespace();
-    if tokens.next() != Some("b") {
-        return Err(bad());
-    }
-    let mut tok = || tokens.next().ok_or_else(bad);
-    let ix: u32 = tok()?.parse().map_err(|_| bad())?;
-    let model = unescape_token(tok()?)?;
-    let policy_ix: usize = tok()?.parse().map_err(|_| bad())?;
-    let jid: i64 = tok()?.parse().map_err(|_| bad())?;
-    let n_values: usize = tok()?.parse().map_err(|_| bad())?;
-    let mut row = Row::with_capacity(n_values);
-    for _ in 0..n_values {
-        row.push(decode_value(tok()?)?);
-    }
-    if tok()? != "." {
-        return Err(bad());
-    }
-    Ok((ix, model, policy_ix, jid, row))
-}
-
-/// The app-meta chunk: FORM metadata (label registry + jid cursors)
-/// followed by the policy-binding section. One chunk for the whole
-/// app — it is small, and it changes exactly when [`App::create`] or
-/// a policy binding does (`meta_epoch`), so an idle metadata surface
-/// costs nothing per checkpoint.
-fn encode_app_meta_chunk(meta: &FormMeta, bindings: &[(u32, String, usize, i64, Row)]) -> Vec<u8> {
-    let mut out = meta.to_text();
-    out.push_str(&format!("app-meta v1 {}\n", bindings.len()));
-    for b in bindings {
-        out.push_str(&encode_binding(b));
-        out.push('\n');
-    }
-    out.into_bytes()
-}
-
-type Bindings = Vec<(u32, String, usize, i64, Row)>;
-
-fn decode_app_meta_chunk(bytes: &[u8]) -> FormResult<(FormMeta, Bindings)> {
-    let text =
-        std::str::from_utf8(bytes).map_err(|_| persist_err("app-meta chunk is not UTF-8"))?;
-    let mut cursor = text.lines();
-    let meta = FormMeta::from_lines(&mut cursor)?;
-    let header = cursor
-        .next()
-        .ok_or_else(|| persist_err("app-meta chunk truncated at bindings header"))?;
-    let n_bindings: usize = header
-        .strip_prefix("app-meta v1 ")
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| persist_err(format!("bad app-meta header {header:?}")))?;
-    let mut bindings = Vec::with_capacity(n_bindings);
-    for _ in 0..n_bindings {
-        let line = cursor
-            .next()
-            .ok_or_else(|| persist_err("app-meta chunk truncated at binding"))?;
-        bindings.push(decode_binding(line)?);
-    }
-    if cursor.next().is_some() {
-        return Err(persist_err("trailing lines in app-meta chunk"));
-    }
-    Ok((meta, bindings))
 }
 
 // ---------------------------------------------------------------------
@@ -426,17 +349,13 @@ fn decode_app_meta_chunk(bytes: &[u8]) -> FormResult<(FormMeta, Bindings)> {
 // ---------------------------------------------------------------------
 
 /// What the last successful checkpoint wrote — held on the [`App`] so
-/// the next checkpoint can prove chunks clean (by generation stamp /
-/// `meta_epoch`) and carry them over without re-serializing. Dropping
-/// it is always safe: the next checkpoint simply runs the full path.
+/// the next checkpoint can prove chunks clean (by generation stamp)
+/// and carry them over without re-serializing. Dropping it is always
+/// safe: the next checkpoint simply runs the full path.
 pub(crate) struct CheckpointMemory {
     /// The directory the memory describes; a checkpoint to any other
     /// directory ignores it.
     pub(crate) dir: PathBuf,
-    /// `meta_epoch` at app-meta export time; `None` forces re-export
-    /// (set after a restore that replayed any log records).
-    pub(crate) app_meta_epoch: Option<u64>,
-    pub(crate) app_meta_hash: String,
     pub(crate) tables: BTreeMap<String, TableMemory>,
     /// Chunk counters of the checkpoint that produced this memory.
     pub(crate) last_written: usize,
@@ -598,9 +517,9 @@ impl App {
     }
 
     /// Takes a checkpoint **assuming the caller holds a quiescent
-    /// point** (no concurrent writers): snapshots the database,
-    /// exports FORM metadata and policy bindings, atomically replaces
-    /// `dir/checkpoint.snap`,
+    /// point** (no concurrent writers): snapshots every table (binding
+    /// tables included) and the FORM's `jid` cursors, atomically
+    /// replaces `dir/checkpoint.snap`,
     /// compacts the attached log (the checkpoint supersedes it),
     /// and finally runs the interner's garbage collector — the
     /// quiescent point is exactly when dead nodes from completed
@@ -616,7 +535,6 @@ impl App {
     /// Export or I/O failures; the previous checkpoint file is left
     /// intact on any error.
     pub fn checkpoint_to(&self, dir: impl AsRef<Path>) -> FormResult<CheckpointStats> {
-        use std::sync::atomic::Ordering;
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)
             .map_err(|e| persist_err(format!("create {}: {e}", dir.display())))?;
@@ -642,29 +560,6 @@ impl App {
         let store =
             ChunkStore::open(dir).map_err(|e| persist_err(format!("open chunk store: {e}")))?;
         let mut chunk_stats = ChunkWriteStats::default();
-
-        // App-meta chunk: clean exactly when no create/bind moved the
-        // epoch since the last export to this store.
-        let epoch = self.meta_epoch.load(Ordering::Acquire);
-        let app_meta = match memory
-            .as_ref()
-            .filter(|m| m.app_meta_epoch == Some(epoch))
-            .map(|m| m.app_meta_hash.clone())
-        {
-            Some(hash) => {
-                chunk_stats.reused += 1;
-                hash
-            }
-            None => {
-                let meta = self.db.export_meta();
-                let bindings = self.export_policy_bindings();
-                let (hash, written) = store
-                    .insert(&encode_app_meta_chunk(&meta, &bindings))
-                    .map_err(|e| persist_err(format!("write app-meta chunk: {e}")))?;
-                chunk_stats.note_insert(written);
-                hash
-            }
-        };
 
         // Row chunks, table by table. Three tiers: an unchanged
         // generation reuses the previous chunk list without touching a
@@ -725,20 +620,23 @@ impl App {
         }
 
         for model in self.model_names() {
-            stats.objects += self.db.object_jids(&model)?.len();
+            stats.objects += self.db.object_count(&model)?;
         }
 
-        let manifest = Manifest { app_meta, tables };
+        let manifest = Manifest {
+            form: self.db.export_meta(),
+            tables,
+        };
         stats.chunks_written = chunk_stats.written;
         stats.chunks_reused = chunk_stats.reused;
         stats.chunks_encoded = chunk_stats.encoded;
+        stats.bytes_encoded = chunk_stats.bytes;
         write_manifest_file(&dir.join(CHECKPOINT_FILE), &manifest.to_text())?;
 
         // The durable manifest + chunks now cover everything the log
         // recorded up to the captured generation vector — compact it
         // down to records newer than that (at a quiescent point that
-        // is all of them, so the file empties). A create's metadata
-        // goes with its rows.
+        // is all of them, so the file empties).
         let floor: BTreeMap<String, u64> = manifest
             .tables
             .iter()
@@ -774,8 +672,6 @@ impl App {
         // Remember what this checkpoint wrote for the next one.
         *self.ckpt_memory.lock().expect("checkpoint memory") = Some(CheckpointMemory {
             dir: dir.to_path_buf(),
-            app_meta_epoch: Some(epoch),
-            app_meta_hash: manifest.app_meta.clone(),
             tables: manifest
                 .tables
                 .iter()
@@ -837,14 +733,13 @@ impl App {
         })
     }
 
-    /// Restores this application from `dir`'s checkpoint: the
-    /// snapshot is loaded (label registry first, so no index can
-    /// alias), the policy bindings re-bind to this app's registered
-    /// models, and the write log is replayed on top — rows, and each
-    /// replayed create's labels and bindings. Objects are not
-    /// restored as such: each rebuilds from its rows on first read.
-    /// The app must already have its models registered — the same
-    /// application code that produced the checkpoint.
+    /// Restores this application from `dir`'s checkpoint: the tables
+    /// are loaded, the write log is replayed physically on top, and
+    /// every policy re-binds to this app's registered models from the
+    /// binding tables. Objects are not restored as such: each rebuilds
+    /// from its rows on first read. The app must already have its
+    /// models registered — the same application code that produced
+    /// the checkpoint.
     ///
     /// # Errors
     ///
@@ -852,7 +747,6 @@ impl App {
     /// (the checkpoint came from different application code), or
     /// replay failures.
     pub fn restore_from(&mut self, dir: impl AsRef<Path>) -> FormResult<RestoreStats> {
-        use std::sync::atomic::Ordering;
         let dir = dir.as_ref();
         let manifest = read_manifest_file(&dir.join(CHECKPOINT_FILE))?;
         let store =
@@ -861,10 +755,6 @@ impl App {
         // Materialize the chunked tables back into a snapshot. Every
         // chunk read re-hashes its bytes, so a flipped bit anywhere in
         // the store surfaces here as a clean persistence error.
-        let meta_bytes = store
-            .read(&manifest.app_meta)
-            .map_err(|e| persist_err(format!("read app-meta chunk: {e}")))?;
-        let (meta, bindings) = decode_app_meta_chunk(&meta_bytes)?;
         let mut snapshot = Snapshot { tables: Vec::new() };
         for t in &manifest.tables {
             let rows = load_rows(&store, &t.chunks)
@@ -885,20 +775,27 @@ impl App {
         };
 
         // Structural cross-check before any mutation: every
-        // registered model must appear in the snapshot under the
-        // schema this application registered. Damage that still
-        // parses — a case-flipped table or column name, say — must
-        // not replace the app's tables with ones its models cannot
-        // reach.
-        for model in self.model_names() {
+        // registered model, and the binding table of every model with
+        // policies, must appear in the snapshot under the schema this
+        // application registered. Damage that still parses — a
+        // case-flipped table or column name, say — must not replace
+        // the app's tables with ones its models cannot reach.
+        let bound_models: Vec<String> = self
+            .model_names()
+            .into_iter()
+            .filter(|m| !self.model(m).policies.is_empty())
+            .collect();
+        let tables = self
+            .model_names()
+            .into_iter()
+            .chain(bound_models.iter().map(|m| binding_table(m)));
+        for table in tables {
             let restored = snapshot
                 .tables
                 .iter()
-                .find(|t| t.name == model)
-                .ok_or_else(|| {
-                    persist_err(format!("checkpoint is missing model table {model:?}"))
-                })?;
-            let live = self.db.raw_ref().table(&model)?;
+                .find(|t| t.name == table)
+                .ok_or_else(|| persist_err(format!("checkpoint is missing table {table:?}")))?;
+            let live = self.db.raw_ref().table(&table)?;
             let live_cols = live.schema().columns();
             let matches = restored.columns.len() == live_cols.len()
                 && restored
@@ -908,47 +805,38 @@ impl App {
                     .all(|(a, b)| a.name() == b.name() && a.column_type() == b.column_type());
             if !matches {
                 return Err(persist_err(format!(
-                    "checkpointed schema of {model:?} does not match the registered model"
+                    "checkpointed schema of {table:?} does not match the registered model"
                 )));
             }
         }
 
-        // 1. Metadata before rows: restored `jvars` reference label
-        //    indices, which must exist before anything re-allocates.
-        self.db.restore_meta(&meta);
+        // 1. The tables, and the jid cursors; the label registry
+        //    starts empty and is rebuilt in step 3.
+        self.db.restore_meta(&manifest.form);
         self.db.restore_database(&snapshot)?;
 
-        // 2. Policy bindings from the app-meta chunk.
-        self.clear_policy_state();
-        for (ix, model, policy_ix, jid, row) in &bindings {
-            self.bind_policy(
-                faceted::Label::from_index(*ix),
-                model,
-                *policy_ix,
-                *jid,
-                row,
-            )?;
-            stats.policies += 1;
-        }
-
-        // 3. Write-log replay on the raw engine: records the snapshot
+        // 2. Write-log replay on the raw engine: sections the snapshot
         //    already contains skip by generation, the rest apply
-        //    physically. Each replayed create then imports its labels
-        //    at their recorded indices — creates that never became
-        //    durable leave unbound placeholders, so nothing depends on
-        //    the order creates of different tables were logged in —
-        //    and binds them exactly like step 2.
+        //    physically — a create's binding row with its facet rows.
         let replay = WriteLog::replay(dir.join(WAL_FILE), self.db.raw_ref())?;
         stats.wal_applied = replay.applied;
-        for (model, create) in &replay.creates {
-            self.replay_create(model, create)?;
-            stats.policies += create.labels.len();
-            stats.creates_applied += 1;
+
+        // 3. Re-bind every policy from the binding tables.
+        let mut bindings = Vec::with_capacity(bound_models.len());
+        for model in bound_models {
+            let rows = self.db.bindings(&model)?;
+            let checkpointed = manifest
+                .tables
+                .iter()
+                .find(|t| t.name == binding_table(&model))
+                .map_or(0, |t| t.rows);
+            stats.creates_applied += rows.len().saturating_sub(checkpointed);
+            bindings.push((model, rows));
         }
+        stats.policies = self.rebind(&bindings)?;
 
         // 4. Defensive jid floor: cursors never fall below what the
-        //    restored rows prove was allocated (objects inserted
-        //    without a create record included).
+        //    restored rows prove was allocated.
         for model in self.model_names() {
             if let Some(max) = self.db.object_jids(&model)?.last() {
                 self.db.bump_next_jid(&model, max + 1);
@@ -959,14 +847,8 @@ impl App {
         //    live tables): the row journal restarts right after each
         //    table's restored generation, so the next checkpoint's
         //    delta walk covers everything the log replayed on top.
-        //    The app-meta chunk stays reusable only if nothing
-        //    replayed at all.
-        let app_meta_epoch =
-            (stats.wal_applied == 0).then(|| self.meta_epoch.load(Ordering::Acquire));
         *self.ckpt_memory.lock().expect("checkpoint memory") = Some(CheckpointMemory {
             dir: dir.to_path_buf(),
-            app_meta_epoch,
-            app_meta_hash: manifest.app_meta.clone(),
             tables: manifest
                 .tables
                 .iter()
@@ -988,22 +870,47 @@ impl App {
         Ok(stats)
     }
 
-    /// Re-applies one replayed create's metadata: each label imported
-    /// at its recorded index and bound to its model policy, and the
-    /// model's jid cursor moved past the object.
-    fn replay_create(&self, model: &str, create: &CreateMeta) -> FormResult<()> {
-        for (policy_ix, (ix, name)) in create.labels.iter().enumerate() {
-            let allocated = self.db.labels().len();
-            if *ix as usize > allocated + MAX_LABEL_GAP {
+    /// Replaces every policy binding with the binding rows of each
+    /// model: each label is imported at its recorded index under its
+    /// derived name and bound to its model policy, and the model's
+    /// `jid` cursor moves past its bound objects. Checked before
+    /// anything changes: a label bound twice, or one further than
+    /// [`MAX_LABEL_GAP`] past the bound label below it, is corruption.
+    /// Returns the number of labels bound.
+    fn rebind(&self, bindings: &[(String, Vec<Binding>)]) -> FormResult<usize> {
+        let mut labels: Vec<u32> = bindings
+            .iter()
+            .flat_map(|(_, rows)| rows.iter().flat_map(|b| b.labels.iter().map(|l| l.index())))
+            .collect();
+        labels.sort_unstable();
+        let mut end = 0;
+        for &ix in &labels {
+            let ix = ix as usize;
+            if ix < end {
+                return Err(persist_err(format!("label {ix} is bound twice")));
+            }
+            if ix > end + MAX_LABEL_GAP {
                 return Err(persist_err(format!(
-                    "write log imports label {ix}, far past the {allocated} labels allocated"
+                    "a binding row names label {ix}, far past the {end} labels below it"
                 )));
             }
-            let label = self.db.import_label(*ix, name);
-            self.bind_policy(label, model, policy_ix, create.jid, &create.row)?;
+            end = ix + 1;
         }
-        self.db.bump_next_jid(model, create.jid + 1);
-        Ok(())
+        self.clear_policy_state();
+        for (model, rows) in bindings {
+            if let Some(max) = rows.iter().map(|b| b.jid).max() {
+                self.db.bump_next_jid(model, max + 1);
+            }
+            let policies = &self.model(model).policies;
+            for b in rows {
+                for (policy_ix, (fp, label)) in policies.iter().zip(&b.labels).enumerate() {
+                    let name = bound_label_name(model, &fp.label_name, b.jid);
+                    self.db.import_label(label.index(), &name);
+                    self.bind_policy(*label, model, policy_ix, b.jid, &b.row)?;
+                }
+            }
+        }
+        Ok(labels.len())
     }
 }
 
@@ -1155,14 +1062,14 @@ mod tests {
         }
         let before = grid(&app, 5);
         let stats = app.checkpoint_quiescent(&dir).unwrap();
-        assert_eq!(stats.tables, 1);
-        assert_eq!(stats.rows, 10, "5 notes × 2 facet rows");
+        assert_eq!(stats.tables, 2, "the note table and its binding table");
+        assert_eq!(stats.rows, 15, "5 notes × 2 facet rows + 5 binding rows");
         assert_eq!(stats.objects, 5);
 
         // "Kill" the process state: a brand-new app, models re-registered.
         let mut restored = note_app();
         let rstats = restored.restore_from(&dir).unwrap();
-        assert_eq!(rstats.rows, 10);
+        assert_eq!(rstats.rows, 15);
         assert_eq!(rstats.policies, 5);
         assert_eq!(grid(&restored, 5), before, "byte-identical grid");
 
@@ -1797,11 +1704,12 @@ mod tests {
     }
 
     /// A model whose objects carry `labels` policy labels: one string
-    /// column per label, each hidden from everyone but user 1.
-    fn labelled_app(labels: usize) -> App {
+    /// column per label (at least one column), each hidden from
+    /// everyone but user 1.
+    fn labelled_model(name: &str, labels: usize) -> ModelDef {
         let mut def = ModelDef::public(
-            "doc",
-            (0..labels)
+            name,
+            (0..labels.max(1))
                 .map(|i| ColumnDef::new(&format!("c{i}"), ColumnType::Str))
                 .collect(),
         );
@@ -1813,16 +1721,21 @@ mod tests {
                 |args| args.viewer.user_jid() == Some(1),
             ));
         }
+        def
+    }
+
+    fn labelled_app(labels: usize) -> App {
         let mut app = App::new();
-        app.register_model(def).unwrap();
+        app.register_model(labelled_model("doc", labels)).unwrap();
         app
     }
 
     /// The rows are the whole durable state of an object: after one
     /// `create`, a checkpoint encodes exactly the model's dirty row
-    /// chunk plus the app-meta chunk, whatever the label count.
+    /// chunk plus its binding table's dirty chunk, whatever the label
+    /// count.
     #[test]
-    fn checkpoint_after_one_create_encodes_one_row_chunk_and_app_meta() {
+    fn checkpoint_after_one_create_encodes_one_row_chunk_and_one_binding_chunk() {
         for labels in 1..=3 {
             let dir = temp_dir(&format!("one_create_{labels}"));
             let app = labelled_app(labels);
@@ -1837,11 +1750,48 @@ mod tests {
             assert_eq!(
                 (stats.chunks_encoded, stats.chunks_written),
                 (2, 2),
-                "{labels} label(s): one row chunk + the app-meta chunk"
+                "{labels} label(s): one row chunk + one binding chunk"
             );
             assert_eq!(stats.objects, 4);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// What a checkpoint after one `create` encodes does not grow with
+    /// the app: at 64 and at 4096 objects it is one chunk of facet
+    /// rows plus one chunk of binding rows, and the encoded bytes
+    /// differ by less than one chunk's worth. (A chunk holding every
+    /// binding would grow with the object count.)
+    #[test]
+    fn checkpoint_after_one_create_encodes_bytes_independent_of_app_size() {
+        let after_one_create = |objects: i64| {
+            let dir = temp_dir(&format!("size_{objects}"));
+            let app = note_app();
+            for i in 0..objects {
+                app.create(
+                    "note",
+                    vec![Value::Int(i % 7), Value::from(format!("n{i}"))],
+                )
+                .unwrap();
+            }
+            app.checkpoint_quiescent(&dir).unwrap();
+            app.create("note", vec![Value::Int(3), Value::from("one more")])
+                .unwrap();
+            let stats = app.checkpoint_quiescent(&dir).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            assert!(stats.incremental);
+            stats
+        };
+        let (small, large) = (after_one_create(64), after_one_create(4096));
+        assert_eq!(small.chunks_encoded, 2, "one row chunk + one binding chunk");
+        assert_eq!(large.chunks_encoded, small.chunks_encoded);
+        let chunk = small.bytes_encoded / small.chunks_encoded;
+        assert!(
+            large.bytes_encoded.abs_diff(small.bytes_encoded) < chunk,
+            "encoded {} B at 4096 objects vs {} B at 64 (one chunk ≈ {chunk} B)",
+            large.bytes_encoded,
+            small.bytes_encoded
+        );
     }
 
     /// Satellite: the ablation knob — with incremental checkpoints
@@ -1945,6 +1895,38 @@ mod tests {
         app.db.labels().len()
     }
 
+    /// The live policy bindings, in label order: `(label index, label
+    /// name, model, policy index, jid, creation-time row)`.
+    fn live_bindings(app: &App) -> Vec<(u32, String, String, usize, i64, Row)> {
+        let policies = app.policies.read().unwrap();
+        let registry = app.db.labels();
+        let mut out: Vec<_> = app
+            .object_labels
+            .read()
+            .unwrap()
+            .iter()
+            .flat_map(|((model, jid), labels)| {
+                labels.iter().enumerate().map(|(policy_ix, l)| {
+                    let entry = policies[l.index() as usize].as_ref().expect("bound");
+                    assert_eq!(entry.jid, *jid);
+                    let name = registry.name(*l).to_owned();
+                    (
+                        l.index(),
+                        name,
+                        model.clone(),
+                        policy_ix,
+                        *jid,
+                        entry.row.clone(),
+                    )
+                })
+            })
+            .collect();
+        out.sort_by_key(|b| b.0);
+        let bound = policies.iter().filter(|p| p.is_some()).count();
+        assert_eq!(bound, out.len(), "every bound label belongs to an object");
+        out
+    }
+
     /// Regression: a create whose WAL append fails allocates labels
     /// that never become durable. The next, acknowledged create's
     /// labels sit past that gap; restore must accept the gap, not
@@ -2012,7 +1994,7 @@ mod tests {
         app.create("note", vec![Value::Int(1), Value::from("kept")])
             .unwrap();
         app.checkpoint_quiescent(&dir).unwrap();
-        let bindings = app.export_policy_bindings();
+        let bindings = live_bindings(&app);
         let labels = registry_len(&app);
 
         faults::arm_at(
@@ -2024,7 +2006,7 @@ mod tests {
         assert!(app
             .create("note", vec![Value::Int(1), Value::from("lost")])
             .is_err());
-        assert_eq!(app.export_policy_bindings(), bindings, "no phantom binding");
+        assert_eq!(live_bindings(&app), bindings, "no phantom binding");
         assert_eq!(app.db.object_jids("note").unwrap(), vec![1]);
         assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
 
@@ -2033,13 +2015,80 @@ mod tests {
         assert_eq!((stats.wal_applied, stats.creates_applied), (0, 0));
         assert_eq!(restored.db.object_jids("note").unwrap(), vec![1]);
         assert_eq!(registry_len(&restored), labels);
-        assert_eq!(restored.export_policy_bindings(), bindings);
+        assert_eq!(live_bindings(&restored), bindings);
         assert!(!page(&restored, &Viewer::User(1)).contains("lost"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A corrupted label index in a create record fails the restore
-    /// cleanly instead of sizing a huge registry allocation.
+    /// Restore rebuilds exactly the live binding set — label index,
+    /// derived name, model, policy, jid and creation-time row — from
+    /// the binding tables, over checkpointed creates, creates only in
+    /// the log, a failed create (its labels stay unbound) and a torn
+    /// log tail; allocation then continues identically in both apps.
+    #[test]
+    fn restore_rebuilds_the_live_binding_set_from_binding_tables() {
+        let dir = temp_dir("binding_set");
+        let register = |app: &mut App| {
+            for labels in 0..=3 {
+                app.register_model(labelled_model(&format!("m{labels}"), labels))
+                    .unwrap();
+            }
+        };
+        let mut app = App::new();
+        register(&mut app);
+        app.enable_persistence(&dir).unwrap();
+        let create = |app: &App, i: usize| {
+            let m = i % 4;
+            let row = (0..m.max(1))
+                .map(|c| Value::from(format!("o{i}c{c}")))
+                .collect();
+            app.create(&format!("m{m}"), row)
+        };
+        for i in 0..10 {
+            create(&app, i).unwrap();
+        }
+        app.checkpoint_quiescent(&dir).unwrap();
+        for i in 10..13 {
+            create(&app, i).unwrap();
+        }
+        faults::arm_at(
+            FaultPoint::WalAppend,
+            0,
+            FaultKind::Error,
+            "jacq_ckpt_binding_set",
+        );
+        assert!(create(&app, 14).is_err(), "an m2 create whose append fails");
+        for i in 15..19 {
+            create(&app, i).unwrap();
+        }
+        let mut wal = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join(WAL_FILE))
+            .unwrap();
+        wal.write_all(b"m3 9 10 a 5 sx").unwrap();
+        drop(wal);
+
+        let mut restored = App::new();
+        register(&mut restored);
+        let stats = restored.restore_from(&dir).unwrap();
+        let live = live_bindings(&app);
+        assert_eq!(live_bindings(&restored), live);
+        assert_eq!(stats.policies, live.len());
+        assert_eq!(stats.creates_applied, 5, "the log's m1–m3 creates");
+        assert!(
+            live.iter().any(|(_, name, ..)| name == "m3.doc_c2@2"),
+            "{live:?}"
+        );
+        for i in [21, 22] {
+            let (a, b) = (create(&app, i).unwrap(), create(&restored, i).unwrap());
+            assert_eq!(a, b, "object {i}: the same next jid");
+        }
+        assert_eq!(live_bindings(&restored), live_bindings(&app));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A corrupted label index in a create's binding row fails the
+    /// restore cleanly instead of sizing a huge registry allocation.
     #[test]
     fn far_out_label_index_in_the_log_is_rejected() {
         let dir = temp_dir("far_label");
@@ -2049,8 +2098,9 @@ mod tests {
         app.create("note", vec![Value::Int(1), Value::from("x")])
             .unwrap();
         let text = std::fs::read_to_string(dir.join(WAL_FILE)).unwrap();
-        // Object 1's only label sits at index 0: move it far out.
-        let corrupt = text.replacen(" c 1 1 0 ", " c 1 1 4000000000 ", 1);
+        // Object 1's only label sits at index 0, the last value of its
+        // binding row: move it far out.
+        let corrupt = text.replacen(" i0 .", " i4000000000 .", 1);
         assert_ne!(corrupt, text);
         std::fs::write(dir.join(WAL_FILE), corrupt).unwrap();
         let mut restored = note_app();
@@ -2062,7 +2112,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every create — rows and metadata — is exactly one WAL record.
+    /// Every create — facet rows and binding row — is exactly one WAL
+    /// record.
     #[test]
     fn each_create_appends_exactly_one_wal_record() {
         let dir = temp_dir("one_record");
@@ -2077,8 +2128,16 @@ mod tests {
         let text = std::fs::read_to_string(dir.join(WAL_FILE)).unwrap();
         for line in text.lines() {
             let record = microdb::BatchRecord::parse(line).unwrap();
-            let create = record.create.expect("a create carries its metadata");
-            assert_eq!(create.labels.len(), 1, "one label per note policy");
+            let tables: Vec<&str> = record.sections.iter().map(|s| s.table.as_str()).collect();
+            assert_eq!(tables, ["note", "_bind_note"], "{line}");
+            let microdb::LoggedDelta::Append(binding) = &record.sections[1].deltas[0] else {
+                panic!("a create appends its binding row: {line}");
+            };
+            assert_eq!(
+                binding.len(),
+                4,
+                "jid, owner, text, one label per note policy"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -150,36 +150,15 @@ impl LabelRegistry {
         (0..self.names.len()).map(|i| Label(i as u32))
     }
 
-    /// The stored names in allocation order — the registry's
-    /// serialized form. [`LabelRegistry::from_names`] inverts this.
-    #[must_use]
-    pub fn export_names(&self) -> Vec<String> {
-        self.names.clone()
-    }
-
-    /// Rebuilds a registry from [`LabelRegistry::export_names`]
-    /// output. Stored names are already uniquified, so each maps to
-    /// its positional label and lookups behave exactly as in the
-    /// exporting registry.
-    #[must_use]
-    pub fn from_names<I: IntoIterator<Item = String>>(names: I) -> LabelRegistry {
-        let mut reg = LabelRegistry::new();
-        for (ix, name) in names.into_iter().enumerate() {
-            let ix = u32::try_from(ix).expect("label space exhausted");
-            let _ = reg.import_at(ix, &name);
-        }
-        reg
-    }
-
     /// Records one *stored* (already-uniquified) name verbatim at
-    /// label index `index`, returning the label — the replay path of
-    /// the persistence layer. Unlike [`LabelRegistry::fresh`] this
-    /// never α-renames: it must reproduce the exporting registry's
-    /// state bit for bit. Indices between the current end and `index`
-    /// are filled with unbound placeholders (empty names, kept out of
-    /// name lookups): labels some allocation took but never made
-    /// durable, which must stay allocated so no later label reuses
-    /// their index.
+    /// label index `index`, returning the label — how the persistence
+    /// layer rebuilds a registry from stored bindings, in any order.
+    /// Unlike [`LabelRegistry::fresh`] this never α-renames: it must
+    /// reproduce the exporting registry's state bit for bit. Indices
+    /// between the current end and `index` are filled with unbound
+    /// placeholders (empty names, kept out of name lookups): labels
+    /// some allocation took but never made durable, which must stay
+    /// allocated so no later label reuses their index.
     pub fn import_at(&mut self, index: u32, stored_name: &str) -> Label {
         let label = Label(index);
         let ix = index as usize;
@@ -247,7 +226,11 @@ mod tests {
         let a = reg.fresh("k");
         let b = reg.fresh("k"); // α-renamed to "k'1"
         let c = reg.fresh("other");
-        let back = LabelRegistry::from_names(reg.export_names());
+        // Import every (index, name) pair, last first.
+        let mut back = LabelRegistry::new();
+        for l in reg.iter().collect::<Vec<_>>().into_iter().rev() {
+            back.import_at(l.index(), reg.name(l));
+        }
         assert_eq!(back.len(), reg.len());
         for l in [a, b, c] {
             assert_eq!(back.name(l), reg.name(l));
@@ -256,13 +239,13 @@ mod tests {
         assert_eq!(back.get("k'1"), Some(b));
         // Allocation continues where the original left off, so no
         // restored label index can ever be reused.
-        let mut back = back;
         assert_eq!(back.fresh("post-restore").index(), 3);
     }
 
     #[test]
     fn import_at_fills_gaps_with_unbound_placeholders() {
-        let mut reg = LabelRegistry::from_names(vec!["a".to_owned()]);
+        let mut reg = LabelRegistry::new();
+        reg.fresh("a");
         // Index 1 was allocated by a create that never became durable.
         let c = reg.import_at(2, "c");
         assert_eq!(c.index(), 2);

@@ -8,8 +8,8 @@ use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use faceted::{Branches, FacetedList, IdHashMap, Label, LabelRegistry};
 use microdb::{
-    ColumnDef, ColumnType, CreateMeta, Database, Operand, Predicate, Query, Row, RowDelta, Schema,
-    SortOrder, Statement, Table, Value,
+    ColumnDef, ColumnType, Database, Operand, Predicate, Query, Row, RowDelta, Schema, SortOrder,
+    Statement, Table, Value,
 };
 
 use crate::error::{FormError, FormResult};
@@ -60,6 +60,25 @@ enum ObjectProbe {
 /// A decoded row as rebuild input: its guard and its interned leaf.
 fn leaf_of(row: &GuardedRow) -> (&Branches, &FacetedObject) {
     (&row.guard, row.leaf())
+}
+
+/// The name of `model`'s policy-binding table (see
+/// [`FormDb::create_binding_table`]).
+#[must_use]
+pub fn binding_table(model: &str) -> String {
+    format!("_bind_{model}")
+}
+
+/// One decoded row of a policy-binding table: an object and the
+/// labels its policies were bound to when it was created.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Binding {
+    /// The object's id.
+    pub jid: i64,
+    /// The creation-time row its policies close over.
+    pub row: Row,
+    /// The label of each of the model's policies, in policy order.
+    pub labels: Vec<Label>,
 }
 
 /// A faceted database: a relational engine driven purely through
@@ -381,11 +400,37 @@ impl FormDb {
         Ok(jid)
     }
 
+    /// Creates the FORM-internal binding table of the existing table
+    /// `model`: one row per object — its `jid`, the creation-time row
+    /// its policies close over (the model's user columns) and the
+    /// index of the label of each of its `policies` policies, in
+    /// policy order. [`FormDb::insert_created`] writes the row in the
+    /// same atomic batch as the object's facet rows, so the table is
+    /// the durable record of every policy binding.
+    ///
+    /// # Errors
+    ///
+    /// Table-lookup errors, or [`microdb::DbError`] if the binding
+    /// table exists already.
+    pub fn create_binding_table(&mut self, model: &str, policies: usize) -> FormResult<()> {
+        let mut cols = vec![ColumnDef::new(JID, ColumnType::Int)];
+        {
+            let t = self.db.table(model)?;
+            let user = t.schema().columns();
+            cols.extend_from_slice(&user[..user.len() - 2]);
+        }
+        cols.extend((0..policies).map(|i| ColumnDef::new(&format!("@{i}"), ColumnType::Int)));
+        self.db
+            .create_table(&binding_table(model), Schema::new(cols))?;
+        Ok(())
+    }
+
     /// Inserts a newly created faceted object under its pre-reserved
-    /// `create.jid`, logging `create` — the labels the creation
-    /// allocated and the row its policies close over — in the same
-    /// write-log record as the object's rows: a crash or a failed
-    /// append keeps both or neither.
+    /// `jid`. When `labels` — the labels its policies allocated, in
+    /// policy order — is non-empty, the object's binding row (`jid`,
+    /// the creation-time `row`, the label indices) goes into the
+    /// model's binding table in the same atomic batch, logged as one
+    /// record: a crash or a failed append keeps both or neither.
     ///
     /// # Errors
     ///
@@ -395,33 +440,44 @@ impl FormDb {
     pub fn insert_created(
         &self,
         table: &str,
-        create: &CreateMeta,
+        jid: i64,
         object: &FacetedObject,
+        row: &[Value],
+        labels: &[Label],
     ) -> FormResult<()> {
-        self.write_rows(table, create.jid, object, Vec::new(), Some(create))
+        let binding = (!labels.is_empty()).then(|| {
+            let mut b = Vec::with_capacity(1 + row.len() + labels.len());
+            b.push(Value::Int(jid));
+            b.extend_from_slice(row);
+            b.extend(labels.iter().map(|l| Value::Int(i64::from(l.index()))));
+            b
+        });
+        self.write_rows(table, jid, object, Vec::new(), binding)
     }
 
     /// The marshalling loop behind every object write: `prelude`
     /// statements (e.g. [`FormDb::save`]'s delete of the old rows),
     /// then one insert per reachable facet leaf, applied and logged
-    /// as a *single atomic batch* under one table write lock (with
-    /// `create`, the creation metadata, in the same record). A
-    /// failure anywhere — a bad row, a full disk on the WAL append —
-    /// rolls the whole object write back, so neither memory nor the
-    /// log ever holds a torn object and reads keep serving the intact
-    /// pre-write state.
+    /// as a *single atomic batch* under the table's write lock (with
+    /// `binding`, a created object's binding row, under its binding
+    /// table's lock in the same batch). A failure anywhere — a bad
+    /// row, a full disk on the WAL append — rolls the whole object
+    /// write back, so neither memory nor the log ever holds a torn
+    /// object and reads keep serving the intact pre-write state.
     fn write_rows(
         &self,
         table: &str,
         jid: i64,
         object: &FacetedObject,
         prelude: Vec<Statement>,
-        create: Option<&CreateMeta>,
+        binding: Option<Row>,
     ) -> FormResult<()> {
         crate::touched::note_write(table);
         let mut stmts = prelude;
         for (guard, fields) in flatten_object(object) {
             let mut row: Row = fields;
+            // The table keeps this very `Vec`: no slack capacity.
+            row.reserve_exact(2);
             row.push(Value::Int(jid));
             row.push(Value::Str(encode_jvars(&guard)));
             stmts.push(Statement::Insert {
@@ -433,7 +489,15 @@ impl FormDb {
         // atomically, records stay in generation order, and replay is
         // byte-deterministic.
         let mut t = self.db.table_mut(table)?;
-        self.db.apply_batch_locked(&mut t, &stmts, create)?;
+        match binding {
+            None => self.db.apply_batch_locked(&mut [&mut *t], stmts)?,
+            Some(row) => {
+                let bind = binding_table(table);
+                let mut b = self.db.table_mut(&bind)?;
+                stmts.push(Statement::Insert { table: bind, row });
+                self.db.apply_batch_locked(&mut [&mut *t, &mut *b], stmts)?;
+            }
+        }
         // Writers pay for index maintenance so the shared-access query
         // plan (`&self`) always finds fresh indexes.
         t.refresh_indexes();
@@ -1102,7 +1166,7 @@ impl FormDb {
         if let Some(stmts) = self.in_place_save_stmts(table, jid, &merged)? {
             crate::touched::note_write(table);
             let mut t = self.db.table_mut(table)?;
-            self.db.apply_batch_locked(&mut t, &stmts, None)?;
+            self.db.apply_batch_locked(&mut [&mut *t], stmts)?;
             t.refresh_indexes();
             return Ok(());
         }
@@ -1211,29 +1275,68 @@ impl FormDb {
         self.db.attach_wal(wal);
     }
 
-    /// Exports the FORM's metadata: label-registry names and per-table
-    /// `jid` cursors (see [`crate::FormMeta`] for why both must
-    /// survive a restart).
+    /// Exports the FORM's metadata: the per-table `jid` cursors (see
+    /// [`crate::FormMeta`] for why they must survive a restart).
     #[must_use]
     pub fn export_meta(&self) -> crate::FormMeta {
         crate::FormMeta {
-            labels: self.labels.read().expect("labels lock").export_names(),
             next_jid: self.next_jid.lock().expect("jid lock").clone(),
         }
     }
 
-    /// Restores metadata exported by [`FormDb::export_meta`],
-    /// replacing the registry and the `jid` cursors wholesale.
+    /// Restores metadata exported by [`FormDb::export_meta`]: the
+    /// `jid` cursors are replaced wholesale, and the label registry
+    /// starts empty — a restore re-imports every bound label from the
+    /// binding tables ([`FormDb::import_label`]).
     pub fn restore_meta(&mut self, meta: &crate::FormMeta) {
-        *self.labels.write().expect("labels lock") =
-            LabelRegistry::from_names(meta.labels.iter().cloned());
+        *self.labels.write().expect("labels lock") = LabelRegistry::new();
         *self.next_jid.lock().expect("jid lock") = meta.next_jid.clone();
     }
 
-    /// Restores one stored label name at its recorded index — the
-    /// write-log replay path for labels allocated after the last
-    /// checkpoint (see [`LabelRegistry::import_at`]). Returns the
-    /// label.
+    /// Every row of `model`'s binding table (see
+    /// [`FormDb::create_binding_table`]), decoded.
+    ///
+    /// # Errors
+    ///
+    /// Table-lookup errors, and [`microdb::DbError::Persist`] for a
+    /// table narrower than the model or a row whose `jid` or label
+    /// index is not an integer in range.
+    pub fn bindings(&self, model: &str) -> FormResult<Vec<Binding>> {
+        let width = self.db.table(model)?.schema().len() - 2;
+        let t = self.db.table(&binding_table(model))?;
+        let bad = |what: String| FormError::Db(microdb::DbError::Persist(what));
+        if t.schema().len() <= width {
+            return Err(bad(format!(
+                "binding table of {model:?} is narrower than the model"
+            )));
+        }
+        t.rows()
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let bad_row = || bad(format!("bad binding row {i} of {model:?}"));
+                let jid = r[0].as_int().ok_or_else(bad_row)?;
+                let labels = r[1 + width..]
+                    .iter()
+                    .map(|v| {
+                        v.as_int()
+                            .and_then(|ix| u32::try_from(ix).ok())
+                            .map(Label::from_index)
+                            .ok_or_else(bad_row)
+                    })
+                    .collect::<FormResult<_>>()?;
+                Ok(Binding {
+                    jid,
+                    row: r[1..=width].to_vec(),
+                    labels,
+                })
+            })
+            .collect()
+    }
+
+    /// Records one label name at its recorded index — how a restore
+    /// rebuilds the registry from the binding tables (see
+    /// [`LabelRegistry::import_at`]). Returns the label.
     pub fn import_label(&self, index: u32, stored_name: &str) -> Label {
         self.labels
             .write()
@@ -1277,8 +1380,22 @@ impl FormDb {
         Ok(())
     }
 
-    /// The `jid`s of every logical object in `table`, ascending — the
-    /// checkpoint writer counts objects with this.
+    /// How many logical objects (distinct `jid`s) `table` holds: the
+    /// key count of its `jid` index, or [`FormDb::object_jids`] while
+    /// the index is dirty.
+    ///
+    /// # Errors
+    ///
+    /// Table-lookup errors.
+    pub fn object_count(&self, table: &str) -> FormResult<usize> {
+        let keys = self.db.table(table)?.index_keys(JID);
+        match keys {
+            Some(n) => Ok(n),
+            None => Ok(self.object_jids(table)?.len()),
+        }
+    }
+
+    /// The `jid`s of every logical object in `table`, ascending.
     ///
     /// # Errors
     ///
@@ -2079,29 +2196,26 @@ mod tests {
 
     #[test]
     fn meta_export_restore_round_trips_allocation_state() {
-        let (db, _, _) = event_db();
-        let extra = db.fresh_label("event_policy"); // α-renamed duplicate
+        let (db, k, _) = event_db();
         let meta = db.export_meta();
-        assert_eq!(meta.labels.len(), 2);
         assert_eq!(meta.next_jid.get("event"), Some(&2));
 
         let mut fresh = FormDb::new();
+        fresh.fresh_label("stale");
         fresh.restore_meta(&meta);
-        assert_eq!(
-            fresh.labels().name(extra),
-            db.labels().name(extra),
-            "stored names restore verbatim"
-        );
-        // Allocation continues past the restored state: no reuse of a
-        // persisted index, no jid collision.
-        assert_eq!(fresh.fresh_label("next").index(), 2);
+        assert!(fresh.labels().is_empty(), "labels come back from bindings");
+        // No jid collision after the restore.
         assert_eq!(fresh.reserve_jid("event"), 2);
-        // import_label + bump_next_jid are the write-log replay hooks:
-        // a label lands at its recorded index, past a gap if need be.
+        // import_label + bump_next_jid are the restore hooks: a label
+        // lands at its recorded index, past a gap if need be, and
+        // allocation continues past it.
+        let restored = fresh.import_label(k.index(), "event.secret@1");
+        assert_eq!(restored, k);
         let replayed = fresh.import_label(5, "replayed.label");
         assert_eq!(replayed.index(), 5);
         assert_eq!(fresh.labels().name(replayed), "replayed.label");
-        assert_eq!(fresh.labels().len(), 6, "indices 3 and 4 hold placeholders");
+        assert_eq!(fresh.labels().len(), 6, "indices 1 to 4 hold placeholders");
+        assert_eq!(fresh.fresh_label("next").index(), 6);
         fresh.bump_next_jid("event", 9);
         assert_eq!(fresh.reserve_jid("event"), 9);
         fresh.bump_next_jid("event", 3); // never regresses
@@ -2142,8 +2256,9 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1, "one record for the whole save");
         let record = microdb::BatchRecord::parse(text.trim_end()).unwrap();
+        assert_eq!(record.sections.len(), 1, "a save writes one table");
         assert_eq!(
-            (record.from, record.to),
+            (record.sections[0].from, record.sections[0].to),
             (
                 baseline.table("event").unwrap().generation,
                 db.raw_ref().generation("event").unwrap()

@@ -40,7 +40,7 @@ pub mod persist;
 pub mod touched;
 
 pub use aggregate::{faceted_count, faceted_sum};
-pub use db::{DecodeCacheStats, FormDb};
+pub use db::{binding_table, Binding, DecodeCacheStats, FormDb};
 pub use error::{FormError, FormResult};
 pub use meta::{encode_jvars, parse_jvars, JID, JVARS};
 pub use object::{flatten_object, object_field, rebuild_object, FacetedObject, GuardedRow};

@@ -1,22 +1,13 @@
 //! FORM metadata serialization: the state that lives *outside* the
 //! relational engine but is required to reopen a faceted database.
 //!
-//! The physical rows (with their `jid`/`jvars` meta columns) are
-//! captured by [`microdb::Snapshot`]; what they do **not** capture is
-//! the FORM's own bookkeeping:
-//!
-//! * the **label registry** — `jvars` stores only label *indices*, so
-//!   a restored process that re-allocated labels from zero would
-//!   alias fresh labels onto persisted guards (a policy-integrity
-//!   disaster). The registry's stored names are persisted in
-//!   allocation order and restored verbatim, so post-restore
-//!   allocation continues exactly where the exporting process
-//!   stopped;
-//! * the **per-table `jid` cursors** — logical object ids must not be
-//!   reused either.
-//!
-//! Both fit in a tiny line-oriented text block ([`FormMeta`]),
-//! written into the checkpoint next to the database snapshot.
+//! The physical rows (with their `jid`/`jvars` meta columns) and the
+//! policy-binding rows are ordinary tables; what they do **not**
+//! capture is the **per-table `jid` cursors**: logical object ids
+//! must not be reused, and an object whose rows were deleted leaves
+//! no trace of its id in any row. The cursors fit in a tiny
+//! line-oriented text block ([`FormMeta`]), written into the
+//! checkpoint manifest.
 
 use std::collections::BTreeMap;
 
@@ -27,8 +18,6 @@ use crate::error::{FormError, FormResult};
 /// The FORM's serializable metadata.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FormMeta {
-    /// Label registry stored names, in allocation order.
-    pub labels: Vec<String>,
     /// Per-table next logical object id.
     pub next_jid: BTreeMap<String, i64>,
 }
@@ -37,23 +26,14 @@ impl FormMeta {
     /// Renders the metadata block.
     ///
     /// ```text
-    /// form-meta v1 <n-labels> <n-jid-cursors>
-    /// l <stored-name>
+    /// form-meta v2 <n-jid-cursors>
     /// j <next-jid> <table>
     /// ```
     #[must_use]
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "form-meta v1 {} {}",
-            self.labels.len(),
-            self.next_jid.len()
-        );
-        for name in &self.labels {
-            let _ = writeln!(out, "l {}", escape_token(name));
-        }
+        let _ = writeln!(out, "form-meta v2 {}", self.next_jid.len());
         for (table, next) in &self.next_jid {
             let _ = writeln!(out, "j {next} {}", escape_token(table));
         }
@@ -70,7 +50,7 @@ impl FormMeta {
     }
 
     /// Parses the block from a line iterator, consuming exactly its
-    /// own lines (the header declares the counts) — the checkpoint
+    /// own lines (the header declares the count) — the checkpoint
     /// reader embeds this section inside a larger file.
     ///
     /// # Errors
@@ -79,19 +59,11 @@ impl FormMeta {
     pub fn from_lines<'a>(lines: &mut impl Iterator<Item = &'a str>) -> FormResult<FormMeta> {
         let bad = |what: &str| FormError::Db(microdb::DbError::Persist(what.to_owned()));
         let header = lines.next().ok_or_else(|| bad("empty form-meta"))?;
-        let (n_labels, n_jids) = header
-            .strip_prefix("form-meta v1 ")
-            .and_then(|rest| rest.split_once(' '))
-            .and_then(|(a, b)| Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?)))
+        let n_jids: usize = header
+            .strip_prefix("form-meta v2 ")
+            .and_then(|n| n.parse().ok())
             .ok_or_else(|| bad("bad form-meta header"))?;
         let mut meta = FormMeta::default();
-        for _ in 0..n_labels {
-            let line = lines.next().ok_or_else(|| bad("truncated labels"))?;
-            let name = line
-                .strip_prefix("l ")
-                .ok_or_else(|| bad("expected a label line"))?;
-            meta.labels.push(unescape_token(name)?);
-        }
         for _ in 0..n_jids {
             let line = lines.next().ok_or_else(|| bad("truncated jid cursors"))?;
             let rest = line
@@ -113,14 +85,7 @@ mod tests {
 
     #[test]
     fn meta_round_trips() {
-        let mut meta = FormMeta {
-            labels: vec![
-                "conf.restrict_email".into(),
-                "with space".into(),
-                "α-renamed'2".into(),
-            ],
-            next_jid: BTreeMap::new(),
-        };
+        let mut meta = FormMeta::default();
         meta.next_jid.insert("paper".into(), 42);
         meta.next_jid.insert("user profile".into(), 7);
         let text = meta.to_text();
@@ -137,10 +102,11 @@ mod tests {
     fn malformed_meta_is_rejected() {
         for bad in [
             "",
-            "form-meta v2 0 0",
-            "form-meta v1 1 0",
-            "form-meta v1 0 1\nj x t",
-            "form-meta v1 1 0\nj 1 t",
+            // The v1 block also listed label names.
+            "form-meta v1 0 0",
+            "form-meta v2 1",
+            "form-meta v2 1\nj x t",
+            "form-meta v2 1\nl name",
         ] {
             assert!(FormMeta::from_text(bad).is_err(), "{bad:?}");
         }

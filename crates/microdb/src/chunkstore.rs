@@ -93,6 +93,8 @@ pub struct ChunkWriteStats {
     /// Chunks encoded and hashed (then written, or found present); a
     /// chunk carried over by reference is not encoded.
     pub encoded: usize,
+    /// Bytes of those encoded chunks.
+    pub bytes: usize,
 }
 
 impl ChunkWriteStats {
@@ -101,12 +103,15 @@ impl ChunkWriteStats {
         self.written += other.written;
         self.reused += other.reused;
         self.encoded += other.encoded;
+        self.bytes += other.bytes;
     }
 
-    /// Counts one encoded chunk handed to [`ChunkStore::insert`], which
-    /// reported whether a file was `written`.
-    pub fn note_insert(&mut self, written: bool) {
+    /// Counts one encoded chunk of `bytes` handed to
+    /// [`ChunkStore::insert`], which reported whether a file was
+    /// `written`.
+    pub fn note_insert(&mut self, bytes: usize, written: bool) {
         self.encoded += 1;
+        self.bytes += bytes;
         if written {
             self.written += 1;
         } else {
@@ -376,7 +381,7 @@ pub fn write_row_chunks(
     for chunk in rows.chunks(CHUNK_ROWS) {
         let bytes = encode_row_chunk(chunk);
         let (hash, written) = store.insert(&bytes)?;
-        stats.note_insert(written);
+        stats.note_insert(bytes.len(), written);
         refs.push(ChunkRef {
             hash,
             rows: chunk.len(),
@@ -408,7 +413,7 @@ pub fn write_dirty_row_chunks(
         if dirty.chunk_is_dirty(ix, prev.len()) {
             let bytes = encode_row_chunk(&rows[start..end]);
             let (hash, written) = store.insert(&bytes)?;
-            stats.note_insert(written);
+            stats.note_insert(bytes.len(), written);
             refs.push(ChunkRef {
                 hash,
                 rows: end - start,

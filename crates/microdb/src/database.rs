@@ -8,7 +8,7 @@ use crate::predicate::Predicate;
 use crate::schema::Schema;
 use crate::table::{Row, Table};
 use crate::value::Value;
-use crate::wal::{CreateMeta, WriteLog};
+use crate::wal::{TableSection, WriteLog};
 
 /// Shared (read) access to one table.
 pub type TableRef<'a> = RwLockReadGuard<'a, Table>;
@@ -77,7 +77,11 @@ impl Statement {
 ///
 /// Lock discipline for callers holding several guards at once (query
 /// joins do): per-statement writers only ever hold one table lock at
-/// a time, so multi-guard *readers* cannot deadlock against them.
+/// a time, so multi-guard *readers* cannot deadlock against them. A
+/// multi-table batch ([`Database::apply_batch_locked`]) holds several
+/// write locks; its callers lock in one fixed order, and the tables
+/// it adds to a batch (the FORM's binding tables) are never among a
+/// multi-guard reader's.
 ///
 /// # Examples
 ///
@@ -225,39 +229,59 @@ impl Database {
         Ok(self.table(table)?.generation())
     }
 
-    /// Runs `write` on an **already write-locked** table as one
-    /// atomic, logged unit — the single commit path of every write.
-    /// With a write log attached, the deltas `write` produced are
-    /// captured as they are produced and appended as *one* record,
-    /// together with `create` when the write is an object creation
-    /// (a write that changed no row logs nothing). If `write` fails —
-    /// or the append does — the table is rolled back to its
-    /// pre-write state, so neither memory nor the log ever holds a
-    /// torn write.
+    /// Runs `write` on **already write-locked** tables as one atomic,
+    /// logged unit — the single commit path of every write. With a
+    /// write log attached, the deltas `write` produced are captured as
+    /// they are produced and appended as *one* record, one section per
+    /// table that changed (a write that changed no row logs nothing).
+    /// If `write` fails — or the append does — every table is rolled
+    /// back to its pre-write state, so neither memory nor the log ever
+    /// holds a torn write.
     fn commit_locked<R>(
         &self,
-        t: &mut Table,
-        create: Option<&CreateMeta>,
-        write: impl FnOnce(&mut Table) -> DbResult<R>,
+        tables: &mut [&mut Table],
+        write: impl FnOnce(&mut [&mut Table]) -> DbResult<R>,
     ) -> DbResult<R> {
-        let from = t.generation();
-        if self.wal.is_some() {
-            t.start_capture();
-        }
-        let result = write(t);
-        let deltas = t.take_capture();
-        let result = result.and_then(|r| match &self.wal {
-            Some(wal) if t.generation() > from => wal
-                .append(t.name(), from, t.generation(), create, &deltas)
-                .map(|()| r),
-            _ => Ok(r),
-        });
+        let from: Vec<u64> = tables.iter().map(|t| t.generation()).collect();
+        let result = match &self.wal {
+            None => write(tables),
+            Some(wal) => {
+                for t in tables.iter_mut() {
+                    t.start_capture();
+                }
+                let result = write(tables);
+                let sections: Vec<TableSection> = tables
+                    .iter_mut()
+                    .zip(&from)
+                    .filter_map(|(t, &from)| {
+                        let deltas = t.take_capture();
+                        (t.generation() > from).then(|| TableSection {
+                            table: t.name().to_owned(),
+                            from,
+                            to: t.generation(),
+                            deltas,
+                        })
+                    })
+                    .collect();
+                result.and_then(|r| {
+                    if !sections.is_empty() {
+                        wal.append(&sections)?;
+                    }
+                    Ok(r)
+                })
+            }
+        };
         if let Err(e) = result {
-            if !t.rollback_to(from) {
+            let mut overflowed = Vec::new();
+            for (t, &g) in tables.iter_mut().zip(&from) {
+                if !t.rollback_to(g) {
+                    overflowed.push(t.name().to_owned());
+                }
+            }
+            if !overflowed.is_empty() {
                 return Err(DbError::Persist(format!(
                     "write failed ({e}) and the rollback window overflowed: \
-                     in-memory table {} may be ahead of the log",
-                    t.name()
+                     in-memory tables {overflowed:?} may be ahead of the log"
                 )));
             }
             return Err(e);
@@ -265,42 +289,48 @@ impl Database {
         result
     }
 
-    /// Applies `stmts` to an **already write-locked** table as one
-    /// atomic unit, logged as a *single* record (with `create`, the
-    /// metadata of the object the batch creates). If any statement
-    /// fails — or the WAL append does — the table is rolled back to
-    /// its pre-batch rows, so neither memory nor the log ever holds a
-    /// torn multi-row write. This is what makes a faceted object save
-    /// all-or-nothing: after a disk-full fault, reads serve the intact
-    /// pre-write state and a restore replays exactly the writes that
-    /// were acknowledged.
+    /// Applies `stmts` to **already write-locked** tables as one atomic
+    /// unit, logged as a *single* record; each statement runs on the
+    /// locked table it names. If any statement fails — or the WAL
+    /// append does — every table is rolled back to its pre-batch rows,
+    /// so neither memory nor the log ever holds a torn multi-row
+    /// write. This is what makes a faceted object save all-or-nothing,
+    /// and an object creation's facet rows and policy-binding row
+    /// durable together: after a disk-full fault, reads serve the
+    /// intact pre-write state and a restore replays exactly the writes
+    /// that were acknowledged. Callers lock the tables in one fixed
+    /// order (an object's table before its binding table).
     ///
     /// # Errors
     ///
-    /// The failing statement's error, or [`DbError::Persist`] from
-    /// the log append. The table is unchanged on error unless the
-    /// rollback window overflowed (batches beyond ~1k rows), which
-    /// upgrades the error to a `Persist` describing the overflow.
+    /// [`DbError::NoSuchTable`] for a statement naming a table not in
+    /// `tables`, the failing statement's error, or
+    /// [`DbError::Persist`] from the log append. The tables are
+    /// unchanged on error unless the rollback window overflowed
+    /// (batches beyond ~1k rows), which upgrades the error to a
+    /// `Persist` describing the overflow.
     pub fn apply_batch_locked(
         &self,
-        t: &mut Table,
-        stmts: &[Statement],
-        create: Option<&CreateMeta>,
+        tables: &mut [&mut Table],
+        stmts: Vec<Statement>,
     ) -> DbResult<()> {
-        self.commit_locked(t, create, |t| {
+        self.commit_locked(tables, |tables| {
             for stmt in stmts {
-                debug_assert_eq!(stmt.table(), t.name(), "batch statements share one table");
+                let t = tables
+                    .iter_mut()
+                    .find(|t| t.name() == stmt.table())
+                    .ok_or_else(|| DbError::NoSuchTable(stmt.table().to_owned()))?;
                 match stmt {
                     Statement::Insert { row, .. } => {
-                        t.insert(row.clone())?;
+                        t.insert(row)?;
                     }
                     Statement::Update {
                         pred, assignments, ..
                     } => {
-                        update_matching(t, pred, assignments)?;
+                        update_matching(t, &pred, &assignments)?;
                     }
                     Statement::Delete { pred, .. } => {
-                        delete_matching(t, pred)?;
+                        delete_matching(t, &pred)?;
                     }
                 }
             }
@@ -315,7 +345,7 @@ impl Database {
     /// Table lookup and schema validation errors.
     pub fn insert(&self, table: &str, row: Row) -> DbResult<usize> {
         let mut t = self.table_mut(table)?;
-        self.commit_locked(&mut t, None, |t| t.insert(row))
+        self.commit_locked(&mut [&mut *t], |t| t[0].insert(row))
     }
 
     /// Inserts many rows, each its own logged write.
@@ -331,7 +361,7 @@ impl Database {
         let mut t = self.table_mut(table)?;
         let mut n = 0;
         for r in rows {
-            self.commit_locked(&mut t, None, |t| t.insert(r))?;
+            self.commit_locked(&mut [&mut *t], |t| t[0].insert(r))?;
             n += 1;
         }
         Ok(n)
@@ -349,7 +379,7 @@ impl Database {
         assignments: &[(String, Value)],
     ) -> DbResult<usize> {
         let mut t = self.table_mut(table)?;
-        self.commit_locked(&mut t, None, |t| update_matching(t, pred, assignments))
+        self.commit_locked(&mut [&mut *t], |t| update_matching(t[0], pred, assignments))
     }
 
     /// Deletes rows of `table` matching `pred`; returns the count.
@@ -359,7 +389,7 @@ impl Database {
     /// Table resolution and predicate-evaluation errors.
     pub fn delete(&self, table: &str, pred: &Predicate) -> DbResult<usize> {
         let mut t = self.table_mut(table)?;
-        self.commit_locked(&mut t, None, |t| delete_matching(t, pred))
+        self.commit_locked(&mut [&mut *t], |t| delete_matching(t[0], pred))
     }
 
     /// Wholesale table replacement — the restore path of
@@ -537,8 +567,8 @@ mod tests {
         {
             let mut t = db.table_mut("t").unwrap();
             db.apply_batch_locked(
-                &mut t,
-                &[
+                &mut [&mut *t],
+                vec![
                     Statement::Insert {
                         table: "t".into(),
                         row: vec![Value::Null, Value::Int(100)],
@@ -548,7 +578,6 @@ mod tests {
                         row: vec![Value::Null, Value::Int(101)],
                     },
                 ],
-                None,
             )
             .unwrap();
         }
@@ -563,8 +592,8 @@ mod tests {
         let err = {
             let mut t = db.table_mut("t").unwrap();
             db.apply_batch_locked(
-                &mut t,
-                &[
+                &mut [&mut *t],
+                vec![
                     Statement::Insert {
                         table: "t".into(),
                         row: vec![Value::Null, Value::Int(200)],
@@ -574,7 +603,6 @@ mod tests {
                         row: vec![Value::Null, Value::Int(201)],
                     },
                 ],
-                None,
             )
             .unwrap_err()
         };
@@ -591,8 +619,8 @@ mod tests {
         let err = {
             let mut t = db.table_mut("t").unwrap();
             db.apply_batch_locked(
-                &mut t,
-                &[
+                &mut [&mut *t],
+                vec![
                     Statement::Insert {
                         table: "t".into(),
                         row: vec![Value::Null, Value::Int(300)],
@@ -602,7 +630,6 @@ mod tests {
                         row: vec![Value::Null, Value::from("not an int")],
                     },
                 ],
-                None,
             )
             .unwrap_err()
         };

@@ -29,8 +29,8 @@ use std::sync::Mutex;
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
     /// A write-log append (see [`crate::wal`]): one committed batch's
-    /// record — its rows and, for a create, the creation metadata,
-    /// which share the append's fate.
+    /// record — every table's section, a create's facet rows and
+    /// binding row alike, which share the append's fate.
     WalAppend,
     /// The checkpoint writer, *before* the tmp file is renamed into
     /// place: the previous snapshot must survive untouched.

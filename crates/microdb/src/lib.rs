@@ -57,4 +57,4 @@ pub use schema::{ColumnDef, Schema};
 pub use snapshot::{Snapshot, TableSnapshot};
 pub use table::{Row, RowDelta, Table};
 pub use value::{ColumnType, Value};
-pub use wal::{BatchRecord, CreateMeta, LoggedDelta, ReplayStats, SyncPolicy, WriteLog};
+pub use wal::{BatchRecord, LoggedDelta, ReplayStats, SyncPolicy, TableSection, WriteLog};

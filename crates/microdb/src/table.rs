@@ -375,6 +375,15 @@ impl Table {
         Some(index.map.get(value).map_or(&[], Vec::as_slice))
     }
 
+    /// How many distinct values the hash index on `column` holds, or
+    /// `None` when the column has no index or it is dirty.
+    #[must_use]
+    pub fn index_keys(&self, column: &str) -> Option<usize> {
+        let ix = self.schema.column_index(column)?;
+        let index = self.indexes.iter().find(|i| i.column == ix)?;
+        (!index.dirty).then_some(index.map.len())
+    }
+
     /// Rebuilds every dirty index now, so subsequent read-only probes
     /// ([`Table::index_probe_ref`]) stay on the fast path. Called by
     /// writers after updates/deletes: the writer pays the rebuild,

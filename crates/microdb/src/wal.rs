@@ -13,10 +13,12 @@
 //!
 //! A record is the serialized form of the [`RowDelta`]s the batch
 //! produced, captured as they were produced (so a rewrite too large
-//! for the in-memory journal window is still logged whole):
+//! for the in-memory journal window is still logged whole), one
+//! section per table the batch wrote:
 //!
 //! ```text
-//! <table> <from> <to> [c <jid> <n> {<label-ix> <name>} <w> {<v>}] {a <w> {<v>} | r <n> {<ix> <w> {<v>}} | d <n> {<ix>}} .
+//! <section> {; <section>} .
+//! <section> = <table> <from> <to> {a <w> {<v>} | r <n> {<ix> <w> {<v>}} | d <n> {<ix>}}
 //! ```
 //!
 //! * `from`/`to` are the table's generation before and after the
@@ -25,26 +27,26 @@
 //! * `a` appends a row, `r` rewrites rows in place by physical index,
 //!   `d` removes rows by (pre-removal, ascending) physical index —
 //!   **new images only**: replay has the old rows in hand;
-//! * `c` is the [`CreateMeta`] of an object creation — the labels it
-//!   allocated and the creation-time row its policies close over — so
-//!   a create's metadata and its rows reach the disk in one append or
-//!   not at all, and checkpoint compaction drops both together;
+//! * a batch over several tables — an object creation writes its
+//!   facet rows and its policy-binding row — has one section per
+//!   table, so all of it reaches the disk in one append or none of it
+//!   does;
 //! * the `.` terminator turns a crash-truncated line, which could
 //!   otherwise still parse as a shorter record, into a detected torn
 //!   tail.
 //!
 //! # Replay
 //!
-//! [`WriteLog::replay`] applies records *physically*, checked by
-//! generation against the restored table: a record with `to` at or
-//! below the table's generation is already in the snapshot and is
-//! skipped (so the crash window between "snapshot renamed into place"
-//! and "log compacted" cannot double-apply anything); one with `from`
-//! equal to it applies; anything else is a gap — a lost record — and
-//! fails the replay. Writers append under the table's write lock, so
-//! one table's records appear in generation order; records of
-//! different tables interleave freely, and replay does not depend on
-//! their relative order.
+//! [`WriteLog::replay`] applies records *physically*, each section
+//! checked by generation against its restored table: a section with
+//! `to` at or below the table's generation is already in the snapshot
+//! and is skipped (so the crash window between "snapshot renamed into
+//! place" and "log compacted" cannot double-apply anything); one with
+//! `from` equal to it applies; anything else is a gap — a lost record
+//! — and fails the replay. Writers append under the write locks of
+//! the tables they write, so one table's sections appear in
+//! generation order; records of different tables interleave freely,
+//! and replay does not depend on their relative order.
 //!
 //! # Durability window
 //!
@@ -73,20 +75,6 @@ use crate::faults::{self, FaultKind, FaultPoint};
 use crate::snapshot::{decode_value, encode_value, escape_token, unescape_token};
 use crate::table::{Row, RowDelta};
 
-/// The application metadata an object creation commits together with
-/// its rows: the object's id, the policy labels it allocated as
-/// `(label index, stored name)` pairs in policy order, and the
-/// creation-time row its policies close over.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CreateMeta {
-    /// The created object's id.
-    pub jid: i64,
-    /// `(label index, stored name)` per policy, in policy order.
-    pub labels: Vec<(u32, String)>,
-    /// The creation-time row.
-    pub row: Row,
-}
-
 /// One physical change as the log stores it: a [`RowDelta`] without
 /// its old row images.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,9 +101,10 @@ impl From<&RowDelta> for LoggedDelta {
     }
 }
 
-/// One decoded log line: a committed batch of one table.
+/// One table's part of a [`BatchRecord`]: the deltas the batch
+/// committed to that table.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchRecord {
+pub struct TableSection {
     /// The table every delta applies to.
     pub table: String,
     /// The table's generation before the batch.
@@ -123,10 +112,16 @@ pub struct BatchRecord {
     /// The table's generation after the batch (`from` + one per
     /// delta).
     pub to: u64,
-    /// The creation metadata, when the batch created an object.
-    pub create: Option<CreateMeta>,
     /// The deltas, in application order.
     pub deltas: Vec<LoggedDelta>,
+}
+
+/// One decoded log line: a committed batch, one section per table it
+/// wrote.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BatchRecord {
+    /// The sections, in the order the batch's tables were locked.
+    pub sections: Vec<TableSection>,
 }
 
 fn push_row(out: &mut String, row: &Row) {
@@ -140,38 +135,36 @@ fn push_row(out: &mut String, row: &Row) {
 
 /// Renders one batch as a log line (no trailing newline) in the
 /// format of the [module docs](self).
-fn record_line(
-    table: &str,
-    from: u64,
-    to: u64,
-    create: Option<&CreateMeta>,
-    deltas: &[LoggedDelta],
-) -> String {
-    let mut out = format!("{} {from} {to}", escape_token(table));
-    if let Some(c) = create {
-        out.push_str(&format!(" c {} {}", c.jid, c.labels.len()));
-        for (ix, name) in &c.labels {
-            out.push_str(&format!(" {ix} {}", escape_token(name)));
+fn record_line(sections: &[TableSection]) -> String {
+    let mut out = String::new();
+    for (i, section) in sections.iter().enumerate() {
+        if i > 0 {
+            out.push_str(" ; ");
         }
-        push_row(&mut out, &c.row);
-    }
-    for delta in deltas {
-        match delta {
-            LoggedDelta::Append(row) => {
-                out.push_str(" a");
-                push_row(&mut out, row);
-            }
-            LoggedDelta::Rewrite(rw) => {
-                out.push_str(&format!(" r {}", rw.len()));
-                for (ix, row) in rw {
-                    out.push_str(&format!(" {ix}"));
+        out.push_str(&format!(
+            "{} {} {}",
+            escape_token(&section.table),
+            section.from,
+            section.to
+        ));
+        for delta in &section.deltas {
+            match delta {
+                LoggedDelta::Append(row) => {
+                    out.push_str(" a");
                     push_row(&mut out, row);
                 }
-            }
-            LoggedDelta::Remove(ixs) => {
-                out.push_str(&format!(" d {}", ixs.len()));
-                for ix in ixs {
-                    out.push_str(&format!(" {ix}"));
+                LoggedDelta::Rewrite(rw) => {
+                    out.push_str(&format!(" r {}", rw.len()));
+                    for (ix, row) in rw {
+                        out.push_str(&format!(" {ix}"));
+                        push_row(&mut out, row);
+                    }
+                }
+                LoggedDelta::Remove(ixs) => {
+                    out.push_str(&format!(" d {}", ixs.len()));
+                    for ix in ixs {
+                        out.push_str(&format!(" {ix}"));
+                    }
                 }
             }
         }
@@ -189,8 +182,9 @@ impl BatchRecord {
     ///
     /// # Errors
     ///
-    /// [`DbError::Persist`] on any malformed record, including one
-    /// whose delta count disagrees with its generation span.
+    /// [`DbError::Persist`] on any malformed record, including a
+    /// section whose delta count disagrees with its generation span
+    /// and a table with two sections.
     pub fn parse(line: &str) -> DbResult<BatchRecord> {
         let mut tokens = line.split_whitespace();
         let mut next = |what: &str| {
@@ -205,61 +199,59 @@ impl BatchRecord {
             let width: usize = num(next("row width")?, "row width")?;
             (0..width).map(|_| decode_value(next("value")?)).collect()
         }
-        let table = unescape_token(next("table")?)?;
-        let from: u64 = num(next("from-generation")?, "from-generation")?;
-        let to: u64 = num(next("to-generation")?, "to-generation")?;
-        let mut create = None;
-        let mut deltas = Vec::new();
+        let mut sections: Vec<TableSection> = Vec::new();
         loop {
-            match next("delta")? {
-                "." => break,
-                "c" if create.is_none() && deltas.is_empty() => {
-                    let jid = num(next("jid")?, "jid")?;
-                    let n: usize = num(next("label count")?, "label count")?;
-                    let mut labels = Vec::new();
-                    for _ in 0..n {
-                        let ix = num(next("label index")?, "label index")?;
-                        labels.push((ix, unescape_token(next("label name")?)?));
+            let table = unescape_token(next("table")?)?;
+            let from: u64 = num(next("from-generation")?, "from-generation")?;
+            let to: u64 = num(next("to-generation")?, "to-generation")?;
+            let mut deltas = Vec::new();
+            let last = loop {
+                match next("delta")? {
+                    "." => break true,
+                    ";" => break false,
+                    "a" => deltas.push(LoggedDelta::Append(row(&mut next)?)),
+                    "r" => {
+                        let n: usize = num(next("rewrite count")?, "rewrite count")?;
+                        let mut rw = Vec::new();
+                        for _ in 0..n {
+                            let ix = num(next("row index")?, "row index")?;
+                            rw.push((ix, row(&mut next)?));
+                        }
+                        deltas.push(LoggedDelta::Rewrite(rw));
                     }
-                    let row = row(&mut next)?;
-                    create = Some(CreateMeta { jid, labels, row });
-                }
-                "a" => deltas.push(LoggedDelta::Append(row(&mut next)?)),
-                "r" => {
-                    let n: usize = num(next("rewrite count")?, "rewrite count")?;
-                    let mut rw = Vec::new();
-                    for _ in 0..n {
-                        let ix = num(next("row index")?, "row index")?;
-                        rw.push((ix, row(&mut next)?));
+                    "d" => {
+                        let n: usize = num(next("remove count")?, "remove count")?;
+                        let ixs = (0..n)
+                            .map(|_| num(next("row index")?, "row index"))
+                            .collect::<DbResult<_>>()?;
+                        deltas.push(LoggedDelta::Remove(ixs));
                     }
-                    deltas.push(LoggedDelta::Rewrite(rw));
+                    other => return Err(parse_err(&format!("unknown delta {other:?}"))),
                 }
-                "d" => {
-                    let n: usize = num(next("remove count")?, "remove count")?;
-                    let ixs = (0..n)
-                        .map(|_| num(next("row index")?, "row index"))
-                        .collect::<DbResult<_>>()?;
-                    deltas.push(LoggedDelta::Remove(ixs));
-                }
-                other => return Err(parse_err(&format!("unknown delta {other:?}"))),
+            };
+            if from.checked_add(deltas.len() as u64) != Some(to) || from == to {
+                return Err(parse_err(&format!(
+                    "{} deltas cannot take {table:?} from generation {from} to {to}",
+                    deltas.len()
+                )));
+            }
+            if sections.iter().any(|s| s.table == table) {
+                return Err(parse_err(&format!("two sections for {table:?}")));
+            }
+            sections.push(TableSection {
+                table,
+                from,
+                to,
+                deltas,
+            });
+            if last {
+                break;
             }
         }
         if tokens.next().is_some() {
             return Err(parse_err("trailing tokens after the terminator"));
         }
-        if from.checked_add(deltas.len() as u64) != Some(to) || from == to {
-            return Err(parse_err(&format!(
-                "{} deltas cannot take {table:?} from generation {from} to {to}",
-                deltas.len()
-            )));
-        }
-        Ok(BatchRecord {
-            table,
-            from,
-            to,
-            create,
-            deltas,
-        })
+        Ok(BatchRecord { sections })
     }
 }
 
@@ -272,9 +264,6 @@ pub struct ReplayStats {
     pub skipped: usize,
     /// Whether a torn (crash-truncated) final line was discarded.
     pub torn_tail: bool,
-    /// `(table, metadata)` of every applied record that created an
-    /// object, in log order — the application layer re-binds them.
-    pub creates: Vec<(String, CreateMeta)>,
 }
 
 /// When (if ever) an append is fsynced, not just flushed. See the
@@ -451,22 +440,15 @@ impl WriteLog {
     }
 
     /// Appends one committed batch as one record and flushes it to
-    /// the OS: either the whole batch — rows and creation metadata —
-    /// is in the log or none of it is.
+    /// the OS: either the whole batch — every table's section — is in
+    /// the log or none of it is.
     ///
     /// # Errors
     ///
     /// [`DbError::Persist`] wrapping the I/O failure — callers treat
     /// an unloggable write as a failed write.
-    pub(crate) fn append(
-        &self,
-        table: &str,
-        from: u64,
-        to: u64,
-        create: Option<&CreateMeta>,
-        deltas: &[LoggedDelta],
-    ) -> DbResult<()> {
-        self.append_line(&record_line(table, from, to, create, deltas))
+    pub(crate) fn append(&self, sections: &[TableSection]) -> DbResult<()> {
+        self.append_line(&record_line(sections))
             .map_err(|e| DbError::Persist(format!("write log append: {e}")))
     }
 
@@ -488,11 +470,11 @@ impl WriteLog {
     }
 
     /// Compacts the log against a checkpoint's generation vector:
-    /// keeps exactly the records *newer* than `floor[table]` (the
-    /// generation the checkpoint captured for that table), drops
-    /// records the checkpoint already reflects — creation metadata
-    /// goes with its rows — records for tables the vector does not
-    /// name (their tables are fully captured or gone), lines that do
+    /// keeps exactly the records with a section *newer* than
+    /// `floor[table]` (the generation the checkpoint captured for that
+    /// table; replay skips the record's older sections), drops records
+    /// the checkpoint already reflects, records for tables the vector
+    /// does not name (their tables are fully captured or gone), lines that do
     /// not parse (corruption the checkpoint has superseded; keeping it
     /// would poison the next replay) and any torn tail. At quiescence
     /// this degenerates to an empty file, like [`WriteLog::truncate`],
@@ -526,8 +508,11 @@ impl WriteLog {
         self.bytes.store(0, Ordering::Relaxed);
         let (mut kept, mut bytes) = (0u64, 0u64);
         for line in complete {
-            let newer = BatchRecord::parse(line)
-                .is_ok_and(|r| floor.get(&r.table).is_some_and(|&g| r.to > g));
+            let newer = BatchRecord::parse(line).is_ok_and(|r| {
+                r.sections
+                    .iter()
+                    .any(|s| floor.get(&s.table).is_some_and(|&g| s.to > g))
+            });
             if newer {
                 writeln!(f, "{line}").map_err(io)?;
                 kept += 1;
@@ -541,14 +526,12 @@ impl WriteLog {
         Ok((kept, lines.len() as u64 - kept))
     }
 
-    /// Replays the log at `path` onto `db`, applying each record's
+    /// Replays the log at `path` onto `db`, applying each section's
     /// deltas physically under the generation check of the
     /// [module docs](self): at or below the table's generation skips,
     /// exactly at it applies, past it is a gap and an error. A torn
     /// final line (the crash was mid-append) is discarded; a malformed
     /// line anywhere else is an error. A missing file replays nothing.
-    /// The creation metadata of applied records is returned in
-    /// [`ReplayStats::creates`] for the application layer.
     ///
     /// # Errors
     ///
@@ -575,25 +558,29 @@ impl WriteLog {
                 }
                 Err(e) => return Err(e),
             };
-            let mut t = db.table_mut(&record.table)?;
-            let current = t.generation();
-            if record.to <= current {
+            let mut applied = false;
+            for section in record.sections {
+                let mut t = db.table_mut(&section.table)?;
+                let current = t.generation();
+                if section.to <= current {
+                    continue;
+                }
+                if section.from != current {
+                    return Err(DbError::Persist(format!(
+                        "write log gap: {:?} is at generation {current}, but the next record \
+                         starts at {}",
+                        section.table, section.from
+                    )));
+                }
+                for delta in section.deltas {
+                    t.apply_logged(delta)?;
+                }
+                applied = true;
+            }
+            if applied {
+                stats.applied += 1;
+            } else {
                 stats.skipped += 1;
-                continue;
-            }
-            if record.from != current {
-                return Err(DbError::Persist(format!(
-                    "write log gap: {:?} is at generation {current}, but the next record \
-                     starts at {}",
-                    record.table, record.from
-                )));
-            }
-            for delta in record.deltas {
-                t.apply_logged(delta)?;
-            }
-            stats.applied += 1;
-            if let Some(create) = record.create {
-                stats.creates.push((record.table, create));
             }
         }
         Ok(stats)
@@ -639,45 +626,55 @@ mod tests {
         LoggedDelta::Append(vec![Value::Int(id), Value::from(x)])
     }
 
+    fn section(table: &str, from: u64, to: u64, deltas: Vec<LoggedDelta>) -> TableSection {
+        TableSection {
+            table: table.into(),
+            from,
+            to,
+            deltas,
+        }
+    }
+
+    /// A one-table record's line.
+    fn line(table: &str, from: u64, to: u64, deltas: Vec<LoggedDelta>) -> String {
+        record_line(&[section(table, from, to, deltas)])
+    }
+
     #[test]
     fn records_round_trip() {
         let records = [
             BatchRecord {
-                table: "a table".into(),
-                from: 16,
-                to: 17,
-                create: None,
-                deltas: vec![LoggedDelta::Append(vec![
-                    Value::Int(1),
-                    Value::from("x y"),
-                    Value::Null,
-                ])],
+                sections: vec![section(
+                    "a table",
+                    16,
+                    17,
+                    vec![LoggedDelta::Append(vec![
+                        Value::Int(1),
+                        Value::from("x y"),
+                        Value::Null,
+                    ])],
+                )],
             },
             // A web form can deliver any Unicode whitespace; the
             // record must survive the split_whitespace tokenizer.
             BatchRecord {
-                table: "t".into(),
-                from: 0,
-                to: 3,
-                create: None,
-                deltas: vec![
-                    LoggedDelta::Append(vec![Value::from("non\u{a0}breaking\u{2028}title")]),
-                    LoggedDelta::Rewrite(vec![
-                        (0, vec![Value::Float(2.5)]),
-                        (4, vec![Value::Bool(false)]),
-                    ]),
-                    LoggedDelta::Remove(vec![1, 2, 7]),
-                ],
+                sections: vec![section(
+                    "t",
+                    0,
+                    3,
+                    vec![
+                        LoggedDelta::Append(vec![Value::from("non\u{a0}breaking\u{2028}title")]),
+                        LoggedDelta::Rewrite(vec![
+                            (0, vec![Value::Float(2.5)]),
+                            (4, vec![Value::Bool(false)]),
+                        ]),
+                        LoggedDelta::Remove(vec![1, 2, 7]),
+                    ],
+                )],
             },
         ];
         for record in records {
-            let line = record_line(
-                &record.table,
-                record.from,
-                record.to,
-                record.create.as_ref(),
-                &record.deltas,
-            );
+            let line = record_line(&record.sections);
             assert!(!line.contains('\n'));
             assert_eq!(BatchRecord::parse(&line).unwrap(), record, "{line}");
         }
@@ -695,6 +692,8 @@ mod tests {
             "t 1 3 a 1 i1 .",
             "t 1 1 .",
             "t 1 2 a 1 i1 . extra",
+            // A section separator must be followed by a section.
+            "t 1 2 a 1 i1 ; .",
         ] {
             assert!(BatchRecord::parse(bad).is_err(), "{bad:?}");
         }
@@ -768,8 +767,8 @@ mod tests {
             &path,
             format!(
                 "{}\n{}\n",
-                record_line("t", 0, 1, None, &[append_row(1, "a")]),
-                record_line("t", 2, 3, None, &[append_row(3, "c")]),
+                line("t", 0, 1, vec![append_row(1, "a")]),
+                line("t", 2, 3, vec![append_row(3, "c")]),
             ),
         )
         .unwrap();
@@ -854,7 +853,7 @@ mod tests {
             &path,
             format!(
                 "{}\nt 1 2 a 2 i2 sto",
-                record_line("t", 0, 1, None, &[append_row(1, "whole")])
+                line("t", 0, 1, vec![append_row(1, "whole")])
             ),
         )
         .unwrap();
@@ -876,12 +875,14 @@ mod tests {
         let path = temp_path("truncate");
         let _ = std::fs::remove_file(&path);
         let log = WriteLog::open(&path).unwrap();
-        log.append("t", 0, 1, None, &[append_row(1, "a")]).unwrap();
+        log.append(&[section("t", 0, 1, vec![append_row(1, "a")])])
+            .unwrap();
         assert!(std::fs::metadata(&path).unwrap().len() > 0);
         log.truncate().unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         // Appends continue after a truncate.
-        log.append("t", 0, 1, None, &[append_row(1, "b")]).unwrap();
+        log.append(&[section("t", 0, 1, vec![append_row(1, "b")])])
+            .unwrap();
         let db = fresh_db();
         let stats = WriteLog::replay(&path, &db).unwrap();
         assert_eq!(stats.applied, 1);
@@ -897,33 +898,70 @@ mod tests {
 
     #[test]
     fn batch_records_round_trip() {
-        // A create: its metadata rides in the same record as its rows.
-        let create = CreateMeta {
-            jid: 3,
-            labels: vec![(12, "paper.author".into()), (13, "paper.title'13".into())],
-            row: vec![Value::from("a b"), Value::Null],
-        };
-        let deltas = vec![
-            LoggedDelta::Remove(vec![0]),
-            append_row(3, "a b"),
-            append_row(4, ""),
-            LoggedDelta::Rewrite(vec![(1, vec![Value::Int(4), Value::from("v")])]),
+        // A create: its facet rows and its binding row, one section
+        // per table, in one record.
+        let sections = vec![
+            section(
+                "t",
+                9,
+                13,
+                vec![
+                    LoggedDelta::Remove(vec![0]),
+                    append_row(3, "a b"),
+                    append_row(4, ""),
+                    LoggedDelta::Rewrite(vec![(1, vec![Value::Int(4), Value::from("v")])]),
+                ],
+            ),
+            section(
+                "_bind_t",
+                2,
+                3,
+                vec![LoggedDelta::Append(vec![
+                    Value::Int(3),
+                    Value::from("a b"),
+                    Value::Int(12),
+                ])],
+            ),
         ];
-        let line = record_line("t", 9, 13, Some(&create), &deltas);
-        assert_eq!(
-            BatchRecord::parse(&line).unwrap(),
-            BatchRecord {
-                table: "t".into(),
-                from: 9,
-                to: 13,
-                create: Some(create),
-                deltas,
-            }
-        );
-        // A truncated batch (no terminator) is rejected, and so is
-        // creation metadata anywhere but first.
+        let line = record_line(&sections);
+        assert_eq!(BatchRecord::parse(&line).unwrap(), BatchRecord { sections });
+        // A truncated batch (no terminator, or cut at the section
+        // separator) is rejected, and so is a table with two sections.
         assert!(BatchRecord::parse(line.trim_end_matches(" .")).is_err());
-        assert!(BatchRecord::parse("t 1 2 a 2 i1 s c 1 0 0 .").is_err());
+        let cut = &line[..line.find(" ; ").unwrap() + 2];
+        assert!(BatchRecord::parse(cut).is_err(), "{cut:?}");
+        assert!(BatchRecord::parse("t 1 2 a 1 i1 ; t 2 3 a 1 i2 .").is_err());
+    }
+
+    /// Each section replays under its own table's generation check: a
+    /// record whose first table the snapshot already holds applies
+    /// only its second section.
+    #[test]
+    fn sections_skip_or_apply_per_table() {
+        let path = temp_path("sections");
+        let mut db = fresh_db();
+        db.create_table("u", Schema::new(vec![ColumnDef::new("y", ColumnType::Int)]))
+            .unwrap();
+        db.insert("t", vec![Value::Null, Value::from("held")])
+            .unwrap();
+        std::fs::write(
+            &path,
+            format!(
+                "{}\n",
+                record_line(&[
+                    section("t", 0, 1, vec![append_row(1, "held")]),
+                    section("u", 0, 1, vec![LoggedDelta::Append(vec![Value::Int(7)])]),
+                ])
+            ),
+        )
+        .unwrap();
+        let stats = WriteLog::replay(&path, &db).unwrap();
+        assert_eq!((stats.applied, stats.skipped), (1, 0));
+        assert_eq!(db.table("t").unwrap().len(), 1, "t's section skipped");
+        assert_eq!(db.table("u").unwrap().rows(), &[vec![Value::Int(7)]]);
+        let stats = WriteLog::replay(&path, &db).unwrap();
+        assert_eq!((stats.applied, stats.skipped), (0, 1));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -943,7 +981,7 @@ mod tests {
                     row: vec![Value::Null, Value::from(*x)],
                 })
                 .collect();
-            db.apply_batch_locked(&mut t, &stmts, None).unwrap();
+            db.apply_batch_locked(&mut [&mut *t], stmts).unwrap();
         }
 
         let mut restored = Database::new();
@@ -966,7 +1004,7 @@ mod tests {
         let path = temp_path("fault_short");
         let _ = std::fs::remove_file(&path);
         let log = WriteLog::open(&path).unwrap();
-        log.append("t", 0, 1, None, &[append_row(1, "whole")])
+        log.append(&[section("t", 0, 1, vec![append_row(1, "whole")])])
             .unwrap();
 
         // Path-scoped so a parallel test's appends can't trip it; one-
@@ -979,7 +1017,7 @@ mod tests {
             "fault_short",
         );
         let err = log
-            .append("t", 1, 2, None, &[append_row(2, "torn")])
+            .append(&[section("t", 1, 2, vec![append_row(2, "torn")])])
             .unwrap_err();
         assert!(format!("{err}").contains("injected"), "{err}");
 
@@ -1039,11 +1077,19 @@ mod tests {
         let path = temp_path("compact");
         let _ = std::fs::remove_file(&path);
         let log = Arc::new(WriteLog::open(&path).unwrap());
-        log.append("t", 0, 1, None, &[append_row(1, "a")]).unwrap();
-        log.append("t", 1, 2, None, &[append_row(2, "b")]).unwrap();
-        log.append("t", 2, 3, None, &[append_row(3, "c")]).unwrap();
-        log.append("u", 4, 5, None, &[LoggedDelta::Append(vec![Value::Int(9)])])
+        log.append(&[section("t", 0, 1, vec![append_row(1, "a")])])
             .unwrap();
+        log.append(&[section("t", 1, 2, vec![append_row(2, "b")])])
+            .unwrap();
+        log.append(&[section("t", 2, 3, vec![append_row(3, "c")])])
+            .unwrap();
+        log.append(&[section(
+            "u",
+            4,
+            5,
+            vec![LoggedDelta::Append(vec![Value::Int(9)])],
+        )])
+        .unwrap();
 
         // Checkpoint captured t@2; table u is not in the vector (fully
         // captured), so its records drop too.

@@ -1,14 +1,22 @@
 //! Property tests for the content-addressed chunk store: round-trip
 //! fixpoints, clean-chunk byte sharing across consecutive
-//! checkpoints, and clean errors on corrupted chunk files.
+//! checkpoints, clean errors on corrupted chunk files, and policy
+//! bindings that survive a full and an incremental chunked checkpoint
+//! plus log replay.
 
-use std::collections::BTreeSet;
+mod common;
+
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use common::{Creator, MODELS};
 use microdb::chunkstore::{
-    load_rows, write_dirty_row_chunks, write_row_chunks, ChunkStore, DirtyRows, CHUNK_ROWS,
+    load_rows, write_dirty_row_chunks, write_row_chunks, ChunkRef, ChunkStore, DirtyRows,
+    CHUNK_ROWS,
 };
-use microdb::{Row, RowDelta, Value};
+use microdb::faults::{self, FaultKind, FaultPoint};
+use microdb::{ColumnDef, Database, Row, RowDelta, Snapshot, TableSnapshot, Value, WriteLog};
 use proptest::prelude::*;
 
 fn temp_dir(tag: &str, case: u64) -> PathBuf {
@@ -44,6 +52,87 @@ fn chunk_files(dir: &Path) -> BTreeSet<String> {
         }
     }
     names
+}
+
+/// One table as a checkpoint captured it.
+struct Captured {
+    generation: u64,
+    next_auto: i64,
+    columns: Vec<ColumnDef>,
+    rows: usize,
+    chunks: Vec<ChunkRef>,
+}
+
+/// Chunks every table of `db` into `store`, the way the application
+/// checkpointer does: a table unchanged since `prev` keeps its chunk
+/// list, a changed one re-encodes only the chunks its journal proves
+/// dirty, and a table `prev` lacks is chunked whole.
+fn checkpoint(
+    db: &Database,
+    store: &ChunkStore,
+    prev: &BTreeMap<String, Captured>,
+) -> BTreeMap<String, Captured> {
+    let mut out = BTreeMap::new();
+    for name in db.table_names() {
+        let t = db.table(name).unwrap();
+        let chunks = match prev.get(name) {
+            Some(p) if p.generation == t.generation() => p.chunks.clone(),
+            Some(p) => {
+                let mut dirty = DirtyRows::new(p.rows);
+                for delta in t.deltas_since(p.generation).unwrap() {
+                    dirty.apply(delta);
+                }
+                write_dirty_row_chunks(store, t.rows(), &p.chunks, &dirty)
+                    .unwrap()
+                    .0
+            }
+            None => write_row_chunks(store, t.rows()).unwrap().0,
+        };
+        let captured = Captured {
+            generation: t.generation(),
+            next_auto: t.next_auto(),
+            columns: t.schema().columns().to_vec(),
+            rows: t.len(),
+            chunks,
+        };
+        out.insert(name.to_owned(), captured);
+    }
+    out
+}
+
+/// The log compaction floor of a checkpoint.
+fn floor(ckpt: &BTreeMap<String, Captured>) -> BTreeMap<String, u64> {
+    ckpt.iter()
+        .map(|(n, c)| (n.clone(), c.generation))
+        .collect()
+}
+
+/// Loads a checkpoint's chunks into a fresh database.
+fn load(store: &ChunkStore, ckpt: &BTreeMap<String, Captured>) -> Database {
+    let tables = ckpt
+        .iter()
+        .map(|(name, c)| TableSnapshot {
+            name: name.clone(),
+            columns: c.columns.clone(),
+            indexes: Vec::new(),
+            generation: c.generation,
+            next_auto: c.next_auto,
+            rows: load_rows(store, &c.chunks).unwrap(),
+        })
+        .collect();
+    let mut db = Database::new();
+    db.restore(&Snapshot { tables }).unwrap();
+    db
+}
+
+/// Runs `creates`, failing the append of those marked to fail.
+fn run(db: &Database, creator: &mut Creator, creates: &[(usize, i64, bool)], fragment: &str) {
+    for &(n, x, fail) in creates {
+        if fail {
+            faults::arm_at(FaultPoint::WalAppend, 0, FaultKind::Error, fragment);
+        }
+        assert_eq!(creator.create(db, n, x), !fail);
+    }
 }
 
 proptest! {
@@ -135,6 +224,61 @@ proptest! {
         // Intact chunks still read fine after the failure.
         for r in refs.iter().filter(|r| r.hash != victim.hash) {
             prop_assert!(store.read(&r.hash).is_ok());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two-table creates (facet rows plus a binding row, 0–3 labels)
+    /// checkpointed through the chunk store — a full checkpoint, more
+    /// creates, an incremental one — then more creates in the log
+    /// only, some failing, maybe ending in a torn tail: loading the
+    /// chunks and replaying the compacted log rebuilds exactly the
+    /// live binding set and rows, and a failed create leaves neither
+    /// rows nor a binding.
+    #[test]
+    fn checkpointed_bindings_restore_to_the_live_set(
+        creates in proptest::collection::vec(
+            (0..MODELS, 0i64..50, (0u8..20).prop_map(|d| d < 3)),
+            0..48,
+        ),
+        cuts in (0usize..49, 0usize..49),
+        torn in any::<bool>(),
+        case in 0u64..u64::MAX,
+    ) {
+        let dir = temp_dir("bindings", case);
+        let store = ChunkStore::open(&dir).unwrap();
+        let fragment = format!("{}/", dir.display());
+        let wal_path = dir.join("wal.log");
+        let log = Arc::new(WriteLog::open(&wal_path).unwrap());
+        let mut db = common::fresh_db();
+        db.attach_wal(log.clone());
+        let first = cuts.0.min(cuts.1).min(creates.len());
+        let second = cuts.0.max(cuts.1).min(creates.len());
+        let mut creator = Creator::default();
+
+        run(&db, &mut creator, &creates[..first], &fragment);
+        let full = checkpoint(&db, &store, &BTreeMap::new());
+        log.compact(&floor(&full)).unwrap();
+        run(&db, &mut creator, &creates[first..second], &fragment);
+        let incremental = checkpoint(&db, &store, &full);
+        log.compact(&floor(&incremental)).unwrap();
+        run(&db, &mut creator, &creates[second..], &fragment);
+        if torn {
+            faults::arm_at(FaultPoint::WalAppend, 0, FaultKind::ShortWrite, &fragment);
+            prop_assert!(!creator.create(&db, MODELS - 1, 99));
+        }
+
+        let restored = load(&store, &incremental);
+        let stats = WriteLog::replay(&wal_path, &restored).unwrap();
+        prop_assert_eq!(stats.torn_tail, torn);
+        prop_assert_eq!(&common::restored_bindings(&restored), &creator.live);
+        for table in db.table_names() {
+            let (live, back) = (db.table(table).unwrap(), restored.table(table).unwrap());
+            prop_assert_eq!(back.rows(), live.rows());
+        }
+        for &(n, jid) in &creator.failed {
+            prop_assert!(!common::has_rows_of(&db, n, jid));
+            prop_assert!(!common::has_rows_of(&restored, n, jid));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

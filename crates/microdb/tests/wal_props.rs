@@ -1,12 +1,18 @@
-//! Property test: the write log replays to the live table. Random
+//! Property tests: the write log replays to the live tables. Random
 //! sequences of inserts, updates, deletes and atomic batches run with
 //! a log attached; a snapshot taken at a random point, restored and
 //! rolled forward by the log, must equal the live table — rows in
-//! physical order, generation stamp and auto-increment cursor.
+//! physical order, generation stamp and auto-increment cursor. And
+//! object creations whose records span two tables (facet rows plus a
+//! binding row) replay to exactly the live binding set.
+
+mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use common::{Creator, MODELS};
+use microdb::faults::{self, FaultKind, FaultPoint};
 use microdb::{
     ColumnDef, ColumnType, Database, Operand, Predicate, Schema, Statement, Value, WriteLog,
 };
@@ -85,7 +91,7 @@ fn apply(db: &Database, op: &Op) {
         Op::Batch(stmts) => {
             let stmts: Vec<Statement> = stmts.iter().map(|&(c, a, b)| statement(c, a, b)).collect();
             let mut t = db.table_mut("t").unwrap();
-            db.apply_batch_locked(&mut t, &stmts, None).unwrap();
+            db.apply_batch_locked(&mut [&mut *t], stmts).unwrap();
         }
         Op::BulkRewrite => {
             let n = db
@@ -159,6 +165,65 @@ proptest! {
         prop_assert_eq!(back.rows(), live.rows());
         prop_assert_eq!(back.generation(), live.generation());
         prop_assert_eq!(back.next_auto(), live.next_auto());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Creates over two tables — facet rows plus a binding row, 0–3
+    /// labels — some of whose appends fail, with a snapshot at a
+    /// random point and maybe a torn tail: snapshot plus replay
+    /// rebuilds exactly the live binding set (label index, model,
+    /// policy, jid, creation-time row, derived name) and the live
+    /// rows, and a failed create leaves neither rows nor a binding.
+    #[test]
+    fn two_table_creates_replay_to_the_live_binding_set(
+        creates in proptest::collection::vec(
+            (0..MODELS, 0i64..50, (0u8..20).prop_map(|d| d < 3)),
+            0..32,
+        ),
+        snap_at in 0usize..33,
+        torn in any::<bool>(),
+    ) {
+        let name = format!(
+            "microdb_walprops_bind_{}_{}.log",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        );
+        let path = std::env::temp_dir().join(&name);
+        let _ = std::fs::remove_file(&path);
+        let mut db = common::fresh_db();
+        db.attach_wal(Arc::new(WriteLog::open(&path).unwrap()));
+        let mut creator = Creator::default();
+        let mut snapshot = None;
+        for (i, &(n, x, fail)) in creates.iter().enumerate() {
+            if i == snap_at {
+                snapshot = Some(db.snapshot());
+            }
+            if fail {
+                faults::arm_at(FaultPoint::WalAppend, 0, FaultKind::Error, &name);
+            }
+            prop_assert_eq!(creator.create(&db, n, x), !fail);
+        }
+        let snapshot = snapshot.unwrap_or_else(|| db.snapshot());
+        if torn {
+            // A crash mid-append: half of the last record is on disk.
+            faults::arm_at(FaultPoint::WalAppend, 0, FaultKind::ShortWrite, &name);
+            prop_assert!(!creator.create(&db, MODELS - 1, 99));
+        }
+
+        let mut restored = Database::new();
+        restored.restore(&snapshot).unwrap();
+        let stats = WriteLog::replay(&path, &restored).unwrap();
+        prop_assert_eq!(stats.torn_tail, torn);
+        prop_assert_eq!(&common::restored_bindings(&restored), &creator.live);
+        for table in db.table_names() {
+            let (live, back) = (db.table(table).unwrap(), restored.table(table).unwrap());
+            prop_assert_eq!(back.rows(), live.rows());
+            prop_assert_eq!(back.generation(), live.generation());
+        }
+        for &(n, jid) in &creator.failed {
+            prop_assert!(!common::has_rows_of(&db, n, jid));
+            prop_assert!(!common::has_rows_of(&restored, n, jid));
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -284,36 +284,79 @@ fn admin_checkpoint_route_is_gated() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file of a persistence directory with its bytes: what a
+/// refused boot must leave exactly as it found it.
+fn dir_contents(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                files.push((path.clone(), std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// Boots from `dir` after `edit` rewrites its v4 manifest into an
+/// older version's shape: the boot must be refused with an error
+/// naming `version`, and must write nothing.
+fn assert_older_manifest_refused(name: &str, version: &str, edit: impl Fn(&str, &str) -> String) {
+    let dir = temp_dir(name);
+    let site = serve::conference_site_persistent(workload::conference(3, 2).app, &dir)
+        .expect("persistent site");
+    drop(site);
+    let path = dir.join(CHECKPOINT_FILE);
+    let v4 = std::fs::read_to_string(&path).expect("boot checkpoint");
+    let hash = v4
+        .lines()
+        .find_map(|l| l.strip_prefix("h "))
+        .and_then(|spec| spec.split(' ').next())
+        .expect("a chunk line")
+        .to_owned();
+    let older = edit(&v4, &hash).replacen(
+        "jacqueline-checkpoint v4",
+        &format!("jacqueline-checkpoint {version}"),
+        1,
+    );
+    std::fs::write(&path, &older).unwrap();
+    let before = dir_contents(&dir);
+
+    let err = match serve::conference_site_restored(&dir) {
+        Ok(_) => panic!("a {version} manifest must be refused"),
+        Err(e) => e.to_string(),
+    };
+    assert!(err.contains(version), "the error names the version: {err}");
+    assert_eq!(dir_contents(&dir), before, "the refused boot wrote nothing");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A version-2 manifest, which also listed facet-DAG object groups
 /// (`objects` / `model … ` / `g …` lines), is refused with an error
 /// naming its version, and the refused boot writes nothing.
 #[test]
 fn v2_manifest_with_object_groups_is_refused() {
-    let dir = temp_dir("v2");
-    let site = serve::conference_site_persistent(workload::conference(3, 2).app, &dir)
-        .expect("persistent site");
-    drop(site);
-    let path = dir.join(CHECKPOINT_FILE);
-    let v3 = std::fs::read_to_string(&path).expect("boot checkpoint");
-    let hash = v3
-        .lines()
-        .find_map(|l| l.strip_prefix("app-meta "))
-        .expect("app-meta line")
-        .to_owned();
-    let v2 = v3
-        .replacen("jacqueline-checkpoint v3", "jacqueline-checkpoint v2", 1)
-        .replacen(
+    assert_older_manifest_refused("v2", "v2", |v4, hash| {
+        v4.replacen(
             "manifest-end\n",
             &format!("objects 1\nmodel paper 2 1\ng 0 {hash} 2 5\nend\nmanifest-end\n"),
             1,
-        );
-    std::fs::write(&path, &v2).unwrap();
+        )
+    });
+}
 
-    let err = match serve::conference_site_restored(&dir) {
-        Ok(_) => panic!("a v2 manifest must be refused"),
-        Err(e) => e.to_string(),
-    };
-    assert!(err.contains("v2"), "the error names the version: {err}");
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), v2, "left as found");
-    let _ = std::fs::remove_dir_all(&dir);
+/// A version-3 manifest, which named an app-meta chunk of label names
+/// and policy bindings, is refused with an error naming its version,
+/// and the refused boot writes nothing.
+#[test]
+fn v3_manifest_with_an_app_meta_chunk_is_refused() {
+    assert_older_manifest_refused("v3", "v3", |v4, hash| {
+        let body = v4.split_once("db-tables").map(|(_, rest)| rest).unwrap();
+        format!("jacqueline-checkpoint v4\napp-meta {hash}\ndb-tables{body}")
+    });
 }
