@@ -864,3 +864,63 @@ fn decode_cache_differential_survives_writes() {
         );
     }
 }
+
+/// An update takes the object's labels from its binding row, so a
+/// restored app updates exactly like the live one: grading
+/// submissions after a restore from a checkpoint plus a write-log
+/// tail — one checkpointed, one only in the log — keeps each
+/// submission's two labels, and every page for every viewer equals
+/// the never-restored app's.
+#[test]
+fn update_fields_after_restore_keeps_the_objects_labels() {
+    let dir = std::env::temp_dir().join(format!("jacq_grade_after_restore_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let w = workload::courses(4);
+    let mut app = w.app;
+    app.enable_persistence(&dir).unwrap();
+    let submit = |app: &jacqueline::App, a: i64| {
+        apps::courses::submit_answer(app, &Viewer::User(w.student), a, &format!("answer-{a}"))
+            .unwrap()
+    };
+    let checkpointed = submit(&app, 1);
+    app.checkpoint_quiescent(&dir).unwrap();
+    let logged = submit(&app, 2);
+
+    let mut restored = jacqueline::App::new();
+    apps::courses::register(&mut restored).unwrap();
+    let stats = restored.restore_from(&dir).unwrap();
+    assert_eq!(stats.creates_applied, 1, "the log's submission");
+    for (i, s) in [checkpointed, logged].into_iter().enumerate() {
+        for a in [&app, &restored] {
+            apps::courses::grade_submission(a, s, 70 + i as i64).unwrap();
+        }
+        assert_eq!(
+            restored.get("submission", s).unwrap().labels(),
+            app.get("submission", s).unwrap().labels(),
+            "submission {s} keeps its labels"
+        );
+        assert_eq!(app.get("submission", s).unwrap().labels().len(), 2);
+    }
+    let n_users = app.db.object_count("cuser").unwrap() as i64;
+    let grid = |app: &jacqueline::App| {
+        let mut pages = Vec::new();
+        for viewer in std::iter::once(Viewer::Anonymous).chain((1..=n_users).map(Viewer::User)) {
+            pages.push(apps::courses::all_courses(app, &viewer));
+            for s in [checkpointed, logged] {
+                pages.push(apps::courses::view_submission(app, &viewer, s));
+            }
+        }
+        pages
+    };
+    let live = grid(&app);
+    assert_eq!(grid(&restored), live);
+    assert!(
+        live.iter().any(|p| p.contains("answer-2 — grade 71")),
+        "the student sees the graded log-only submission"
+    );
+    assert!(
+        live.iter().any(|p| p.contains("[submission hidden]")),
+        "others still see the public facet"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,7 +1,7 @@
 //! The Jacqueline application object: policy-agnostic object manager
 //! plus the computation-sink machinery.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
 use faceted::{Faceted, FacetedList, Label, View};
@@ -9,7 +9,7 @@ use form::{FacetedObject, FormDb, FormResult, GuardedRow};
 use labelsat::{max_true_assignment, Assignment, Formula};
 use microdb::{Predicate, Row, SortOrder, Value};
 
-use crate::model::{ModelDef, PolicyArgs, PolicyFn, Viewer};
+use crate::model::{FieldPolicy, ModelDef, PolicyArgs, PolicyFn, Viewer};
 
 /// A policy attached to a live label: the check plus the
 /// creation-time row snapshot it closes over (§2.1.2: "with respect
@@ -51,10 +51,9 @@ pub struct App {
     models: BTreeMap<String, ModelDef>,
     /// Policy bindings indexed by [`Label::index`]: labels are dense
     /// allocation counters, so a lookup is one bounds-checked load.
+    /// Which labels an object has is recorded once, in its binding
+    /// row ([`FormDb::binding`]).
     pub(crate) policies: RwLock<Vec<Option<Arc<PolicyEntry>>>>,
-    /// Labels allocated per object, in model-policy order — needed to
-    /// rebuild facet structure on updates.
-    pub(crate) object_labels: RwLock<HashMap<(String, i64), Vec<Label>>>,
     /// Request-level footprint locks, owned by the app so concurrent
     /// executor runs against the same app isolate against each other.
     pub(crate) request_locks: crate::executor::RequestLocks,
@@ -92,7 +91,6 @@ impl App {
             db: FormDb::new(),
             models: BTreeMap::new(),
             policies: RwLock::new(Vec::new()),
-            object_labels: RwLock::new(HashMap::new()),
             request_locks: crate::executor::RequestLocks::default(),
             render_cache: crate::rendercache::RenderCache::new(),
             degraded: RwLock::new(None),
@@ -273,10 +271,7 @@ impl App {
         let labels: Vec<Label> = model
             .policies
             .iter()
-            .map(|fp| {
-                self.db
-                    .fresh_label(&bound_label_name(model_name, &fp.label_name, jid))
-            })
+            .map(|_| self.db.fresh_label())
             .collect();
         // Bind before the rows land: a reader must never find a facet
         // row whose label has no policy (an unbound label defaults to
@@ -284,26 +279,7 @@ impl App {
         for (policy_ix, label) in labels.iter().enumerate() {
             self.bind_policy(*label, model_name, policy_ix, jid, &row)?;
         }
-        let mut object: FacetedObject = Faceted::leaf(Some(row.clone()));
-        for (fp, label) in model.policies.iter().zip(&labels) {
-            let public_values = (fp.public_view)(&row);
-            assert_eq!(
-                public_values.len(),
-                fp.fields.len(),
-                "public view must produce one value per protected field"
-            );
-            let fields = fp.fields.clone();
-            let public_side = object.map(&mut |opt: &Option<Row>| {
-                opt.as_ref().map(|r| {
-                    let mut r = r.clone();
-                    for (ix, v) in fields.iter().zip(&public_values) {
-                        r[*ix] = v.clone();
-                    }
-                    r
-                })
-            });
-            object = Faceted::split(*label, object, public_side);
-        }
+        let object = facet_row(&model.policies, &labels, &row);
         // The binding row (labels and creation-time row) commits with
         // the facet rows: durable together or not at all.
         if let Err(e) = self
@@ -314,7 +290,7 @@ impl App {
             // back so no checkpoint exports them. The labels stay
             // allocated — skipped indices are harmless, reused ones
             // are not.
-            self.unbind_object(model_name, jid);
+            self.unbind(&labels);
             return Err(e);
         }
         Ok(jid)
@@ -326,23 +302,16 @@ impl App {
         self.models.keys().cloned().collect()
     }
 
-    /// Drops every policy binding and object-label association — the
-    /// first step of a restore's rebinding (the binding tables'
-    /// rows replace them wholesale).
+    /// Drops every policy binding — the first step of a restore's
+    /// rebinding (the binding tables' rows replace them wholesale).
     pub(crate) fn clear_policy_state(&self) {
         self.policies.write().expect("policy lock").clear();
-        self.object_labels
-            .write()
-            .expect("object-labels lock")
-            .clear();
     }
 
-    /// Re-attaches one persisted policy binding: the check closure
-    /// comes from this app's registered model (closures cannot be
-    /// serialized; the `(model, policy index)` pair is their stable
-    /// name), everything else from the binding row or the create. Also
-    /// appends the label to the object's label list (once — binding
-    /// is idempotent) — callers bind in model-policy order.
+    /// Attaches one policy binding: the check closure comes from this
+    /// app's registered model (closures cannot be serialized; the
+    /// `(model, policy index)` pair is their stable name), everything
+    /// else from the binding row or the create. Binding is idempotent.
     pub(crate) fn bind_policy(
         &self,
         label: Label,
@@ -364,9 +333,9 @@ impl App {
             )))
         })?;
         // The binding table is indexed by label, so a label the
-        // registry never allocated (a corrupt checkpoint) must not
+        // counter never handed out (a corrupt checkpoint) must not
         // size it.
-        let allocated = self.db.labels().len();
+        let allocated = self.db.label_count();
         if label.index() as usize >= allocated {
             return Err(form::FormError::Db(microdb::DbError::Persist(format!(
                 "checkpoint binds label {label}, past the {allocated} labels allocated"
@@ -383,26 +352,12 @@ impl App {
             policies.resize(ix + 1, None);
         }
         policies[ix] = Some(entry);
-        drop(policies);
-        let mut object_labels = self.object_labels.write().expect("object-labels lock");
-        let labels = object_labels
-            .entry((model_name.to_owned(), jid))
-            .or_default();
-        if !labels.contains(&label) {
-            labels.push(label);
-        }
         Ok(())
     }
 
-    /// Drops an object's policy bindings and label list — the undo of
+    /// Drops the policy bindings of `labels` — the undo of
     /// [`App::bind_policy`] for a create whose rows never landed.
-    fn unbind_object(&self, model_name: &str, jid: i64) {
-        let labels = self
-            .object_labels
-            .write()
-            .expect("object-labels lock")
-            .remove(&(model_name.to_owned(), jid))
-            .unwrap_or_default();
+    fn unbind(&self, labels: &[Label]) {
         let mut policies = self.policies.write().expect("policy lock");
         for label in labels {
             if let Some(entry) = policies.get_mut(label.index() as usize) {
@@ -414,11 +369,15 @@ impl App {
     /// Updates columns of an object, preserving its labels and
     /// re-applying the model's public-view computations — the faceted
     /// analogue of `obj.field = v; obj.save()`. A non-empty `pc`
-    /// performs the write as a guarded update.
+    /// performs the write as a guarded update. The object's labels
+    /// are the ones its binding row names; a model without policies
+    /// has none.
     ///
     /// # Errors
     ///
-    /// Propagates lookup and write errors.
+    /// Propagates lookup and write errors; an object of a model with
+    /// policies that has no binding row is
+    /// [`form::FormError::NoSuchObject`] in the binding table.
     pub fn update_fields(
         &self,
         model_name: &str,
@@ -426,15 +385,19 @@ impl App {
         updates: &[(usize, Value)],
         pc: &faceted::Branches,
     ) -> FormResult<()> {
-        let model = self.model(model_name).clone();
-        let labels = self
-            .object_labels
-            .read()
-            .expect("object-labels lock")
-            .get(&(model_name.to_owned(), jid))
-            .cloned()
-            .unwrap_or_default();
+        let model = self.model(model_name);
         let current = self.db.get(model_name, jid)?;
+        let labels = if model.policies.is_empty() {
+            Vec::new()
+        } else {
+            self.db
+                .binding(model_name, jid)?
+                .ok_or_else(|| form::FormError::NoSuchObject {
+                    table: form::binding_table(model_name),
+                    jid,
+                })?
+                .labels
+        };
         // The all-labels-true view is the fully secret row.
         let all_true = View::from_labels(current.labels());
         let Some(mut secret) = current.project(&all_true).clone() else {
@@ -443,21 +406,7 @@ impl App {
         for (ix, v) in updates {
             secret[*ix] = v.clone();
         }
-        let mut object: FacetedObject = Faceted::leaf(Some(secret.clone()));
-        for (fp, label) in model.policies.iter().zip(&labels) {
-            let public_values = (fp.public_view)(&secret);
-            let fields = fp.fields.clone();
-            let public_side = object.map(&mut |opt: &Option<Row>| {
-                opt.as_ref().map(|r| {
-                    let mut r = r.clone();
-                    for (ix, v) in fields.iter().zip(&public_values) {
-                        r[*ix] = v.clone();
-                    }
-                    r
-                })
-            });
-            object = Faceted::split(*label, object, public_side);
-        }
+        let object = facet_row(&model.policies, &labels, &secret);
         let result = self.db.save(&model.name, jid, &object, pc);
         self.note_write_result(&result);
         result
@@ -619,11 +568,36 @@ impl App {
     }
 }
 
-/// The name of the label bound to policy `label` of object `jid` of
-/// `model`: a function of the binding, minted at create time and
-/// derived again at restore, so no label name is ever stored.
-pub(crate) fn bound_label_name(model: &str, label: &str, jid: i64) -> String {
-    format!("{model}.{label}@{jid}")
+/// Facets `row` over `policies`, policy `i` guarded by `labels[i]`:
+/// each split keeps the row on its secret side and puts the policy's
+/// public view of its fields on the public side — the object a
+/// create stores, and an update stores again.
+///
+/// # Panics
+///
+/// Panics if a public view does not produce one value per field it
+/// protects (a model-definition bug).
+fn facet_row(policies: &[FieldPolicy], labels: &[Label], row: &Row) -> FacetedObject {
+    let mut object: FacetedObject = Faceted::leaf(Some(row.clone()));
+    for (fp, label) in policies.iter().zip(labels) {
+        let public_values = (fp.public_view)(row);
+        assert_eq!(
+            public_values.len(),
+            fp.fields.len(),
+            "public view must produce one value per protected field"
+        );
+        let public_side = object.map(&mut |opt: &Option<Row>| {
+            opt.as_ref().map(|r| {
+                let mut r = r.clone();
+                for (ix, v) in fp.fields.iter().zip(&public_values) {
+                    r[*ix] = v.clone();
+                }
+                r
+            })
+        });
+        object = Faceted::split(*label, object, public_side);
+    }
+    object
 }
 
 impl Default for App {
@@ -831,7 +805,7 @@ mod tests {
     #[test]
     fn unregistered_label_defaults_to_shown() {
         let app = App::new();
-        let k = app.db.fresh_label("loose");
+        let k = app.db.fresh_label();
         let v = Faceted::split(k, Faceted::leaf(1), Faceted::leaf(0));
         assert_eq!(app.show_value(&Viewer::Anonymous, &v), 1);
     }
@@ -847,6 +821,6 @@ mod tests {
             "{err:?}"
         );
         assert!(app.policy(far).is_none());
-        assert!(app.policies.read().unwrap().len() <= app.db.labels().len());
+        assert!(app.policies.read().unwrap().len() <= app.db.label_count());
     }
 }

@@ -24,9 +24,10 @@
 //!
 //! Nothing else is stored. As in the paper's FORM (§3.1), the guarded
 //! `jid`/`jvars` rows are the object, and a restored process rebuilds
-//! each object's facet DAG from them on its first read. A bound
-//! label's name is a function of its binding (`{model}.{label}@{jid}`),
-//! so restore rebuilds the label registry from the binding tables.
+//! each object's facet DAG from them on its first read. A label is its
+//! index and has no name, so the binding rows are all there is to
+//! know about an object's labels: restore moves the label counter
+//! past the highest index they name and binds each one.
 //!
 //! Every checkpoint after the first into a directory is incremental:
 //! chunks a table generation proves clean are carried over by hash,
@@ -74,7 +75,7 @@ use microdb::faults::{self, FaultKind, FaultPoint};
 use microdb::snapshot::{encode_column, escape_token, parse_column, unescape_token};
 use microdb::{Row, Snapshot, TableSnapshot, Value, WriteLog};
 
-use crate::app::{bound_label_name, App};
+use crate::app::App;
 use crate::http::{Response, Router};
 use crate::model::Viewer;
 
@@ -91,7 +92,7 @@ const MANIFEST_HEADER: &str = "jacqueline-checkpoint v4";
 /// below it. A failed create leaves one per model policy, and a
 /// failed append puts a served app into read-only degraded mode until
 /// a checkpoint, so an index further out is corruption — and must not
-/// size the registry's allocation.
+/// size the policy table.
 const MAX_LABEL_GAP: usize = 1 << 16;
 
 fn persist_err(what: impl fmt::Display) -> FormError {
@@ -810,8 +811,8 @@ impl App {
             }
         }
 
-        // 1. The tables, and the jid cursors; the label registry
-        //    starts empty and is rebuilt in step 3.
+        // 1. The tables, and the jid cursors; the label counter
+        //    restarts at 0 and moves past the bound labels in step 3.
         self.db.restore_meta(&manifest.form);
         self.db.restore_database(&snapshot)?;
 
@@ -871,10 +872,10 @@ impl App {
     }
 
     /// Replaces every policy binding with the binding rows of each
-    /// model: each label is imported at its recorded index under its
-    /// derived name and bound to its model policy, and the model's
-    /// `jid` cursor moves past its bound objects. Checked before
-    /// anything changes: a label bound twice, or one further than
+    /// model: the label counter moves past the highest bound label,
+    /// each label is bound to its model policy, and the model's `jid`
+    /// cursor moves past its bound objects. Checked before anything
+    /// changes: a label bound twice, or one further than
     /// [`MAX_LABEL_GAP`] past the bound label below it, is corruption.
     /// Returns the number of labels bound.
     fn rebind(&self, bindings: &[(String, Vec<Binding>)]) -> FormResult<usize> {
@@ -897,15 +898,16 @@ impl App {
             end = ix + 1;
         }
         self.clear_policy_state();
+        if let Some(&highest) = labels.last() {
+            self.db
+                .allocate_through(faceted::Label::from_index(highest));
+        }
         for (model, rows) in bindings {
             if let Some(max) = rows.iter().map(|b| b.jid).max() {
                 self.db.bump_next_jid(model, max + 1);
             }
-            let policies = &self.model(model).policies;
             for b in rows {
-                for (policy_ix, (fp, label)) in policies.iter().zip(&b.labels).enumerate() {
-                    let name = bound_label_name(model, &fp.label_name, b.jid);
-                    self.db.import_label(label.index(), &name);
+                for (policy_ix, label) in b.labels.iter().enumerate() {
                     self.bind_policy(*label, model, policy_ix, b.jid, &b.row)?;
                 }
             }
@@ -1891,39 +1893,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn registry_len(app: &App) -> usize {
-        app.db.labels().len()
-    }
-
-    /// The live policy bindings, in label order: `(label index, label
-    /// name, model, policy index, jid, creation-time row)`.
-    fn live_bindings(app: &App) -> Vec<(u32, String, String, usize, i64, Row)> {
+    /// The live policy bindings, in label order: `(label index, model,
+    /// policy index, jid, creation-time row)`, read from the binding
+    /// tables — the durable record. Asserts that every label a binding
+    /// row names is bound to an entry matching that row (its jid, its
+    /// creation-time row, the model policy at its index), and that no
+    /// label is bound without a binding row.
+    fn live_bindings(app: &App) -> Vec<(u32, String, usize, i64, Row)> {
         let policies = app.policies.read().unwrap();
-        let registry = app.db.labels();
-        let mut out: Vec<_> = app
-            .object_labels
-            .read()
-            .unwrap()
-            .iter()
-            .flat_map(|((model, jid), labels)| {
-                labels.iter().enumerate().map(|(policy_ix, l)| {
-                    let entry = policies[l.index() as usize].as_ref().expect("bound");
-                    assert_eq!(entry.jid, *jid);
-                    let name = registry.name(*l).to_owned();
-                    (
-                        l.index(),
-                        name,
-                        model.clone(),
-                        policy_ix,
-                        *jid,
-                        entry.row.clone(),
-                    )
-                })
-            })
-            .collect();
+        let mut out = Vec::new();
+        for model in app.model_names() {
+            let fps = &app.model(&model).policies;
+            if fps.is_empty() {
+                continue;
+            }
+            for b in app.db.bindings(&model).unwrap() {
+                for (policy_ix, l) in b.labels.iter().enumerate() {
+                    let entry = policies
+                        .get(l.index() as usize)
+                        .and_then(Option::as_ref)
+                        .unwrap_or_else(|| panic!("{model} {}: label {l} is unbound", b.jid));
+                    assert_eq!((entry.jid, &entry.row), (b.jid, &b.row), "{model}: {l}");
+                    assert!(
+                        Arc::ptr_eq(&entry.check, &fps[policy_ix].check),
+                        "{model}: {l} runs policy #{policy_ix}"
+                    );
+                    out.push((l.index(), model.clone(), policy_ix, b.jid, b.row.clone()));
+                }
+            }
+        }
         out.sort_by_key(|b| b.0);
         let bound = policies.iter().filter(|p| p.is_some()).count();
-        assert_eq!(bound, out.len(), "every bound label belongs to an object");
+        assert_eq!(bound, out.len(), "every bound label has a binding row");
         out
     }
 
@@ -1941,7 +1942,7 @@ mod tests {
                 .unwrap();
         }
         app.checkpoint_quiescent(&dir).unwrap();
-        let checkpointed_labels = registry_len(&app);
+        let checkpointed_labels = app.db.label_count();
 
         faults::arm_at(
             FaultPoint::WalAppend,
@@ -1969,8 +1970,8 @@ mod tests {
         let mine = page(&restored, &Viewer::User(8));
         assert!(mine.contains("acked") && !mine.contains("lost"), "{mine}");
         // The acknowledged label kept its index; the failed create's
-        // index is an unbound placeholder, and allocation continues
-        // past both.
+        // index stays unbound and spent, and allocation continues past
+        // both.
         assert_eq!(
             restored.get("note", acked).unwrap().labels(),
             vec![acked_label]
@@ -1978,8 +1979,7 @@ mod tests {
         assert!(restored.policy(acked_label).is_some());
         let skipped = faceted::Label::from_index(acked_label.index() - 1);
         assert!(restored.policy(skipped).is_none());
-        assert_eq!(restored.db.labels().name(skipped), "");
-        assert_eq!(registry_len(&restored), acked_label.index() as usize + 1);
+        assert_eq!(restored.db.label_count(), acked_label.index() as usize + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1995,7 +1995,7 @@ mod tests {
             .unwrap();
         app.checkpoint_quiescent(&dir).unwrap();
         let bindings = live_bindings(&app);
-        let labels = registry_len(&app);
+        let labels = app.db.label_count();
 
         faults::arm_at(
             FaultPoint::WalAppend,
@@ -2014,14 +2014,14 @@ mod tests {
         let stats = restored.restore_from(&dir).unwrap();
         assert_eq!((stats.wal_applied, stats.creates_applied), (0, 0));
         assert_eq!(restored.db.object_jids("note").unwrap(), vec![1]);
-        assert_eq!(registry_len(&restored), labels);
+        assert_eq!(restored.db.label_count(), labels);
         assert_eq!(live_bindings(&restored), bindings);
         assert!(!page(&restored, &Viewer::User(1)).contains("lost"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Restore rebuilds exactly the live binding set — label index,
-    /// derived name, model, policy, jid and creation-time row — from
+    /// model, policy, jid and creation-time row — from
     /// the binding tables, over checkpointed creates, creates only in
     /// the log, a failed create (its labels stay unbound) and a torn
     /// log tail; allocation then continues identically in both apps.
@@ -2076,7 +2076,8 @@ mod tests {
         assert_eq!(stats.policies, live.len());
         assert_eq!(stats.creates_applied, 5, "the log's m1–m3 creates");
         assert!(
-            live.iter().any(|(_, name, ..)| name == "m3.doc_c2@2"),
+            live.iter()
+                .any(|(_, model, policy, jid, _)| (model.as_str(), *policy, *jid) == ("m3", 2, 2)),
             "{live:?}"
         );
         for i in [21, 22] {
@@ -2088,7 +2089,7 @@ mod tests {
     }
 
     /// A corrupted label index in a create's binding row fails the
-    /// restore cleanly instead of sizing a huge registry allocation.
+    /// restore cleanly instead of sizing a huge policy table.
     #[test]
     fn far_out_label_index_in_the_log_is_rejected() {
         let dir = temp_dir("far_label");

@@ -75,7 +75,8 @@ pub type PublicViewFn = Arc<dyn Fn(&Row) -> Vec<Value> + Send + Sync>;
 /// who sees the secret view.
 #[derive(Clone)]
 pub struct FieldPolicy {
-    /// Diagnostic name for the allocated labels.
+    /// The policy's display name (shown by `Debug`). Labels have no
+    /// names: a label is its allocation index.
     pub label_name: String,
     /// Indexes of the protected columns.
     pub fields: Vec<usize>,

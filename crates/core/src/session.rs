@@ -147,13 +147,6 @@ impl Session {
             .iter()
             .all(|b| self.resolve(app, b.label()) == b.is_positive())
     }
-
-    /// Installs this session's resolved constraint as the FORM's
-    /// pruning filter, so subsequent queries skip inconsistent facet
-    /// rows entirely.
-    pub fn enable_db_pruning(&self, app: &mut App) {
-        app.db.set_pruning(Some(self.constraint()));
-    }
 }
 
 #[cfg(test)]
@@ -235,21 +228,24 @@ mod tests {
 
     #[test]
     fn db_pruning_reduces_unmarshalled_rows() {
-        let mut app = app_with_owner_policy();
+        let app = app_with_owner_policy();
         let jid = app
             .create("note", vec![Value::Int(7), Value::from("s")])
             .unwrap();
         let obj = app.get("note", jid).unwrap();
         let mut s = Session::new(Viewer::User(7));
         s.view_object(&app, &obj);
-        s.enable_db_pruning(&mut app);
-        let rows = app.all("note").unwrap();
+        let rows = app.db.all_with("note", Some(&s.constraint())).unwrap();
         assert_eq!(
             rows.len(),
             1,
             "the inconsistent facet row is never unmarshalled"
         );
-        app.db.set_pruning(None);
+        assert_eq!(
+            app.all("note").unwrap().len(),
+            2,
+            "plain reads stay unpruned"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! The crate provides:
 //!
-//! * [`Label`] / [`LabelRegistry`] — interned policy labels;
+//! * [`Label`] — policy labels, each its allocation index;
 //! * [`Branch`] / [`Branches`] — `k` / `¬k` literals and branch sets,
 //!   used as program counters and row guards;
 //! * [`View`] — the set of labels an observer may see;
@@ -42,10 +42,10 @@
 //! # Quick example
 //!
 //! ```
-//! use faceted::{Faceted, LabelRegistry, View};
+//! use faceted::{Faceted, Label, View};
 //!
-//! let mut labels = LabelRegistry::new();
-//! let k = labels.fresh("party_name");
+//! // A fresh label: its allocator's next index.
+//! let k = Label::from_index(0);
 //!
 //! // ⟨k ? "Carol's surprise party" : "Private event"⟩
 //! let name = Faceted::split(
@@ -77,6 +77,6 @@ pub use branch::{Branch, Branches};
 pub use collection::FacetedList;
 pub use idhash::{IdBuildHasher, IdHashMap, IdHasher};
 pub use intern::{collect_garbage, intern_stats, set_memoization, Facet, InternStats};
-pub use label::{Label, LabelRegistry};
+pub use label::Label;
 pub use value::Faceted;
 pub use view::View;

@@ -3,10 +3,10 @@
 //! generation-stamped decode cache.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, RwLock};
 
-use faceted::{Branches, FacetedList, IdHashMap, Label, LabelRegistry};
+use faceted::{Branches, FacetedList, IdHashMap, Label};
 use microdb::{
     ColumnDef, ColumnType, Database, Operand, Predicate, Query, Row, RowDelta, Schema, SortOrder,
     Statement, Table, Value,
@@ -81,6 +81,28 @@ pub struct Binding {
     pub labels: Vec<Label>,
 }
 
+/// Decodes a binding-table row carrying `width` user columns; `None`
+/// when its `jid` or a label index is not an integer in range.
+fn decode_binding(r: &[Value], width: usize) -> Option<Binding> {
+    let labels = r[1 + width..]
+        .iter()
+        .map(|v| {
+            v.as_int()
+                .and_then(|ix| u32::try_from(ix).ok())
+                .map(Label::from_index)
+        })
+        .collect::<Option<_>>()?;
+    Some(Binding {
+        jid: r[0].as_int()?,
+        row: r[1..=width].to_vec(),
+        labels,
+    })
+}
+
+fn bad_binding(what: String) -> FormError {
+    FormError::Db(microdb::DbError::Persist(what))
+}
+
 /// A faceted database: a relational engine driven purely through
 /// meta-data columns, per §3 of the paper.
 ///
@@ -124,14 +146,14 @@ pub struct Binding {
 ///
 /// `FormDb` is `Send + Sync`, and both queries *and row-level writes*
 /// take `&self`: storage is sharded per table inside
-/// [`microdb::Database`], label allocation and `jid` reservation use
-/// internal locks, so concurrent requests touching different tables
-/// proceed fully in parallel. Multi-statement isolation (a reader
-/// must not observe half of a `save`) is coordinated above this layer
-/// by the executor's footprint locks. Per-request Early Pruning
-/// should use the `*_with` query variants, which take the viewer
-/// constraint as an argument instead of mutating the shared
-/// [`FormDb::set_pruning`] state.
+/// [`microdb::Database`], a label is one atomic counter bump and a
+/// `jid` reservation takes an internal lock, so concurrent requests
+/// touching different tables proceed fully in parallel.
+/// Multi-statement isolation (a reader must not observe half of a
+/// `save`) is coordinated above this layer by the executor's
+/// footprint locks. Early Pruning is an argument, never shared
+/// state: the `*_with` query variants take the viewer constraint,
+/// and the plain ones read unpruned.
 ///
 /// # Examples
 ///
@@ -146,7 +168,7 @@ pub struct Binding {
 ///     ColumnDef::new("name", ColumnType::Str),
 /// ])?;
 ///
-/// let k = db.fresh_label("event_name");
+/// let k = db.fresh_label();
 /// let name = Faceted::split(
 ///     k,
 ///     Faceted::leaf(Some(vec![Value::from("Carol's surprise party")])),
@@ -165,12 +187,12 @@ pub struct Binding {
 #[derive(Debug)]
 pub struct FormDb {
     db: Database,
-    labels: RwLock<LabelRegistry>,
+    /// The next label index: a label is its index (`label k in e`
+    /// allocates a fresh one, §4), so this counter is all the label
+    /// state there is.
+    next_label: AtomicU32,
     /// Per-table next logical id (Django primary keys are per-model).
     next_jid: Mutex<BTreeMap<String, i64>>,
-    /// When set, unmarshalling reconstructs only facets consistent
-    /// with this viewer constraint (Early Pruning, §3.2).
-    pruning: Option<Branches>,
     /// Whether the decode cache is active (`true` by default; the
     /// differential grids' uncached reference arm switches it off).
     cache_enabled: bool,
@@ -192,9 +214,8 @@ impl Default for FormDb {
     fn default() -> FormDb {
         FormDb {
             db: Database::new(),
-            labels: RwLock::new(LabelRegistry::new()),
+            next_label: AtomicU32::new(0),
             next_jid: Mutex::new(BTreeMap::new()),
-            pruning: None,
             cache_enabled: true,
             delta_maintenance: true,
             decoded: RwLock::new(IdHashMap::default()),
@@ -209,9 +230,8 @@ impl Clone for FormDb {
     fn clone(&self) -> FormDb {
         FormDb {
             db: self.db.clone(),
-            labels: RwLock::new(self.labels.read().expect("labels lock").clone()),
+            next_label: AtomicU32::new(self.next_label.load(Ordering::Relaxed)),
             next_jid: Mutex::new(self.next_jid.lock().expect("jid lock").clone()),
-            pruning: self.pruning.clone(),
             cache_enabled: self.cache_enabled,
             delta_maintenance: self.delta_maintenance,
             // A fresh clone starts cold; snapshots repopulate lazily.
@@ -249,30 +269,32 @@ impl FormDb {
         &self.db
     }
 
-    /// Allocates a fresh policy label.
-    pub fn fresh_label(&self, name: &str) -> Label {
-        self.labels.write().expect("labels lock").fresh(name)
-    }
-
-    /// Shared access to the label registry.
+    /// Allocates a fresh policy label: the next index.
     ///
     /// # Panics
     ///
-    /// Panics if a prior label allocation panicked mid-write.
-    pub fn labels(&self) -> RwLockReadGuard<'_, LabelRegistry> {
-        self.labels.read().expect("labels lock")
+    /// Panics once all 2³² label indices are spent.
+    pub fn fresh_label(&self) -> Label {
+        let ix = self
+            .next_label
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_add(1))
+            .expect("label space exhausted");
+        Label::from_index(ix)
     }
 
-    /// Enables Early Pruning for a known viewer constraint; queries
-    /// will reconstruct only the consistent facets.
-    pub fn set_pruning(&mut self, constraint: Option<Branches>) {
-        self.pruning = constraint;
-    }
-
-    /// The active pruning constraint, if any.
+    /// How many labels have been allocated: every index below it.
     #[must_use]
-    pub fn pruning(&self) -> Option<&Branches> {
-        self.pruning.as_ref()
+    pub fn label_count(&self) -> usize {
+        self.next_label.load(Ordering::Relaxed) as usize
+    }
+
+    /// Moves the label counter past `label`, so no later
+    /// [`FormDb::fresh_label`] hands out its index again — the restore
+    /// hook, called with the highest label a binding row names.
+    /// Indices below it that no row names stay spent.
+    pub fn allocate_through(&self, label: Label) {
+        let next = label.index().saturating_add(1);
+        self.next_label.fetch_max(next, Ordering::Relaxed);
     }
 
     /// Switches the decode cache on or off (the uncached reference arm
@@ -420,8 +442,9 @@ impl FormDb {
             cols.extend_from_slice(&user[..user.len() - 2]);
         }
         cols.extend((0..policies).map(|i| ColumnDef::new(&format!("@{i}"), ColumnType::Int)));
-        self.db
-            .create_table(&binding_table(model), Schema::new(cols))?;
+        let bind = binding_table(model);
+        self.db.create_table(&bind, Schema::new(cols))?;
+        self.db.table_mut(&bind)?.create_index(JID)?;
         Ok(())
     }
 
@@ -496,6 +519,7 @@ impl FormDb {
                 let mut b = self.db.table_mut(&bind)?;
                 stmts.push(Statement::Insert { table: bind, row });
                 self.db.apply_batch_locked(&mut [&mut *t, &mut *b], stmts)?;
+                b.refresh_indexes();
             }
         }
         // Writers pay for index maintenance so the shared-access query
@@ -848,19 +872,18 @@ impl FormDb {
         }
     }
 
-    /// All guarded rows of a table — the faceted `objects.all()` —
-    /// pruned by the database-level constraint, if one is set.
+    /// All guarded rows of a table — the faceted `objects.all()`.
     ///
     /// # Errors
     ///
     /// Table lookup / decoding errors.
     pub fn all(&self, table: &str) -> FormResult<FacetedList<GuardedRow>> {
-        self.all_with(table, self.pruning.as_ref())
+        self.all_with(table, None)
     }
 
-    /// [`FormDb::all`] with an explicit Early-Pruning constraint,
-    /// letting each concurrent request keep its pruning state
-    /// thread-local instead of mutating the shared handle.
+    /// [`FormDb::all`] under an Early-Pruning constraint: only facets
+    /// consistent with it are returned (§3.2). Each request passes its
+    /// own constraint, so concurrent requests never share one.
     ///
     /// On a cache hit with no constraint this is O(1): the returned
     /// list shares the cached snapshot's storage.
@@ -888,7 +911,7 @@ impl FormDb {
     ///
     /// Table lookup / decoding errors.
     pub fn filter(&self, table: &str, predicate: Predicate) -> FormResult<FacetedList<GuardedRow>> {
-        self.filter_with(table, predicate, self.pruning.as_ref())
+        self.filter_with(table, predicate, None)
     }
 
     /// [`FormDb::filter`] with an explicit Early-Pruning constraint.
@@ -917,7 +940,7 @@ impl FormDb {
         column: &str,
         value: Value,
     ) -> FormResult<FacetedList<GuardedRow>> {
-        self.select_eq(table, column, &value, self.pruning.as_ref())
+        self.select_eq(table, column, &value, None)
     }
 
     /// Faceted `ORDER BY`: relies on SQL sorting of physical rows —
@@ -933,7 +956,7 @@ impl FormDb {
         column: &str,
         order: SortOrder,
     ) -> FormResult<FacetedList<GuardedRow>> {
-        self.order_by_with(table, column, order, self.pruning.as_ref())
+        self.order_by_with(table, column, order, None)
     }
 
     /// [`FormDb::order_by`] with an explicit Early-Pruning constraint.
@@ -972,7 +995,7 @@ impl FormDb {
         fk_column: &str,
         right: &str,
     ) -> FormResult<FacetedList<(GuardedRow, GuardedRow)>> {
-        self.join_on_fk_with(left, fk_column, right, self.pruning.as_ref())
+        self.join_on_fk_with(left, fk_column, right, None)
     }
 
     /// [`FormDb::join_on_fk`] with an explicit Early-Pruning
@@ -1054,7 +1077,7 @@ impl FormDb {
     /// [`FormError::NoSuchObject`] if no row carries this `jid`;
     /// [`FormError::FacetConflict`] on ambiguous facets.
     pub fn get(&self, table: &str, jid: i64) -> FormResult<FacetedObject> {
-        self.get_with(table, jid, self.pruning.as_ref())
+        self.get_with(table, jid, None)
     }
 
     /// [`FormDb::get`] with an explicit Early-Pruning constraint.
@@ -1285,11 +1308,11 @@ impl FormDb {
     }
 
     /// Restores metadata exported by [`FormDb::export_meta`]: the
-    /// `jid` cursors are replaced wholesale, and the label registry
-    /// starts empty — a restore re-imports every bound label from the
-    /// binding tables ([`FormDb::import_label`]).
+    /// `jid` cursors are replaced wholesale, and the label counter
+    /// restarts at 0 — a restore moves it past every label the
+    /// binding tables name ([`FormDb::allocate_through`]).
     pub fn restore_meta(&mut self, meta: &crate::FormMeta) {
-        *self.labels.write().expect("labels lock") = LabelRegistry::new();
+        *self.next_label.get_mut() = 0;
         *self.next_jid.lock().expect("jid lock") = meta.next_jid.clone();
     }
 
@@ -1302,46 +1325,50 @@ impl FormDb {
     /// table narrower than the model or a row whose `jid` or label
     /// index is not an integer in range.
     pub fn bindings(&self, model: &str) -> FormResult<Vec<Binding>> {
-        let width = self.db.table(model)?.schema().len() - 2;
+        let width = self.binding_width(model)?;
         let t = self.db.table(&binding_table(model))?;
-        let bad = |what: String| FormError::Db(microdb::DbError::Persist(what));
-        if t.schema().len() <= width {
-            return Err(bad(format!(
-                "binding table of {model:?} is narrower than the model"
-            )));
-        }
         t.rows()
             .iter()
             .enumerate()
             .map(|(i, r)| {
-                let bad_row = || bad(format!("bad binding row {i} of {model:?}"));
-                let jid = r[0].as_int().ok_or_else(bad_row)?;
-                let labels = r[1 + width..]
-                    .iter()
-                    .map(|v| {
-                        v.as_int()
-                            .and_then(|ix| u32::try_from(ix).ok())
-                            .map(Label::from_index)
-                            .ok_or_else(bad_row)
-                    })
-                    .collect::<FormResult<_>>()?;
-                Ok(Binding {
-                    jid,
-                    row: r[1..=width].to_vec(),
-                    labels,
-                })
+                decode_binding(r, width)
+                    .ok_or_else(|| bad_binding(format!("bad binding row {i} of {model:?}")))
             })
             .collect()
     }
 
-    /// Records one label name at its recorded index — how a restore
-    /// rebuilds the registry from the binding tables (see
-    /// [`LabelRegistry::import_at`]). Returns the label.
-    pub fn import_label(&self, index: u32, stored_name: &str) -> Label {
-        self.labels
-            .write()
-            .expect("labels lock")
-            .import_at(index, stored_name)
+    /// The binding row of object `jid` of `model`, if it has one: one
+    /// equality read of the binding table through the engine, which
+    /// probes its `jid` index (and scans a table restored from a
+    /// checkpoint written before the index existed).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FormDb::bindings`].
+    pub fn binding(&self, model: &str, jid: i64) -> FormResult<Option<Binding>> {
+        let width = self.binding_width(model)?;
+        let query = Query::from(&binding_table(model))
+            .filter(Predicate::eq(Operand::col(JID), Operand::lit(jid)));
+        let rows = query.execute_ref(&self.db)?;
+        rows.first()
+            .map(|r| {
+                decode_binding(r, width).ok_or_else(|| {
+                    bad_binding(format!("bad binding row of {model:?} object {jid}"))
+                })
+            })
+            .transpose()
+    }
+
+    /// The user-column width of `model`, checked against its binding
+    /// table: a binding row is `jid`, that many columns, then labels.
+    fn binding_width(&self, model: &str) -> FormResult<usize> {
+        let width = self.db.table(model)?.schema().len() - 2;
+        if self.db.table(&binding_table(model))?.schema().len() <= width {
+            return Err(bad_binding(format!(
+                "binding table of {model:?} is narrower than the model"
+            )));
+        }
+        Ok(width)
     }
 
     /// Advances a table's `jid` cursor to at least `next` (replay of
@@ -1496,7 +1523,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let k = db.fresh_label("event_policy");
+        let k = db.fresh_label();
         let obj = Faceted::split(
             k,
             Faceted::leaf(Some(vec![
@@ -1547,11 +1574,7 @@ mod tests {
         let mut db = FormDb::new();
         db.create_table("t", vec![ColumnDef::new("f", ColumnType::Str)])
             .unwrap();
-        let (a, b, c) = (
-            db.fresh_label("a"),
-            db.fresh_label("b"),
-            db.fresh_label("c"),
-        );
+        let (a, b, c) = (db.fresh_label(), db.fresh_label(), db.fresh_label());
         for (l, name) in [(a, "Charlie"), (b, "Bob"), (c, "Alice")] {
             let obj = Faceted::split(
                 l,
@@ -1583,7 +1606,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let g = db.fresh_label("guest_policy");
+        let g = db.fresh_label();
         let guest = Faceted::split(
             g,
             Faceted::leaf(Some(vec![Value::Int(jid), Value::from("alice")])),
@@ -1670,21 +1693,28 @@ mod tests {
 
     #[test]
     fn explicit_constraint_matches_db_level_pruning() {
-        let (mut db, k, jid) = event_db();
+        let (db, k, jid) = event_db();
         let constraint = Branches::new().with(Branch::pos(k));
         let explicit_all = db.all_with("event", Some(&constraint)).unwrap();
         let explicit_get = db.get_with("event", jid, Some(&constraint)).unwrap();
-        db.set_pruning(Some(constraint));
-        assert_eq!(db.all("event").unwrap(), explicit_all);
-        assert_eq!(db.get("event", jid).unwrap(), explicit_get);
+        // The plain reads stay unpruned; pruning them afterwards gives
+        // what the constraint gave the database.
+        let all = db.all("event").unwrap();
+        assert_eq!(all.len(), 2);
+        assert_eq!(all.prune(&constraint), explicit_all);
+        let view = View::from_labels([k]);
+        assert_eq!(
+            db.get("event", jid).unwrap().project(&view),
+            explicit_get.project(&view)
+        );
         assert_eq!(explicit_all.len(), 1);
     }
 
     #[test]
     fn early_pruning_reconstructs_fewer_facets() {
-        let (mut db, k, _) = event_db();
-        db.set_pruning(Some(Branches::new().with(Branch::pos(k))));
-        let all = db.all("event").unwrap();
+        let (db, k, _) = event_db();
+        let constraint = Branches::new().with(Branch::pos(k));
+        let all = db.all_with("event", Some(&constraint)).unwrap();
         assert_eq!(all.len(), 1, "only the consistent facet is unmarshalled");
         assert_eq!(
             all.project(&View::from_labels([k]))[0].fields[0],
@@ -1694,10 +1724,10 @@ mod tests {
 
     #[test]
     fn pruned_get_matches_unpruned_projection() {
-        let (mut db, k, jid) = event_db();
+        let (db, k, jid) = event_db();
         let full = db.get("event", jid).unwrap();
-        db.set_pruning(Some(Branches::new().with(Branch::pos(k))));
-        let pruned = db.get("event", jid).unwrap();
+        let constraint = Branches::new().with(Branch::pos(k));
+        let pruned = db.get_with("event", jid, Some(&constraint)).unwrap();
         let view = View::from_labels([k]);
         assert_eq!(pruned.project(&view), full.project(&view));
     }
@@ -1979,7 +2009,7 @@ mod tests {
         let mut db = FormDb::new();
         db.create_table("t", vec![ColumnDef::new("v", ColumnType::Int)])
             .unwrap();
-        let k = db.fresh_label("k");
+        let k = db.fresh_label();
         let object = |v: i64| {
             Faceted::split(
                 k,
@@ -2201,25 +2231,69 @@ mod tests {
         assert_eq!(meta.next_jid.get("event"), Some(&2));
 
         let mut fresh = FormDb::new();
-        fresh.fresh_label("stale");
+        fresh.fresh_label();
         fresh.restore_meta(&meta);
-        assert!(fresh.labels().is_empty(), "labels come back from bindings");
+        assert_eq!(fresh.label_count(), 0, "labels come back from bindings");
         // No jid collision after the restore.
         assert_eq!(fresh.reserve_jid("event"), 2);
-        // import_label + bump_next_jid are the restore hooks: a label
-        // lands at its recorded index, past a gap if need be, and
-        // allocation continues past it.
-        let restored = fresh.import_label(k.index(), "event.secret@1");
-        assert_eq!(restored, k);
-        let replayed = fresh.import_label(5, "replayed.label");
-        assert_eq!(replayed.index(), 5);
-        assert_eq!(fresh.labels().name(replayed), "replayed.label");
-        assert_eq!(fresh.labels().len(), 6, "indices 1 to 4 hold placeholders");
-        assert_eq!(fresh.fresh_label("next").index(), 6);
+        // allocate_through + bump_next_jid are the restore hooks: the
+        // counter moves past the highest bound label, the indices
+        // below it stay spent, and it never moves back.
+        fresh.allocate_through(Label::from_index(5));
+        fresh.allocate_through(k);
+        assert_eq!(fresh.label_count(), 6, "indices 0 to 4 stay spent");
+        assert_eq!(fresh.fresh_label().index(), 6);
         fresh.bump_next_jid("event", 9);
         assert_eq!(fresh.reserve_jid("event"), 9);
         fresh.bump_next_jid("event", 3); // never regresses
         assert_eq!(fresh.reserve_jid("event"), 10);
+    }
+
+    /// `binding` reads one object's binding row: through the `jid`
+    /// index `create_binding_table` declares, and by a scan of a table
+    /// restored from a checkpoint written before that index existed.
+    #[test]
+    fn binding_reads_one_row_with_or_without_the_jid_index() {
+        let mut db = FormDb::new();
+        db.create_table("doc", vec![ColumnDef::new("t", ColumnType::Str)])
+            .unwrap();
+        db.create_binding_table("doc", 2).unwrap();
+        let bind = binding_table("doc");
+        let mut expect = Vec::new();
+        for i in 0..3 {
+            let jid = db.reserve_jid("doc");
+            let labels = vec![db.fresh_label(), db.fresh_label()];
+            let row = vec![Value::from(format!("t{i}"))];
+            let public = Faceted::leaf(Some(vec![Value::from("[private]")]));
+            let object = Faceted::split(labels[0], Faceted::leaf(Some(row.clone())), public);
+            db.insert_created("doc", jid, &object, &row, &labels)
+                .unwrap();
+            expect.push(Binding { jid, row, labels });
+        }
+        let check = |db: &FormDb| {
+            assert_eq!(db.bindings("doc").unwrap(), expect);
+            for b in &expect {
+                assert_eq!(db.binding("doc", b.jid).unwrap().as_ref(), Some(b));
+            }
+            assert_eq!(db.binding("doc", 99).unwrap(), None);
+        };
+        let t = db.raw_ref().table(&bind).unwrap();
+        assert!(
+            t.index_probe_ref(JID, &Value::Int(2)).is_some(),
+            "a clean index"
+        );
+        drop(t);
+        check(&db);
+
+        let mut snapshot = db.raw_ref().snapshot();
+        for t in &mut snapshot.tables {
+            if t.name == bind {
+                t.indexes.clear();
+            }
+        }
+        db.restore_database(&snapshot).unwrap();
+        assert!(!db.raw_ref().table(&bind).unwrap().has_index(JID));
+        check(&db);
     }
 
     #[test]
@@ -2369,7 +2443,7 @@ mod tests {
         // A guard-structure change (a policy label appears) falls
         // back to delete + re-insert: the object's rows — and its
         // slot in first-appearance order — move to the end.
-        let k = db.fresh_label("late_policy");
+        let k = db.fresh_label();
         db.save(
             "t",
             jids[1],
@@ -2479,7 +2553,7 @@ mod tests {
         )
         .unwrap();
         db.create_index("t", "k").unwrap();
-        let labels: Vec<Label> = (0..3).map(|i| db.fresh_label(&format!("l{i}"))).collect();
+        let labels: Vec<Label> = (0..3).map(|_| db.fresh_label()).collect();
         for i in 0..24i64 {
             // Some keys NULL, some repeated; half the objects faceted.
             let key = |shift: i64| match (i + shift) % 6 {
@@ -2505,14 +2579,15 @@ mod tests {
             Value::from("h4"),
             Value::from("***"),
         ];
-        let check = |db: &FormDb, arm: &str| {
+        let check_with = |db: &FormDb, prune: Option<&Branches>, arm: &str| {
             for column in ["k", "u", "s", JID] {
                 for v in &probes {
-                    let probed = db.filter_eq("t", column, v.clone()).unwrap();
+                    let probed = db.select_eq("t", column, v, prune).unwrap();
                     let planned = db
-                        .filter(
+                        .filter_with(
                             "t",
                             Predicate::eq(Operand::col(column), Operand::Lit(v.clone())),
+                            prune,
                         )
                         .unwrap();
                     assert_eq!(listed(&probed), listed(&planned), "{arm}: {column} = {v:?}");
@@ -2523,10 +2598,11 @@ mod tests {
             }
             // The Int column really holds what the Float probes.
             assert!(!db
-                .filter_eq("t", "k", Value::Float(5.0))
+                .select_eq("t", "k", &Value::Float(5.0), prune)
                 .unwrap()
                 .is_empty());
         };
+        let check = |db: &FormDb, arm: &str| check_with(db, None, arm);
         check(&db, "clean index");
 
         // A cold `get` (probe path) builds the same object as the
@@ -2563,11 +2639,7 @@ mod tests {
         uncached.set_decode_cache(false);
         check(&uncached, "cache off");
 
-        let mut pruned = db.clone();
-        pruned.set_pruning(Some(Branches::from_iter([
-            Branch::pos(labels[0]),
-            Branch::neg(labels[1]),
-        ])));
-        check(&pruned, "pruning constraint");
+        let constraint = Branches::from_iter([Branch::pos(labels[0]), Branch::neg(labels[1])]);
+        check_with(&db, Some(&constraint), "pruning constraint");
     }
 }

@@ -18,8 +18,9 @@
 //!   [`faceted_sum`]), since SQL aggregates would mix facets.
 //!
 //! Writes under a path condition implement the guarded updates of
-//! §2.2 (`⟨⟨pc ? new : old⟩⟩`), and [`FormDb::set_pruning`] implements
-//! the Early Pruning optimization of §3.2.
+//! §2.2 (`⟨⟨pc ? new : old⟩⟩`), and the `*_with` reads (e.g.
+//! [`FormDb::all_with`]) implement the Early Pruning optimization of
+//! §3.2.
 //!
 //! Unmarshalling — the dominant FORM cost in the paper's Tables 3–4 —
 //! is amortized by a per-table **decode cache** keyed on the storage

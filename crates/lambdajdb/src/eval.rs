@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use faceted::{Branch, Branches, Faceted, Label, LabelRegistry};
+use faceted::{Branch, Branches, Faceted, Label};
 use labelsat::{max_true_assignment, Assignment, Formula};
 
 use crate::ast::{Expr, Op, RowStrings, Statement, Table};
@@ -25,7 +25,8 @@ use crate::value::{RawValue, Val};
 pub struct Store {
     cells: Vec<Val>,
     policies: BTreeMap<Label, Vec<Val>>,
-    labels: LabelRegistry,
+    /// The next label index.
+    next_label: u32,
 }
 
 impl Store {
@@ -80,15 +81,19 @@ impl Store {
         &mut self.cells
     }
 
-    /// Allocates a fresh label with the default policy (`F-LABEL`).
-    pub fn fresh_label(&mut self, name: &str) -> Label {
-        self.labels.fresh(name)
-    }
-
-    /// The label registry.
-    #[must_use]
-    pub fn labels(&self) -> &LabelRegistry {
-        &self.labels
+    /// Allocates a fresh label with the default policy (`F-LABEL`):
+    /// the next index, whatever the binder's name.
+    ///
+    /// # Panics
+    ///
+    /// Panics once all 2³² label indices are spent.
+    pub fn fresh_label(&mut self) -> Label {
+        let k = Label::from_index(self.next_label);
+        self.next_label = self
+            .next_label
+            .checked_add(1)
+            .expect("label space exhausted");
+        k
     }
 
     /// Attaches a (pre-faceted) policy value to a label.
@@ -283,7 +288,7 @@ impl Interp {
 
             // ---- Labels ([F-LABEL], [F-RESTRICT]) ---------------------
             Expr::LabelIn(name, body) => {
-                let k = self.store.fresh_label(name);
+                let k = self.store.fresh_label();
                 let body = body.subst(name, &Expr::LabelLit(k));
                 self.eval_pc(&body, pc)
             }

@@ -128,7 +128,7 @@ fn faceted_values_survive_database_round_trip_verbatim() {
     let mut db = form::FormDb::new();
     db.create_table("t", vec![ColumnDef::new("v", ColumnType::Int)])
         .unwrap();
-    let (a, b) = (db.fresh_label("a"), db.fresh_label("b"));
+    let (a, b) = (db.fresh_label(), db.fresh_label());
     let obj = Faceted::split(
         a,
         Faceted::split(
