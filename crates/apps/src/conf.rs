@@ -7,7 +7,6 @@
 //! between the `<policy>` markers; the views below contain none.
 
 use faceted::Faceted;
-use form::faceted_count;
 use jacqueline::{label_for, App, ModelDef, Request, Response, Router, Session, Viewer};
 use microdb::{ColumnDef, ColumnType, Value};
 
@@ -20,48 +19,41 @@ pub const PHASE_REVIEW: &str = "review";
 /// Final (decisions public) phase.
 pub const PHASE_FINAL: &str = "final";
 
-/// Reads the current phase at output time.
+/// Whether the conference is in `phase`, read at output time.
 // <policy>
-fn current_phase(db: &form::FormDb) -> String {
-    db.all("conf_state")
-        .ok()
-        .and_then(|rows| {
-            rows.iter()
-                .next()
-                .and_then(|(_, r)| r.fields[0].as_str().map(str::to_owned))
-        })
-        .unwrap_or_else(|| PHASE_SUBMISSION.to_owned())
+fn in_phase(db: &form::FormDb, phase: &str) -> bool {
+    let rows = db.all("conf_state").unwrap_or_default();
+    let current = rows.iter().next().and_then(|(_, r)| r.fields[0].as_str());
+    current.unwrap_or(PHASE_SUBMISSION) == phase
 }
 // </policy>
 
-/// The (public) role of a user. The `level` column is unprotected, so
-/// every facet of the profile agrees on it — the empty-view projection
-/// is exact.
+/// Whether the (public) role of a user is one of `roles`. The `level`
+/// column is unprotected, so every facet of the profile agrees on it —
+/// the empty-view row is exact.
 // <policy>
-fn role_of(db: &form::FormDb, user: i64) -> Option<String> {
-    let obj = db.get("user_profile", user).ok()?;
-    match form::object_field(&obj, 1).project(&faceted::View::empty()) {
-        Value::Str(s) => Some(s.clone()),
-        _ => None,
-    }
+fn has_role(db: &form::FormDb, user: i64, roles: &[&str]) -> bool {
+    db.public_row("user_profile", user, |row| {
+        let role = row.and_then(|r| r.get(1)?.as_str());
+        role.is_some_and(|role| roles.contains(&role))
+    })
+    .unwrap_or(false)
 }
 // </policy>
 
 /// Whether `user` has PC or chair privileges.
 // <policy>
 fn is_committee(db: &form::FormDb, user: i64) -> bool {
-    matches!(role_of(db, user).as_deref(), Some("pc") | Some("chair"))
+    has_role(db, user, &["pc", "chair"])
 }
 // </policy>
 
 /// Whether `user` has a conflict with `paper`.
 // <policy>
 fn has_conflict(db: &form::FormDb, paper: i64, user: i64) -> bool {
-    let conflicts = db
-        .filter_eq("paper_pc_conflict", "paper", Value::Int(paper))
-        .unwrap_or_default();
-    let mine = conflicts.filter_rows(|g| g.fields[1] == Value::Int(user));
-    *faceted_count(&mine).project(&faceted::View::empty()) > 0
+    let mine = |c: &microdb::Row| c[1] == Value::Int(user);
+    let found = db.exists_eq("paper_pc_conflict", "paper", Value::Int(paper), mine);
+    found.is_ok_and(|f| *f.project(&faceted::View::empty()))
 }
 // </policy>
 
@@ -115,7 +107,7 @@ pub fn register(app: &mut App) -> form::FormResult<()> {
             let Some(v) = viewer else {
                 return Faceted::leaf(false);
             };
-            Faceted::leaf(role_of(args.db, v).as_deref() == Some("chair"))
+            Faceted::leaf(has_role(args.db, v, &["chair"]))
         },
     ));
     // </policy>
@@ -136,7 +128,7 @@ pub fn register(app: &mut App) -> form::FormResult<()> {
         vec![1],
         |_row| vec![Value::Int(-1)],
         |args| {
-            if current_phase(args.db) == PHASE_FINAL {
+            if in_phase(args.db, PHASE_FINAL) {
                 return Faceted::leaf(true);
             }
             let Some(viewer) = args.viewer.user_jid() else {
@@ -156,7 +148,7 @@ pub fn register(app: &mut App) -> form::FormResult<()> {
         vec![0],
         |_row| vec![Value::from("(title hidden)")],
         |args| {
-            if current_phase(args.db) == PHASE_FINAL {
+            if in_phase(args.db, PHASE_FINAL) {
                 return Faceted::leaf(true);
             }
             let Some(viewer) = args.viewer.user_jid() else {
@@ -207,7 +199,7 @@ pub fn register(app: &mut App) -> form::FormResult<()> {
             if is_committee(args.db, viewer) {
                 return Faceted::leaf(true);
             }
-            if current_phase(args.db) == PHASE_FINAL {
+            if in_phase(args.db, PHASE_FINAL) {
                 let paper = args.row[0].as_int().unwrap_or(-1);
                 let author = args
                     .db

@@ -8,7 +8,7 @@
 //! page is one faceted string whose facet count doubles per course.
 
 use faceted::{Faceted, FacetedList};
-use form::{faceted_count, object_field};
+use form::object_field;
 use jacqueline::{label_for, App, ModelDef, Request, Response, Router, Session, Viewer};
 use microdb::{ColumnDef, ColumnType, Value};
 
@@ -63,12 +63,11 @@ pub fn register(app: &mut App) -> form::FormResult<()> {
             if args.row[1].as_int() == Some(viewer) {
                 return Faceted::leaf(true);
             }
+            let student = |e: &microdb::Row| e[1] == Value::Int(viewer);
             let enrolled = args
                 .db
-                .filter_eq("enrollment", "course", Value::Int(args.jid))
-                .unwrap_or_default()
-                .filter_rows(|e| e.fields[1] == Value::Int(viewer));
-            faceted_count(&enrolled).map(&mut |n| *n > 0)
+                .exists_eq("enrollment", "course", Value::Int(args.jid), student);
+            enrolled.unwrap_or_else(|_| Faceted::leaf(false))
         },
     ));
     // </policy>
@@ -141,8 +140,8 @@ pub fn register(app: &mut App) -> form::FormResult<()> {
 
 // <policy>
 fn instructor_of_assignment(db: &form::FormDb, assignment: Option<i64>) -> Option<i64> {
-    let a = db.get("assignment", assignment?).ok()?;
-    let course = a.as_leaf().cloned().flatten()?[0].as_int()?;
+    let course = db.public_row("assignment", assignment?, |a| a?[0].as_int());
+    let course = course.ok()??;
     let c = db.get("course", course).ok()?;
     // The instructor field is protected; policies may consult the
     // secret facet (they run in the trusted resolver).

@@ -6,7 +6,6 @@
 //! information — whether a waiver exists *at output time*.
 
 use faceted::Faceted;
-use form::faceted_count;
 use jacqueline::{label_for, App, ModelDef, Request, Response, Router, Session, Viewer};
 use microdb::{ColumnDef, ColumnType, Value};
 
@@ -60,14 +59,12 @@ pub fn register(app: &mut App) -> form::FormResult<()> {
             }
             // The insurer (or anyone else) needs an *active* waiver —
             // checked against the waiver table at output time.
-            let waivers = args
+            let granted =
+                |w: &microdb::Row| w[1] == Value::Int(viewer) && w[2] == Value::Bool(true);
+            let waived = args
                 .db
-                .filter_eq("waiver", "record", Value::Int(args.jid))
-                .unwrap_or_default();
-            let granted = waivers.filter_rows(|w| {
-                w.fields[1] == Value::Int(viewer) && w.fields[2] == Value::Bool(true)
-            });
-            faceted_count(&granted).map(&mut |n| *n > 0)
+                .exists_eq("waiver", "record", Value::Int(args.jid), granted);
+            waived.unwrap_or_else(|_| Faceted::leaf(false))
         },
     ));
     // </policy>

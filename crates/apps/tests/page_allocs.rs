@@ -249,11 +249,15 @@ fn a_create_keeps_no_label_bookkeeping() {
 
 /// The pins: allocations of one `N`-row render, upper bounds equal to
 /// the counts measured when they were set. Lower one when a change
-/// cuts allocations; never raise one to make the test pass.
-const PAPERS_ALL: u64 = 14_002; // 13.674 per row
-const USERS_ALL: u64 = 5_141; // 5.021 per row
-const COURSES_ALL: u64 = 7_199; // 7.030 per row
-const RECORDS_ALL: u64 = 6_471; // 6.319 per row
+/// cuts allocations; never raise one to make the test pass. Policy
+/// bodies that read through `get` and `filter_eq` (a facet DAG, a
+/// list and a count per check) instead of in place with
+/// `FormDb::public_row` and `FormDb::exists_eq` cost 14 002, 5 141,
+/// 7 199 and 6 471.
+const PAPERS_ALL: u64 = 9_248; // 9.031 per row
+const USERS_ALL: u64 = 4_118; // 4.021 per row
+const COURSES_ALL: u64 = 5_663; // 5.530 per row
+const RECORDS_ALL: u64 = 5_630; // 5.498 per row
 
 /// Allocations of `N` cold gets, pinned like the pages above: the
 /// decode-cache object map growing, nothing per object. Re-interning

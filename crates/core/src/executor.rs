@@ -1217,6 +1217,51 @@ mod tests {
         let _ = Executor::run(&app, &router, &requests);
     }
 
+    /// Policies' in-place reads are checked too: a policy that probes
+    /// `grant` with `exists_eq` reads it, so a route declaring only
+    /// `note` panics — also when the probe is served in place from a
+    /// warm snapshot, which never reaches the planner's read.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "read table \"grant\" outside its declared footprint")]
+    fn policy_exists_eq_outside_the_footprint_panics_in_debug() {
+        let mut app = App::new();
+        let int = |name| ColumnDef::new(name, ColumnType::Int);
+        app.register_model(ModelDef::public("grant", vec![int("note"), int("viewer")]))
+            .unwrap();
+        let note = ModelDef::public("note", vec![int("owner"), int("text")]).with_policy(
+            crate::model::label_for(
+                "note_granted",
+                vec![1],
+                |_| vec![Value::Int(-1)],
+                |args| {
+                    let viewer = Value::Int(args.viewer.user_jid().unwrap_or(-1));
+                    let granted = |g: &microdb::Row| g[1] == viewer;
+                    args.db
+                        .exists_eq("grant", "note", Value::Int(args.jid), granted)
+                        .unwrap_or_else(|_| faceted::Faceted::leaf(false))
+                },
+            ),
+        );
+        app.register_model(note).unwrap();
+        app.db.create_index("grant", "note").unwrap();
+        let jid = app
+            .create("note", vec![Value::Int(1), Value::Int(7)])
+            .unwrap();
+        app.create("grant", vec![Value::Int(jid), Value::Int(2)])
+            .unwrap();
+        // Warm `grant`'s snapshot: the policy's probe then reads in place.
+        assert_eq!(app.db.all("grant").unwrap().len(), 1);
+        let mut router = Router::new();
+        router.route_read_tables("notes", &["note"], |app: &App, req| {
+            let rows = app.all("note").unwrap_or_default();
+            let mut session = crate::Session::new(req.viewer.clone());
+            Response::ok(session.view_rows(app, &rows).len().to_string())
+        });
+        let requests = vec![Request::new("notes", Viewer::User(2))];
+        let _ = Executor::run(&app, &router, &requests);
+    }
+
     /// The satellite fix: footprint-less routes used to skip the
     /// checker entirely — a *read* route that writes would race
     /// declared readers silently (it holds only shared locks). Now

@@ -60,10 +60,18 @@ pub struct PolicyArgs<'a> {
 }
 
 /// A policy check: may itself compute on faceted data, in which case
-/// the result is a faceted Boolean and resolution goes through the
-/// constraint solver (the mutual-dependency case of §2.3). Checks are
-/// `Send + Sync` so registered models can be shared across executor
-/// worker threads.
+/// the result is a faceted Boolean (the mutual-dependency case of
+/// §2.3). The `show_*` sinks and [`App::resolve_labels`] hand such a
+/// verdict to the constraint solver; a request [`Session`], which
+/// serves every page, resolves greedily instead — each label the
+/// verdict mentions is resolved in turn, and only the label's
+/// reference to itself is assumed shown, so a cycle through other
+/// labels is never revisited (the ROADMAP's cyclic-policy item).
+/// Checks are `Send + Sync` so registered models can be shared across
+/// executor worker threads.
+///
+/// [`App::resolve_labels`]: crate::App::resolve_labels
+/// [`Session`]: crate::Session
 pub type PolicyFn = Arc<dyn Fn(&mut PolicyArgs<'_>) -> Faceted<bool> + Send + Sync>;
 
 /// Computes the public facets for a policy's protected fields, given

@@ -64,10 +64,15 @@ impl Session {
 
     /// Resolves one label for this viewer, caching the outcome.
     ///
-    /// Cycles (a policy that depends on its own label, §2.3) resolve
-    /// optimistically: assume shown, evaluate, and keep the
-    /// assumption only if the policy verdict is consistent with it —
-    /// the maximal-true choice of the constraint semantics.
+    /// Resolution is greedy: the policy runs once, and each label its
+    /// (possibly faceted) verdict mentions is resolved in turn. Only a
+    /// label's reference to itself is assumed shown, and the label is
+    /// shown only if the verdict holds under that assumption. A label
+    /// met again while its own policy is still running also reads as
+    /// shown, and that assumption is never re-checked: on a cycle
+    /// through other labels the outcome can differ from the
+    /// constraint semantics' maximal assignment and depend on
+    /// resolution order (the ROADMAP's cyclic-policy item).
     pub fn resolve(&mut self, app: &App, label: Label) -> bool {
         // One probe both answers a repeat and marks a first resolution
         // in progress. A label still in progress is an optimistic

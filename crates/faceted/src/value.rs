@@ -9,11 +9,11 @@
 //! semantic equality ("same value under every view") and pointer
 //! equality all coincide, and shared sub-structure is stored once.
 
-use std::any::TypeId;
+use std::any::{Any, TypeId};
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::branch::{Branch, Branches};
 use crate::idhash::{IdBuildHasher, IdHashMap};
@@ -101,11 +101,31 @@ impl<T: Facet> From<T> for Faceted<T> {
     }
 }
 
+/// The interned `bool` leaf equal to `value`, or `None` when `T` is not
+/// `bool`. The two leaves are interned once and held for the life of
+/// the process, so a policy verdict costs no hash and no lock, and
+/// [`crate::collect_garbage`] never drops them: a later
+/// [`Faceted::leaf_ref`] finds the same node.
+fn bool_leaf<T: Facet>(value: &T) -> Option<Faceted<T>> {
+    static LEAVES: OnceLock<[Faceted<bool>; 2]> = OnceLock::new();
+    if TypeId::of::<T>() != TypeId::of::<bool>() {
+        return None;
+    }
+    let b = *(value as &dyn Any).downcast_ref::<bool>()?;
+    let leaves = LEAVES.get_or_init(|| [false, true].map(|b| store_of::<bool>().leaf(b)));
+    (&leaves[usize::from(b)] as &dyn Any)
+        .downcast_ref::<Faceted<T>>()
+        .cloned()
+}
+
 impl<T: Facet> Faceted<T> {
     /// Wraps a plain value as a faceted leaf (interned: equal values
-    /// share one node).
+    /// share one node; the two `bool` leaves are fixed nodes).
     #[must_use]
     pub fn leaf(value: T) -> Faceted<T> {
+        if let Some(leaf) = bool_leaf(&value) {
+            return leaf;
+        }
         store_of::<T>().leaf(value)
     }
 

@@ -130,3 +130,23 @@ fn projection_cost_is_path_length_not_leaf_count() {
     assert_eq!(*v.project(&view), (1u64 << 16) - 1);
     assert_eq!(*v.project(&View::empty()), 0);
 }
+
+#[test]
+fn bool_leaves_are_the_interned_nodes_and_outlive_collection() {
+    for b in [false, true] {
+        let leaf = Faceted::leaf(b);
+        assert_eq!(leaf.node_id(), Faceted::leaf_ref(&b).node_id());
+        // A leaf interned by `map` and the fixed leaf are one node, so
+        // a split over the two collapses to it.
+        let mapped = Faceted::leaf(7i64).map(&mut |_| b);
+        let split = Faceted::split(k(0), Faceted::leaf(b), mapped);
+        assert!(split.is_leaf());
+        assert_eq!(split.node_id(), leaf.node_id());
+    }
+    // With every handle of this test dropped, a collection keeps both
+    // leaves: the store still hands out the same nodes.
+    let ids = [false, true].map(|b| Faceted::leaf(b).node_id());
+    faceted::collect_garbage::<bool>();
+    assert_eq!([false, true].map(|b| Faceted::leaf_ref(&b).node_id()), ids);
+    assert_eq!([false, true].map(|b| Faceted::leaf(b).node_id()), ids);
+}

@@ -4,9 +4,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, OnceLock, RwLock};
 
-use faceted::{Branches, FacetedList, IdHashMap, Label};
+use faceted::{Branches, Faceted, FacetedList, IdHashMap, Label};
 use microdb::{
     ColumnDef, ColumnType, Database, Operand, Predicate, Query, Row, RowDelta, Schema, SortOrder,
     Statement, Table, Value,
@@ -39,12 +39,69 @@ pub struct DecodeCacheStats {
 ///   and `None` until then);
 /// * `objects` — facet DAGs of objects already rebuilt at this
 ///   generation ([`FormDb::get`] memoizes per `jid`; facet DAGs are
-///   hash-consed, so the cached clones are O(1)).
+///   hash-consed, so the cached clones are O(1));
+/// * `public_rows` — what the empty view sees of each object, found by the
+///   first [`FormDb::public_row`] at this snapshot and dropped
+///   whenever the snapshot changes.
 #[derive(Clone, Debug, Default)]
 struct DecodedTable {
     generation: u64,
     rows: Option<FacetedList<GuardedRow>>,
     objects: IdHashMap<i64, FacetedObject>,
+    public_rows: OnceLock<PublicRows>,
+}
+
+/// What the empty view sees of each object of a decoded snapshot, by
+/// `jid` ([`FormDb::public_row`]'s answers, found in one pass).
+#[derive(Clone, Debug)]
+struct PublicRows(IdHashMap<i64, EmptyView>);
+
+impl PublicRows {
+    fn of(rows: &FacetedList<GuardedRow>) -> PublicRows {
+        let mut objects: IdHashMap<i64, Vec<usize>> = IdHashMap::default();
+        for (position, (_, row)) in rows.iter().enumerate() {
+            objects.entry(row.jid).or_default().push(position);
+        }
+        let views = objects
+            .into_iter()
+            .map(|(jid, at)| (jid, empty_view(rows, at.into_iter())))
+            .collect();
+        PublicRows(views)
+    }
+}
+
+/// What the empty view sees of one object.
+#[derive(Copy, Clone, Debug)]
+enum EmptyView {
+    /// The row at this position.
+    Row(usize),
+    /// No row: the empty view sees no object.
+    Absent,
+    /// Two of the object's rows are visible to one view.
+    Conflict,
+}
+
+/// What the empty view sees of the object whose rows are at positions
+/// `at` of `rows` — exactly what [`FormDb::get`]'s rebuild then
+/// projects to it: the one consistent row with no positive branch, or
+/// a conflict wherever the rebuild reports one (two consistent rows
+/// that some view sees both of).
+fn empty_view(
+    rows: &FacetedList<GuardedRow>,
+    mut at: impl Iterator<Item = usize> + Clone,
+) -> EmptyView {
+    let guard = |position: usize| rows.row(position).0;
+    let mut seen = EmptyView::Absent;
+    while let Some(p) = at.next() {
+        let g = guard(p);
+        if at.clone().any(|q| g.consistent_with(guard(q))) {
+            return EmptyView::Conflict;
+        }
+        if g.is_consistent() && g.iter().all(|b| !b.is_positive()) {
+            seen = EmptyView::Row(p);
+        }
+    }
+    seen
 }
 
 /// What [`FormDb::probe_object`] found in a current cache slot.
@@ -581,26 +638,41 @@ impl FormDb {
         Ok(rows)
     }
 
-    /// The cached decoded snapshot of `table`, if one is populated and
-    /// still at `generation`.
-    fn current_snapshot(&self, table: &str, generation: u64) -> Option<FacetedList<GuardedRow>> {
-        let cache = self.decoded.read().expect("decode cache lock");
-        let slot = cache.get(table)?;
-        if slot.generation != generation {
-            return None;
+    /// Runs `read` on `table`'s cache slot and its decoded snapshot
+    /// under the cache's shared lock, when the slot holds a snapshot at
+    /// the table's current generation — after repairing a stale slot
+    /// from the change journal if needed. A warm hit costs one
+    /// shared-lock probe.
+    fn with_fresh_slot<R>(
+        &self,
+        table: &str,
+        t: &Table,
+        read: impl FnOnce(&DecodedTable, &FacetedList<GuardedRow>) -> R,
+    ) -> Option<R> {
+        fn current<'c>(
+            cache: &'c IdHashMap<String, DecodedTable>,
+            table: &str,
+            generation: u64,
+        ) -> Option<(&'c DecodedTable, &'c FacetedList<GuardedRow>)> {
+            let slot = cache.get(table).filter(|s| s.generation == generation)?;
+            Some((slot, slot.rows.as_ref()?))
         }
-        slot.rows.clone()
+        let generation = t.generation();
+        {
+            let cache = self.decoded.read().expect("decode cache lock");
+            if let Some((slot, rows)) = current(&cache, table, generation) {
+                return Some(read(slot, rows));
+            }
+        }
+        self.try_delta_advance(table, t);
+        let cache = self.decoded.read().expect("decode cache lock");
+        current(&cache, table, generation).map(|(slot, rows)| read(slot, rows))
     }
 
-    /// The cached decoded snapshot of `table` at its current
-    /// generation, repairing a stale slot from the change journal
-    /// first if needed. A warm hit costs one shared-lock probe.
+    /// The cached decoded snapshot of `table` at its current generation
+    /// (see [`FormDb::with_fresh_slot`]), sharing its storage.
     fn fresh_snapshot(&self, table: &str, t: &Table) -> Option<FacetedList<GuardedRow>> {
-        let generation = t.generation();
-        self.current_snapshot(table, generation).or_else(|| {
-            self.try_delta_advance(table, t);
-            self.current_snapshot(table, generation)
-        })
+        self.with_fresh_slot(table, t, |_, rows| rows.clone())
     }
 
     /// Delta maintenance: when `table`'s cache slot is stale but the
@@ -695,6 +767,7 @@ impl FormDb {
             }
         }
         slot.generation = generation;
+        slot.public_rows = OnceLock::new();
         self.delta_applies.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -733,8 +806,7 @@ impl FormDb {
         if slot.generation < generation {
             *slot = DecodedTable {
                 generation,
-                rows: None,
-                objects: IdHashMap::default(),
+                ..DecodedTable::default()
             };
         }
         (slot.generation == generation).then_some(slot)
@@ -863,6 +935,117 @@ impl FormDb {
             out.push((g.guard.clone(), g));
         }
         Ok(out.into_iter().collect())
+    }
+
+    /// Whether some row of `table` with `column` equal to `value` whose
+    /// fields satisfy `pred` is visible, per view: the same node as
+    /// `faceted_count(&filter_eq(..).filter_rows(pred)).map(|n| *n > 0)`,
+    /// the disjunction of the matched rows' consistent guards. A
+    /// matched row with an empty guard makes it the plain `true` leaf.
+    ///
+    /// It builds no list and no count and copies no row: with the
+    /// column's index clean and a fresh decoded snapshot, the matched
+    /// rows are read in place out of the snapshot, under the decode
+    /// cache's shared lock; otherwise (the cache off, a `NULL` literal,
+    /// no clean index, or a snapshot that delta repair could not bring
+    /// up to date) they are the rows [`FormDb::filter_eq`] returns.
+    /// `pred` must be pure and must not query the database.
+    ///
+    /// # Errors
+    ///
+    /// Table/column lookup and decoding errors, as for
+    /// [`FormDb::filter_eq`].
+    pub fn exists_eq(
+        &self,
+        table: &str,
+        column: &str,
+        value: Value,
+        mut pred: impl FnMut(&Row) -> bool,
+    ) -> FormResult<Faceted<bool>> {
+        fn any_of<'a>(
+            rows: impl Iterator<Item = (&'a Branches, &'a GuardedRow)>,
+            pred: &mut impl FnMut(&Row) -> bool,
+        ) -> Faceted<bool> {
+            let mut seen = Faceted::leaf(false);
+            for (guard, row) in rows {
+                if !guard.is_consistent() || !pred(&row.fields) {
+                    continue;
+                }
+                if guard.is_empty() {
+                    return Faceted::leaf(true);
+                }
+                seen = Faceted::split_branches(guard, Faceted::leaf(true), seen);
+            }
+            seen
+        }
+        crate::touched::note_read(table);
+        if self.cache_enabled && !value.is_null() {
+            let t = self.db.table(table)?;
+            if let Some(hits) = t.index_probe_ref(column, &value) {
+                let found = self.with_fresh_slot(table, &t, |_, rows| {
+                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    any_of(hits.iter().map(|&p| rows.row(p)), &mut pred)
+                });
+                if let Some(found) = found {
+                    return Ok(found);
+                }
+            }
+        }
+        let rows = self.select_eq(table, column, &value, None)?;
+        Ok(any_of(rows.iter(), &mut pred))
+    }
+
+    /// Applies `f` to object `jid`'s row in the empty view — the public
+    /// facet, `None` where the empty view sees no object. Equal to
+    /// `f(get(table, jid)?.project(&View::empty()).as_ref())`, errors
+    /// included, but it builds no facet DAG and copies no row: with a
+    /// fresh decoded snapshot, the row is read in place out of it,
+    /// under the decode cache's shared lock, and the snapshot keeps
+    /// what the empty view sees of every object once one call has
+    /// asked (a write to the table drops that, and the next call
+    /// scans the snapshot again). Otherwise it reads the object's rows
+    /// as [`FormDb::filter_eq`] on `jid` does. `f` must not query the
+    /// database.
+    ///
+    /// # Errors
+    ///
+    /// [`FormError::NoSuchObject`] if no row carries this `jid`;
+    /// [`FormError::FacetConflict`] if two of its rows are visible to
+    /// one view; table lookup and decoding errors.
+    pub fn public_row<R>(
+        &self,
+        table: &str,
+        jid: i64,
+        f: impl FnOnce(Option<&Row>) -> R,
+    ) -> FormResult<R> {
+        let mut f = Some(f);
+        let mut apply = |rows: &FacetedList<GuardedRow>, view| {
+            let f = f.take().expect("one object is read once");
+            match view {
+                None => Err(FormError::NoSuchObject {
+                    table: table.to_owned(),
+                    jid,
+                }),
+                Some(EmptyView::Conflict) => Err(FormError::FacetConflict { jid }),
+                Some(EmptyView::Absent) => Ok(f(None)),
+                Some(EmptyView::Row(p)) => Ok(f(Some(&rows.row(p).1.fields))),
+            }
+        };
+        crate::touched::note_read(table);
+        if self.cache_enabled {
+            let t = self.db.table(table)?;
+            let found = self.with_fresh_slot(table, &t, |slot, rows| {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                let views = slot.public_rows.get_or_init(|| PublicRows::of(rows));
+                apply(rows, views.0.get(&jid).copied())
+            });
+            if let Some(found) = found {
+                return found;
+            }
+        }
+        let rows = self.select_eq(table, JID, &Value::Int(jid), None)?;
+        let view = (!rows.is_empty()).then(|| empty_view(&rows, 0..rows.len()));
+        apply(&rows, view)
     }
 
     fn pruned(rows: FacetedList<GuardedRow>, prune: Option<&Branches>) -> FacetedList<GuardedRow> {

@@ -1,9 +1,10 @@
 //! Property tests: marshal/unmarshal round-trips, query/projection
-//! commutation, guarded-save semantics, pruning equivalence.
+//! commutation, guarded-save semantics, pruning equivalence, and the
+//! in-place readers against the faceted compositions they replace.
 
 use faceted::{Branch, Branches, Faceted, Label, View};
-use form::{encode_jvars, parse_jvars, FacetedObject, FormDb};
-use microdb::{ColumnDef, ColumnType, SortOrder, Value};
+use form::{encode_jvars, faceted_count, parse_jvars, FacetedObject, FormDb};
+use microdb::{ColumnDef, ColumnType, Operand, Predicate, Row, SortOrder, Value};
 use proptest::prelude::*;
 
 const LABELS: u32 = 3;
@@ -53,6 +54,46 @@ fn fresh_db() -> FormDb {
         assert_eq!(l.index(), i);
     }
     db
+}
+
+/// One physical row of the raw table `r` (key `k`, value `v`): its
+/// object id and a guard that is empty, one-sided, mixed or
+/// contradictory, so an object's rows may also overlap (a facet
+/// conflict).
+fn arb_raw_row() -> impl Strategy<Value = (i64, i64, i64, Branches)> {
+    let guard = prop_oneof![1 => Just(Branches::new()), 2 => arb_branches()];
+    (0i64..3, 0i64..3, 1i64..4, guard)
+}
+
+fn insert_raw(db: &FormDb, (k, v, jid, guard): &(i64, i64, i64, Branches)) {
+    let row = vec![
+        Value::Int(*k),
+        Value::Int(*v),
+        Value::Int(*jid),
+        Value::from(encode_jvars(guard)),
+    ];
+    db.raw_ref().insert("r", row).unwrap();
+}
+
+/// `exists_eq` is the very node its count composition builds, and
+/// `public_row` is `get` projected on the empty view, errors included.
+fn readers_match_compositions(db: &FormDb) -> Result<(), TestCaseError> {
+    for key in 0..3 {
+        for wanted in 0..3 {
+            let pred = |r: &Row| r[1] == Value::Int(wanted);
+            let read = db.exists_eq("r", "k", Value::Int(key), pred).unwrap();
+            let rows = db.filter_eq("r", "k", Value::Int(key)).unwrap();
+            let count = faceted_count(&rows.filter_rows(|g| pred(&g.fields)));
+            let composed = count.map(&mut |n| *n > 0);
+            prop_assert_eq!(read.node_id(), composed.node_id(), "k={} v={}", key, wanted);
+        }
+    }
+    for jid in 0..5 {
+        let read = db.public_row("r", jid, |row| row.cloned());
+        let composed = db.get("r", jid).map(|o| o.project(&View::empty()).clone());
+        prop_assert_eq!(read, composed, "jid {}", jid);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -378,6 +419,42 @@ proptest! {
         }
         prop_assert!(cached.decode_cache_stats().hits >= 1);
         prop_assert_eq!(uncached.decode_cache_stats().hits, 0);
+    }
+
+    /// The in-place readers equal the faceted compositions they stand
+    /// for on raw rows of every guard shape: with and without an index
+    /// on the probed column, with the decode cache and delta repair on
+    /// or off, cold, warm, and after a write that leaves the snapshot
+    /// stale (an insert) or the indexes dirty (a delete).
+    #[test]
+    fn in_place_readers_match_faceted_compositions(
+        rows in proptest::collection::vec(arb_raw_row(), 0..10),
+        written in arb_raw_row(),
+        arms in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+    ) {
+        let (indexed, cached, deltas, delete) = arms;
+        let mut db = FormDb::new();
+        db.create_table("r", vec![
+            ColumnDef::new("k", ColumnType::Int),
+            ColumnDef::new("v", ColumnType::Int),
+        ]).unwrap();
+        if indexed {
+            db.create_index("r", "k").unwrap();
+        }
+        db.set_decode_cache(cached);
+        db.set_delta_maintenance(deltas);
+        for row in &rows {
+            insert_raw(&db, row);
+        }
+        readers_match_compositions(&db)?;
+        let _ = db.all("r").unwrap();
+        readers_match_compositions(&db)?;
+        insert_raw(&db, &written);
+        if delete {
+            let pred = Predicate::eq(Operand::col("v"), Operand::lit(written.1));
+            db.raw_ref().delete("r", &pred).unwrap();
+        }
+        readers_match_compositions(&db)?;
     }
 
     /// Faceted count equals per-view counting.
