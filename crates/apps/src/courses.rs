@@ -214,7 +214,7 @@ pub fn course_fragment(app: &App, viewer: &Viewer, jid: i64) -> String {
 /// The same page with Early Pruning OFF: the page is built as one
 /// *faceted* string — every course's label doubles the facet count,
 /// reproducing the blowup of Table 5. Policies are resolved only at
-/// the final sink.
+/// the final sink, by one fresh session.
 pub fn all_courses_no_pruning(app: &App, viewer: &Viewer) -> String {
     let courses: FacetedList<form::GuardedRow> = app.all("course").unwrap_or_default();
     let mut page: Faceted<String> = Faceted::leaf(String::from("== Courses ==\n"));
@@ -235,7 +235,7 @@ pub fn all_courses_no_pruning(app: &App, viewer: &Viewer) -> String {
         let extended = page.zip_with(&line, &mut |p, l| format!("{p}{l}"));
         page = Faceted::split_branches(guard, extended, page);
     }
-    app.show_value(viewer, &page)
+    Session::new(viewer.clone()).view_value(app, &page)
 }
 
 /// A student's submission view.

@@ -1,15 +1,15 @@
 //! The Jacqueline application object: policy-agnostic object manager
-//! plus the computation-sink machinery.
+//! plus the label → policy bindings a [`Session`](crate::Session)
+//! resolves.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
 use faceted::{Faceted, FacetedList, Label, View};
 use form::{FacetedObject, FormDb, FormResult, GuardedRow};
-use labelsat::{max_true_assignment, Assignment, Formula};
 use microdb::{Predicate, Row, SortOrder, Value};
 
-use crate::model::{FieldPolicy, ModelDef, PolicyArgs, PolicyFn, Viewer};
+use crate::model::{FieldPolicy, ModelDef, PolicyFn};
 
 /// A policy attached to a live label: the check plus the
 /// creation-time row snapshot it closes over (§2.1.2: "with respect
@@ -494,78 +494,6 @@ impl App {
             .get(label.index() as usize)?
             .clone()
     }
-
-    /// Resolves the given labels (and, transitively, every label their
-    /// policies mention — `closeK`) for a viewer, returning the
-    /// maximal-true satisfying assignment.
-    ///
-    /// Policies are evaluated against the *current* database state;
-    /// faceted policy results become constraints for the solver, which
-    /// handles the mutual-dependency case of §2.3.
-    pub fn resolve_labels(&self, labels: &[Label], viewer: &Viewer) -> Assignment {
-        let mut constraint = Formula::constant(true);
-        let mut pending: Vec<Label> = labels.to_vec();
-        let mut seen: Vec<Label> = Vec::new();
-        while let Some(label) = pending.pop() {
-            if seen.contains(&label) {
-                continue;
-            }
-            seen.push(label);
-            let Some(entry) = self.policy(label) else {
-                continue; // unconstrained label: defaults to shown
-            };
-            let mut args = PolicyArgs {
-                row: &entry.row,
-                jid: entry.jid,
-                viewer,
-                db: &self.db,
-            };
-            let verdict = (entry.check)(&mut args);
-            for dep in verdict.labels() {
-                if !seen.contains(&dep) {
-                    pending.push(dep);
-                }
-            }
-            constraint =
-                constraint.and(Formula::var(label).implies(Formula::from_faceted_bool(&verdict)));
-        }
-        let mut assignment = max_true_assignment(&constraint)
-            .expect("guarded constraints are always satisfiable (all-false)");
-        for l in seen {
-            if !assignment.is_assigned(l) {
-                assignment.set(l, true);
-            }
-        }
-        assignment
-    }
-
-    /// The view a given viewer obtains for a set of labels.
-    pub fn view_for(&self, labels: &[Label], viewer: &Viewer) -> View {
-        self.resolve_labels(labels, viewer).to_view()
-    }
-
-    /// Computation sink for a faceted scalar: resolve policies and
-    /// project (the `print`/template-render of §2.3).
-    pub fn show_value<T: faceted::Facet>(&self, viewer: &Viewer, v: &Faceted<T>) -> T {
-        let view = self.view_for(&v.labels(), viewer);
-        v.project(&view).clone()
-    }
-
-    /// Computation sink for a faceted query result: resolve the
-    /// policies of every guard label once, then project the rows.
-    pub fn show_rows(&self, viewer: &Viewer, rows: &FacetedList<GuardedRow>) -> Vec<Row> {
-        let view = self.view_for(&rows.labels(), viewer);
-        rows.project(&view)
-            .into_iter()
-            .map(|g| g.fields.clone())
-            .collect()
-    }
-
-    /// Computation sink for a single object.
-    pub fn show_object(&self, viewer: &Viewer, obj: &FacetedObject) -> Option<Row> {
-        let view = self.view_for(&obj.labels(), viewer);
-        obj.project(&view).clone()
-    }
 }
 
 /// Facets `row` over `policies`, policy `i` guarded by `labels[i]`:
@@ -610,7 +538,13 @@ impl Default for App {
 mod tests {
     use super::*;
     use crate::model::{label_for, simple_policy};
+    use crate::{Session, Viewer};
     use microdb::{ColumnDef, ColumnType};
+
+    /// What `viewer` is shown of `obj` by a fresh request session.
+    fn shown(app: &App, viewer: Viewer, obj: &FacetedObject) -> Option<Row> {
+        Session::new(viewer).view_object(app, obj)
+    }
 
     /// The paper's §2 social-calendar example, end to end.
     fn calendar_app() -> App {
@@ -701,12 +635,12 @@ mod tests {
             .unwrap();
 
         let obj = app.get("event", party).unwrap();
-        let shown_alice = app.show_object(&Viewer::User(alice), &obj).unwrap();
+        let shown_alice = shown(&app, Viewer::User(alice), &obj).unwrap();
         assert_eq!(shown_alice[0], Value::from("Carol's surprise party"));
-        let shown_carol = app.show_object(&Viewer::User(carol), &obj).unwrap();
+        let shown_carol = shown(&app, Viewer::User(carol), &obj).unwrap();
         assert_eq!(shown_carol[0], Value::from("Private event"));
         assert_eq!(shown_carol[1], Value::from("Undisclosed location"));
-        let anon = app.show_object(&Viewer::Anonymous, &obj).unwrap();
+        let anon = shown(&app, Viewer::Anonymous, &obj).unwrap();
         assert_eq!(anon[0], Value::from("Private event"));
     }
 
@@ -728,9 +662,9 @@ mod tests {
         let result = app
             .filter_eq("event", "location", Value::from("Schloss Dagstuhl"))
             .unwrap();
-        let for_alice = app.show_rows(&Viewer::User(alice), &result);
+        let for_alice = Session::new(Viewer::User(alice)).view_rows(&app, &result);
         assert_eq!(for_alice.len(), 1);
-        let for_anon = app.show_rows(&Viewer::Anonymous, &result);
+        let for_anon = Session::new(Viewer::Anonymous).view_rows(&app, &result);
         assert!(
             for_anon.is_empty(),
             "outsiders must not learn the location matched"
@@ -747,14 +681,14 @@ mod tests {
         let obj = app.get("event", party).unwrap();
         // Not yet a guest: public view.
         assert_eq!(
-            app.show_object(&Viewer::User(bob), &obj).unwrap()[0],
+            shown(&app, Viewer::User(bob), &obj).unwrap()[0],
             Value::from("Private event")
         );
         // Added to the guest list after creation: secret view.
         app.create("eventguest", vec![Value::Int(party), Value::Int(bob)])
             .unwrap();
         assert_eq!(
-            app.show_object(&Viewer::User(bob), &obj).unwrap()[0],
+            shown(&app, Viewer::User(bob), &obj).unwrap()[0],
             Value::from("secret")
         );
     }
@@ -791,11 +725,11 @@ mod tests {
             "2 labels ⇒ up to 4 facet rows"
         );
         let obj = app.get("doc", jid).unwrap();
-        let owner = app.show_object(&Viewer::User(1), &obj).unwrap();
+        let owner = shown(&app, Viewer::User(1), &obj).unwrap();
         assert_eq!(owner, vec![Value::from("T"), Value::from("B")]);
-        let other = app.show_object(&Viewer::User(2), &obj).unwrap();
+        let other = shown(&app, Viewer::User(2), &obj).unwrap();
         assert_eq!(other, vec![Value::from("[title hidden]"), Value::from("B")]);
-        let anon = app.show_object(&Viewer::Anonymous, &obj).unwrap();
+        let anon = shown(&app, Viewer::Anonymous, &obj).unwrap();
         assert_eq!(
             anon,
             vec![Value::from("[title hidden]"), Value::from("[body hidden]")]
@@ -807,7 +741,7 @@ mod tests {
         let app = App::new();
         let k = app.db.fresh_label();
         let v = Faceted::split(k, Faceted::leaf(1), Faceted::leaf(0));
-        assert_eq!(app.show_value(&Viewer::Anonymous, &v), 1);
+        assert_eq!(Session::new(Viewer::Anonymous).view_value(&app, &v), 1);
     }
 
     #[test]

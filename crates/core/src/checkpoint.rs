@@ -1007,34 +1007,13 @@ pub fn add_health_route(router: &mut Router) {
 mod tests {
     use super::*;
     use crate::model::{simple_policy, ModelDef};
+    use crate::testkit::{add_notes, note_app, note_router};
     use microdb::{ColumnDef, ColumnType};
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("jacq_ckpt_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    fn note_model() -> ModelDef {
-        ModelDef::public(
-            "note",
-            vec![
-                ColumnDef::new("owner", ColumnType::Int),
-                ColumnDef::new("text", ColumnType::Str),
-            ],
-        )
-        .with_policy(simple_policy(
-            "note_owner",
-            vec![1],
-            |_| vec![Value::from("[private]")],
-            |args| args.viewer.user_jid() == args.row[0].as_int(),
-        ))
-    }
-
-    fn note_app() -> App {
-        let mut app = App::new();
-        app.register_model(note_model()).unwrap();
-        app
     }
 
     fn page(app: &App, viewer: &Viewer) -> String {
@@ -1058,10 +1037,7 @@ mod tests {
     fn checkpoint_restore_round_trips_the_differential_grid() {
         let dir = temp_dir("grid");
         let app = note_app();
-        for i in 0..5 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        add_notes(&app, 0..5);
         let before = grid(&app, 5);
         let stats = app.checkpoint_quiescent(&dir).unwrap();
         assert_eq!(stats.tables, 2, "the note table and its binding table");
@@ -1132,10 +1108,7 @@ mod tests {
         let dir = temp_dir("delta_reconcile");
         let mut app = note_app();
         app.enable_persistence(&dir).unwrap();
-        for i in 0..4 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        add_notes(&app, 0..4);
         app.checkpoint_quiescent(&dir).unwrap();
         // Warm the decode cache at exactly the snapshot generation.
         app.all("note").unwrap();
@@ -1177,21 +1150,15 @@ mod tests {
     /// invalidates it through the ordinary generation check.
     #[test]
     fn restore_keeps_matching_render_cache_entries_warm() {
-        use crate::http::{Request, Response, Router};
+        use crate::http::Request;
         use crate::Executor;
         let dir = temp_dir("render_warm");
         let mut app = note_app();
         app.enable_persistence(&dir).unwrap();
-        for i in 0..4 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        add_notes(&app, 0..4);
         app.checkpoint_quiescent(&dir).unwrap();
 
-        let mut router = Router::new();
-        router.route_read_tables("notes", &["note"], |app: &App, req| {
-            Response::ok(page(app, &req.viewer))
-        });
+        let router = note_router();
         let request = [Request::new("notes", Viewer::User(1))];
         let cold = Executor::run(&app, &router, &request).remove(0);
         let before = app.render_cache_stats();
@@ -1343,10 +1310,7 @@ mod tests {
         let dir = temp_dir("postrename");
         let mut app = note_app();
         app.enable_persistence(&dir).unwrap();
-        for i in 0..3 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        add_notes(&app, 0..3);
         faults::arm_at(
             FaultPoint::CheckpointPostRename,
             0,
@@ -1424,10 +1388,7 @@ mod tests {
     fn corrupted_or_truncated_snapshot_errors_without_panicking() {
         let dir = temp_dir("bitflip");
         let app = note_app();
-        for i in 0..3 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        add_notes(&app, 0..3);
         app.checkpoint_quiescent(&dir).unwrap();
         let path = dir.join(CHECKPOINT_FILE);
         let pristine = std::fs::read(&path).unwrap();
@@ -1500,18 +1461,7 @@ mod tests {
         app.enable_persistence(&dir).unwrap();
         app.create("note", vec![Value::Int(1), Value::from("seed")])
             .unwrap();
-        let mut router = Router::new();
-        router.route_read_tables("notes", &["note"], |app: &App, req| {
-            Response::ok(page(app, &req.viewer))
-        });
-        router.route_tables("note/add", &[], &["note"], |app: &App, req| {
-            let owner = req.viewer.user_jid().unwrap_or(-1);
-            let text = req.params.get("text").cloned().unwrap_or_default();
-            match app.create("note", vec![Value::Int(owner), Value::from(text)]) {
-                Ok(jid) => Response::ok(jid.to_string()),
-                Err(e) => Response::error(&e.to_string()),
-            }
-        });
+        let mut router = note_router();
         add_checkpoint_route(&mut router, &dir);
         add_health_route(&mut router);
         let run = |app: &App, req: Request| Executor::run(app, &router, &[req]).remove(0);
@@ -1805,10 +1755,7 @@ mod tests {
         let app = note_app();
         assert!(app.incremental_checkpoints_enabled());
         app.set_incremental_checkpoints(false);
-        for i in 0..40 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        add_notes(&app, 0..40);
         app.checkpoint_quiescent(&dir).unwrap();
         let second = app.checkpoint_quiescent(&dir).unwrap();
         assert!(!second.incremental, "ablated: full path every time");
@@ -1828,10 +1775,7 @@ mod tests {
     fn bit_flipped_chunk_file_yields_clean_error() {
         let dir = temp_dir("chunkflip");
         let app = note_app();
-        for i in 0..80 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        add_notes(&app, 0..80);
         app.checkpoint_quiescent(&dir).unwrap();
         for name in chunk_files(&dir) {
             let path = dir.join("chunks").join(&name);
@@ -1868,10 +1812,7 @@ mod tests {
         let mut app = note_app();
         app.enable_persistence(&dir).unwrap();
         assert_eq!(app.persist_dir().as_deref(), Some(dir.as_path()));
-        for i in 0..10 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        add_notes(&app, 0..10);
         let (records, bytes) = app.wal_pressure();
         assert!(records > 0 && bytes > 0, "writes build WAL pressure");
         app.checkpoint_quiescent(&dir).unwrap();
@@ -1937,10 +1878,7 @@ mod tests {
         let dir = temp_dir("label_gap");
         let mut app = note_app();
         app.enable_persistence(&dir).unwrap();
-        for i in 0..2 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        add_notes(&app, 0..2);
         app.checkpoint_quiescent(&dir).unwrap();
         let checkpointed_labels = app.db.label_count();
 

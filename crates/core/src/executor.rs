@@ -885,55 +885,16 @@ impl ExecutorService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{simple_policy, ModelDef, Viewer};
+    use crate::model::{ModelDef, Viewer};
+    use crate::testkit::{add_notes, note_router};
     use microdb::{ColumnDef, ColumnType, Value};
     use std::sync::mpsc;
 
+    /// The note app with six notes, owned by users 0 to 5.
     fn note_app() -> App {
-        let mut app = App::new();
-        app.register_model(
-            ModelDef::public(
-                "note",
-                vec![
-                    ColumnDef::new("owner", ColumnType::Int),
-                    ColumnDef::new("text", ColumnType::Str),
-                ],
-            )
-            .with_policy(simple_policy(
-                "note_owner",
-                vec![1],
-                |_| vec![Value::from("[private]")],
-                |args| args.viewer.user_jid() == args.row[0].as_int(),
-            )),
-        )
-        .unwrap();
-        for i in 0..6 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        let app = crate::testkit::note_app();
+        add_notes(&app, 0..6);
         app
-    }
-
-    fn note_router() -> Router {
-        let mut router = Router::new();
-        router.route_read_tables("notes", &["note"], |app: &App, req| {
-            let rows = app.all("note").unwrap_or_default();
-            let mut session = crate::Session::new(req.viewer.clone());
-            let mut body = String::new();
-            for row in session.view_rows(app, &rows) {
-                body.push_str(row[1].as_str().unwrap_or("?"));
-                body.push('\n');
-            }
-            Response::ok(body)
-        });
-        router.route_tables("note/add", &[], &["note"], |app: &App, req| {
-            let owner = req.viewer.user_jid().unwrap_or(-1);
-            match app.create("note", vec![Value::Int(owner), Value::from("added")]) {
-                Ok(jid) => Response::ok(jid.to_string()),
-                Err(e) => Response::error(&e.to_string()),
-            }
-        });
-        router
     }
 
     /// [`note_router`] plus a fragment renderer over `note` for the

@@ -11,12 +11,11 @@
 //! * [`ModelDef`] / [`label_for`] / [`simple_policy`] — schemas with
 //!   attached policies and public-view computations (§2.1);
 //! * [`App`] — the policy-agnostic object manager (`create`, `all`,
-//!   `filter_eq`, `get`, `save`) and the computation sinks
-//!   (`show_object`, `show_rows`, `show_value`) that resolve policies
-//!   per viewer, via SAT when policies and data are mutually
-//!   dependent (§2.3);
-//! * [`Session`] — the Early Pruning request path (§3.2): resolve
-//!   each label once for the session user and prune all other facets;
+//!   `filter_eq`, `get`, `save`);
+//! * [`Session`] — the computation sink and Early Pruning request
+//!   path (§3.2): resolve each label once for the session user, via
+//!   SAT only where policies form a cycle (§2.3), and prune all
+//!   other facets;
 //! * [`Router`] / [`Request`] / [`Response`] — a minimal MVC layer
 //!   for the case studies and stress tests, with read-only routes
 //!   that take shared (`&App`) access;
@@ -31,7 +30,7 @@
 //!
 //! ```
 //! # fn main() -> Result<(), form::FormError> {
-//! use jacqueline::{simple_policy, App, ModelDef, Viewer};
+//! use jacqueline::{simple_policy, App, ModelDef, Session, Viewer};
 //! use microdb::{ColumnDef, ColumnType, Value};
 //!
 //! let mut app = App::new();
@@ -50,8 +49,9 @@
 //!
 //! let note = app.create("note", vec![Value::Int(7), Value::from("my secret")])?;
 //! let obj = app.get("note", note)?;
-//! assert_eq!(app.show_object(&Viewer::User(7), &obj).unwrap()[1], Value::from("my secret"));
-//! assert_eq!(app.show_object(&Viewer::User(8), &obj).unwrap()[1], Value::from("[private]"));
+//! let shown = |viewer| Session::new(viewer).view_object(&app, &obj).unwrap();
+//! assert_eq!(shown(Viewer::User(7))[1], Value::from("my secret"));
+//! assert_eq!(shown(Viewer::User(8))[1], Value::from("[private]"));
 //! # Ok(())
 //! # }
 //! ```
@@ -68,6 +68,8 @@ mod model;
 mod rendercache;
 pub mod server;
 mod session;
+#[cfg(test)]
+mod testkit;
 mod vanilla;
 pub mod wire;
 

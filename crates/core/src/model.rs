@@ -61,17 +61,18 @@ pub struct PolicyArgs<'a> {
 
 /// A policy check: may itself compute on faceted data, in which case
 /// the result is a faceted Boolean (the mutual-dependency case of
-/// §2.3). The `show_*` sinks and [`App::resolve_labels`] hand such a
-/// verdict to the constraint solver; a request [`Session`], which
-/// serves every page, resolves greedily instead — each label the
-/// verdict mentions is resolved in turn, and only the label's
-/// reference to itself is assumed shown, so a cycle through other
-/// labels is never revisited (the ROADMAP's cyclic-policy item).
-/// Checks are `Send + Sync` so registered models can be shared across
-/// executor worker threads.
+/// §2.3) and the label depends on every label that verdict mentions.
+/// A request [`Session`] resolves that graph one strongly connected
+/// component at a time: a label on no cycle is shown iff its verdict
+/// holds once its dependencies are resolved, and a cycle (a label
+/// reading itself included) is solved by `labelsat`, which takes the
+/// maximal model of its members' policies in label-index order (see
+/// [`Session::resolve`]). Every policy runs once per session. Checks
+/// are `Send + Sync` so registered models can be shared across
+/// threads.
 ///
-/// [`App::resolve_labels`]: crate::App::resolve_labels
 /// [`Session`]: crate::Session
+/// [`Session::resolve`]: crate::Session::resolve
 pub type PolicyFn = Arc<dyn Fn(&mut PolicyArgs<'_>) -> Faceted<bool> + Send + Sync>;
 
 /// Computes the public facets for a policy's protected fields, given

@@ -400,63 +400,15 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{simple_policy, ModelDef, Viewer};
+    use crate::model::Viewer;
+    use crate::testkit::{add_notes, note_app, note_router};
     use crate::wire::read_response;
-    use microdb::{ColumnDef, ColumnType, Value};
     use std::io::BufRead;
     use std::sync::mpsc;
 
-    /// The `note` model, with no rows.
-    fn note_app() -> App {
-        let mut app = App::new();
-        app.register_model(
-            ModelDef::public(
-                "note",
-                vec![
-                    ColumnDef::new("owner", ColumnType::Int),
-                    ColumnDef::new("text", ColumnType::Str),
-                ],
-            )
-            .with_policy(simple_policy(
-                "note_owner",
-                vec![1],
-                |_| vec![Value::from("[private]")],
-                |args| args.viewer.user_jid() == args.row[0].as_int(),
-            )),
-        )
-        .unwrap();
-        app
-    }
-
-    fn note_router() -> Router {
-        let mut router = Router::new();
-        router.route_read_tables("notes", &["note"], |app: &App, req| {
-            let rows = app.all("note").unwrap_or_default();
-            let mut session = crate::Session::new(req.viewer.clone());
-            let body: String = session
-                .view_rows(app, &rows)
-                .into_iter()
-                .map(|r| format!("{}\n", r[1].as_str().unwrap_or("?")))
-                .collect();
-            Response::ok(body)
-        });
-        router.route_tables("note/add", &[], &["note"], |app: &App, req| {
-            let owner = req.viewer.user_jid().unwrap_or(-1);
-            let text = req.params.get("text").map_or("added", String::as_str);
-            match app.create("note", vec![Value::Int(owner), Value::from(text)]) {
-                Ok(jid) => Response::ok(jid.to_string()),
-                Err(e) => Response::error(&e.to_string()),
-            }
-        });
-        router
-    }
-
     fn note_site() -> Site {
         let app = note_app();
-        for i in 0..3 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        add_notes(&app, 0..3);
         Site::new(app, note_router())
     }
 

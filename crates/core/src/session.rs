@@ -11,6 +11,7 @@ use std::collections::hash_map::Entry;
 
 use faceted::{Branch, Branches, Faceted, FacetedList, IdHashMap, Label};
 use form::{FacetedObject, GuardedRow};
+use labelsat::{Formula, PolicySet};
 use microdb::Row;
 
 use crate::app::App;
@@ -25,11 +26,23 @@ use crate::model::Viewer;
 #[derive(Clone, Debug)]
 pub struct Session {
     viewer: Viewer,
-    /// Every label this session has touched: `Some(verdict)` once
-    /// resolved, `None` while its policy is still being evaluated.
-    /// Labels are minted by the process, so the map uses the cheap id
-    /// hasher.
-    verdicts: IdHashMap<Label, Option<bool>>,
+    /// Every label this session has touched. Labels are minted by the
+    /// process, so the map uses the cheap id hasher.
+    marks: IdHashMap<Label, Mark>,
+    /// Labels whose policy has run while their cycle is still open,
+    /// each with its residual verdict, waiting for the cycle's first
+    /// visited label to solve them together.
+    pending: Vec<(Label, Faceted<bool>)>,
+}
+
+/// Where a label stands in a session.
+#[derive(Clone, Copy, Debug)]
+enum Mark {
+    /// Resolved: shown or hidden.
+    Done(bool),
+    /// In an open component: stored with the label's visit index,
+    /// returned by a visit with the lowest index the label reaches.
+    Open(u32),
 }
 
 impl Session {
@@ -38,7 +51,8 @@ impl Session {
     pub fn new(viewer: Viewer) -> Session {
         Session {
             viewer,
-            verdicts: IdHashMap::default(),
+            marks: IdHashMap::default(),
+            pending: Vec::new(),
         }
     }
 
@@ -52,11 +66,11 @@ impl Session {
     #[must_use]
     pub fn constraint(&self) -> Branches {
         let mut branches = Branches::new();
-        for (&label, verdict) in &self.verdicts {
-            match verdict {
-                Some(true) => branches.insert(Branch::pos(label)),
-                Some(false) => branches.insert(Branch::neg(label)),
-                None => {}
+        for (&label, mark) in &self.marks {
+            match mark {
+                Mark::Done(true) => branches.insert(Branch::pos(label)),
+                Mark::Done(false) => branches.insert(Branch::neg(label)),
+                Mark::Open(_) => {}
             }
         }
         branches
@@ -64,33 +78,41 @@ impl Session {
 
     /// Resolves one label for this viewer, caching the outcome.
     ///
-    /// Resolution is greedy: the policy runs once, and each label its
-    /// (possibly faceted) verdict mentions is resolved in turn. Only a
-    /// label's reference to itself is assumed shown, and the label is
-    /// shown only if the verdict holds under that assumption. A label
-    /// met again while its own policy is still running also reads as
-    /// shown, and that assumption is never re-checked: on a cycle
-    /// through other labels the outcome can differ from the
-    /// constraint semantics' maximal assignment and depend on
-    /// resolution order (the ROADMAP's cyclic-policy item).
+    /// A label depends on every label in the faceted verdict its
+    /// policy returns, and the session resolves the strongly connected
+    /// components of that graph in dependency order (Tarjan's
+    /// algorithm, each policy run once):
+    ///
+    /// * a label on no cycle is shown iff its verdict holds once its
+    ///   dependencies are resolved;
+    /// * a component with a cycle — two or more labels, or one label
+    ///   whose verdict reads itself — keeps each member's verdict with
+    ///   the labels outside it substituted, and takes the maximal
+    ///   model of `member ⇒ verdict` in label-index order (§2.3:
+    ///   labels are shown unless their policies force hiding).
+    ///
+    /// Every shown label's verdict holds under the final assignment,
+    /// no larger set of shown labels would comply, and the outcome
+    /// does not depend on the order labels are resolved in.
     pub fn resolve(&mut self, app: &App, label: Label) -> bool {
-        // One probe both answers a repeat and marks a first resolution
-        // in progress. A label still in progress is an optimistic
-        // self-reference: tentatively shown.
-        match self.verdicts.entry(label) {
-            Entry::Occupied(seen) => return seen.get().unwrap_or(true),
-            Entry::Vacant(slot) => {
-                slot.insert(None);
-            }
-        }
-        let verdict = self.policy_verdict(app, label);
-        self.verdicts.insert(label, Some(verdict));
-        verdict
+        // A first visit closes every component it opens.
+        matches!(self.visit(app, label), Mark::Done(true))
     }
 
-    fn policy_verdict(&mut self, app: &App, label: Label) -> bool {
+    /// Tarjan's visit: runs `label`'s policy once and returns its
+    /// verdict, or, while the label's component is still open, the
+    /// lowest visit index it reaches.
+    fn visit(&mut self, app: &App, label: Label) -> Mark {
+        // One probe both answers a repeat and marks a first visit.
+        let index = u32::try_from(self.marks.len()).expect("fewer than 2^32 labels per session");
+        match self.marks.entry(label) {
+            Entry::Occupied(seen) => return *seen.get(),
+            Entry::Vacant(slot) => {
+                slot.insert(Mark::Open(index));
+            }
+        }
         let Some(entry) = app.policy(label) else {
-            return true; // unconstrained labels are shown
+            return self.record(label, true); // unconstrained labels are shown
         };
         let mut args = crate::model::PolicyArgs {
             row: &entry.row,
@@ -98,18 +120,67 @@ impl Session {
             viewer: &self.viewer,
             db: &app.db,
         };
-        // The verdict may itself be faceted; resolve its labels
-        // recursively and project.
-        let mut current = (entry.check)(&mut args);
-        while let Some(k) = current.root_label() {
-            // A self-reference is assumed shown. If the verdict under
-            // that assumption is "hidden", the assumption is refuted
-            // and the label resolves to hidden (the all-false side is
-            // always consistent).
-            let polarity = k == label || self.resolve(app, k);
-            current = current.assume(k, polarity);
+        let verdict = (entry.check)(&mut args);
+        if let Some(&shown) = verdict.as_leaf() {
+            return self.record(label, shown);
         }
-        *current.as_leaf().expect("fully resolved")
+        let waiting = self.pending.len();
+        let mut low = index;
+        let residual = self.settle(app, verdict, &mut low);
+        if low < index {
+            // On a cycle through a label visited earlier, which
+            // solves the component once all of it has run.
+            self.pending.push((label, residual));
+            return Mark::Open(low);
+        }
+        let acyclic = self.pending.len() == waiting;
+        if let Some(&shown) = residual.as_leaf().filter(|_| acyclic) {
+            return self.record(label, shown);
+        }
+        // A cycle closes here: solve its members together.
+        let mut policies = PolicySet::new();
+        let mut members = self.pending.split_off(waiting);
+        members.push((label, residual));
+        for (member, residual) in &members {
+            policies.restrict(*member, Formula::from_faceted_bool(residual));
+        }
+        let model = policies
+            .resolve(members.iter().map(|&(member, _)| member))
+            .expect("hiding every member satisfies guarded constraints");
+        for (member, _) in members {
+            self.record(member, model.get(member) == Some(true));
+        }
+        Mark::Done(model.get(label) == Some(true))
+    }
+
+    /// Records a resolved verdict.
+    fn record(&mut self, label: Label, shown: bool) -> Mark {
+        self.marks.insert(label, Mark::Done(shown));
+        Mark::Done(shown)
+    }
+
+    /// Resolves every label `verdict` reads, substituting those whose
+    /// component is closed; a label of an open component stays in the
+    /// returned residual and lowers `low` to its index.
+    fn settle(&mut self, app: &App, verdict: Faceted<bool>, low: &mut u32) -> Faceted<bool> {
+        let Some(k) = verdict.root_label() else {
+            return verdict;
+        };
+        let (high, rest) = (verdict.assume(k, true), verdict.assume(k, false));
+        match self.visit(app, k) {
+            Mark::Done(shown) => {
+                let (taken, other) = if shown { (high, rest) } else { (rest, high) };
+                // The branch not taken is still part of the verdict:
+                // its labels may close a cycle through this one.
+                self.settle(app, other, low);
+                self.settle(app, taken, low)
+            }
+            Mark::Open(reached) => {
+                *low = (*low).min(reached);
+                let high = self.settle(app, high, low);
+                Faceted::split(k, high, self.settle(app, rest, low))
+            }
+        }
     }
 
     /// Resolves every label guarding the rows and returns the rows
@@ -129,12 +200,7 @@ impl Session {
 
     /// Resolves the labels of one object and projects it.
     pub fn view_object(&mut self, app: &App, obj: &FacetedObject) -> Option<Row> {
-        let mut current = obj.clone();
-        while let Some(k) = current.root_label() {
-            let polarity = self.resolve(app, k);
-            current = current.assume(k, polarity);
-        }
-        current.as_leaf().expect("fully resolved").clone()
+        self.view_value(app, obj)
     }
 
     /// Resolves the labels of a faceted scalar and projects it.
@@ -157,33 +223,15 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{label_for, simple_policy, ModelDef};
-    use microdb::{ColumnDef, ColumnType, Value};
+    use crate::model::label_for;
+    use crate::testkit::{add_notes, note_app, note_app_with};
+    use microdb::Value;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    fn app_with_owner_policy() -> App {
-        let mut app = App::new();
-        let m = ModelDef::public(
-            "note",
-            vec![
-                ColumnDef::new("owner", ColumnType::Int),
-                ColumnDef::new("text", ColumnType::Str),
-            ],
-        )
-        .with_policy(simple_policy(
-            "note_owner",
-            vec![1],
-            |_| vec![Value::from("[private]")],
-            |args| args.viewer.user_jid() == args.row[0].as_int(),
-        ));
-        app.register_model(m).unwrap();
-        app
-    }
-
     #[test]
     fn session_resolves_each_label_once() {
-        let app = app_with_owner_policy();
+        let app = note_app();
         let jid = app
             .create("note", vec![Value::Int(7), Value::from("secret text")])
             .unwrap();
@@ -198,27 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_full_sink_resolution() {
-        let app = app_with_owner_policy();
-        let jid = app
-            .create("note", vec![Value::Int(7), Value::from("secret text")])
-            .unwrap();
-        let obj = app.get("note", jid).unwrap();
-        for viewer in [Viewer::User(7), Viewer::User(8), Viewer::Anonymous] {
-            let full = app.show_object(&viewer, &obj);
-            let mut s = Session::new(viewer);
-            let pruned = s.view_object(&app, &obj);
-            assert_eq!(full, pruned);
-        }
-    }
-
-    #[test]
     fn session_rows_prune_guards() {
-        let app = app_with_owner_policy();
-        for i in 0..4 {
-            app.create("note", vec![Value::Int(i), Value::from(format!("n{i}"))])
-                .unwrap();
-        }
+        let app = note_app();
+        add_notes(&app, 0..4);
         let rows = app.all("note").unwrap();
         let mut s = Session::new(Viewer::User(2));
         let visible = s.view_rows(&app, &rows);
@@ -233,7 +263,7 @@ mod tests {
 
     #[test]
     fn db_pruning_reduces_unmarshalled_rows() {
-        let app = app_with_owner_policy();
+        let app = note_app();
         let jid = app
             .create("note", vec![Value::Int(7), Value::from("s")])
             .unwrap();
@@ -255,7 +285,7 @@ mod tests {
 
     #[test]
     fn faceted_scalar_resolution() {
-        let app = app_with_owner_policy();
+        let app = note_app();
         let jid = app
             .create("note", vec![Value::Int(1), Value::from("s")])
             .unwrap();
@@ -268,15 +298,7 @@ mod tests {
     /// A policy that reads its own protected field: the owner column
     /// of the live object, which is faceted on the policy's own label.
     fn app_with_self_referential_policy() -> App {
-        let mut app = App::new();
-        let m = ModelDef::public(
-            "note",
-            vec![
-                ColumnDef::new("owner", ColumnType::Int),
-                ColumnDef::new("text", ColumnType::Str),
-            ],
-        )
-        .with_policy(label_for(
+        note_app_with(vec![label_for(
             "note_self",
             vec![0, 1],
             |_| vec![Value::Int(-1), Value::from("[private]")],
@@ -285,34 +307,116 @@ mod tests {
                 let obj = args.db.get("note", args.jid).expect("note exists");
                 form::object_field(&obj, 0).map(&mut |owner| owner.as_int() == viewer)
             },
-        ));
-        app.register_model(m).unwrap();
-        app
+        )])
+    }
+
+    type Check = fn(&FacetedObject) -> Faceted<bool>;
+
+    /// A note whose `owner` is guarded by policy A and whose `text` by
+    /// policy B, each check given the live note.
+    fn two_policy_note(check_a: Check, check_b: Check) -> (App, FacetedObject) {
+        let policy = |field: usize, public: Value, check: Check| {
+            label_for(
+                "ab",
+                vec![field],
+                move |_| vec![public.clone()],
+                move |args| check(&args.db.get("note", args.jid).expect("note exists")),
+            )
+        };
+        let app = note_app_with(vec![
+            policy(0, Value::Int(-1), check_a),
+            policy(1, Value::from("[private]"), check_b),
+        ]);
+        add_notes(&app, 7..8);
+        let obj = app.get("note", 1).unwrap();
+        (app, obj)
+    }
+
+    #[test]
+    fn fixed_policy_graphs_resolve_to_the_stratified_model() {
+        let text_is_public: Check =
+            |o| form::object_field(o, 1).map(&mut |t| t.as_str() == Some("[private]"));
+        let owner_is_secret: Check =
+            |o| form::object_field(o, 0).map(&mut |owner| owner.as_int() == Some(7));
+        let always: Check = |_| Faceted::leaf(true);
+        for (check_b, shown) in [
+            // A ⇒ ¬B and B ⇒ A: one component, whose maximal model in
+            // label order shows A and so hides B.
+            (owner_is_secret, [Value::Int(7), Value::from("[private]")]),
+            // A ⇒ ¬B and B ⇒ true: B is resolved first, and shown.
+            (always, [Value::Int(-1), Value::from("n7")]),
+        ] {
+            let (app, obj) = two_policy_note(text_is_public, check_b);
+            for first in obj.labels() {
+                let mut s = Session::new(Viewer::Anonymous);
+                s.resolve(&app, first);
+                let row = s.view_object(&app, &obj).unwrap();
+                assert_eq!(row, shown, "{first:?} first");
+            }
+        }
+    }
+
+    /// The note `(7, "secret text")` in `app`, and the row each viewer
+    /// must be shown: the full model, where the text is shown only
+    /// when the viewer is the owner.
+    fn secret_note_cases(app: &App) -> (FacetedObject, Vec<(Viewer, Row)>) {
+        app.create("note", vec![Value::Int(7), Value::from("secret text")])
+            .unwrap();
+        let obj = app.get("note", 1).unwrap();
+        let cases = [
+            Viewer::User(7),
+            Viewer::User(8),
+            Viewer::User(-1),
+            Viewer::Anonymous,
+        ]
+        .into_iter()
+        .map(|viewer| {
+            let text = if viewer == Viewer::User(7) {
+                "secret text"
+            } else {
+                "[private]"
+            };
+            (viewer, vec![Value::Int(7), Value::from(text)])
+        })
+        .collect();
+        (obj, cases)
+    }
+
+    /// Asserts that a session shows each viewer its full-model row,
+    /// whether the object's labels are resolved up front or on view.
+    fn assert_sessions_show(app: &App, obj: &FacetedObject, cases: &[(Viewer, Row)]) {
+        for (viewer, full) in cases {
+            let lazy = Session::new(viewer.clone()).view_object(app, obj).unwrap();
+            assert_eq!(&lazy, full, "{viewer}");
+            let mut eager = Session::new(viewer.clone());
+            for label in obj.labels() {
+                eager.resolve(app, label);
+            }
+            assert_eq!(&eager.view_object(app, obj).unwrap(), full, "{viewer}");
+        }
+    }
+
+    #[test]
+    fn session_matches_full_sink_resolution() {
+        let app = note_app();
+        let (obj, cases) = secret_note_cases(&app);
+        assert_sessions_show(&app, &obj, &cases);
     }
 
     #[test]
     fn self_referential_policy_matches_full_sink_resolution() {
+        // A policy reading its own field is a one-label cycle; the
+        // viewer whose id equals the public facet's owner is still
+        // not shown the owner's text.
         let app = app_with_self_referential_policy();
-        let jid = app
-            .create("note", vec![Value::Int(7), Value::from("secret text")])
-            .unwrap();
-        let obj = app.get("note", jid).unwrap();
-        // The owner is shown the field; another user, an anonymous
-        // viewer and one whose id equals the public facet's owner are
-        // not.
-        for (viewer, shown) in [
-            (Viewer::User(7), true),
-            (Viewer::User(8), false),
-            (Viewer::User(-1), false),
-            (Viewer::Anonymous, false),
-        ] {
-            let full = app.show_object(&viewer, &obj);
-            let mut s = Session::new(viewer.clone());
-            let pruned = s.view_object(&app, &obj);
-            assert_eq!(full, pruned, "{viewer}");
-            let text = pruned.expect("object exists")[1].clone();
-            assert_eq!(text == Value::from("secret text"), shown, "{viewer}");
+        let (obj, mut cases) = secret_note_cases(&app);
+        for (_, row) in &mut cases {
+            // The owner column is guarded too: hidden with the text.
+            if row[1] == Value::from("[private]") {
+                row[0] = Value::Int(-1);
+            }
         }
+        assert_sessions_show(&app, &obj, &cases);
     }
 
     #[test]
@@ -321,15 +425,7 @@ mod tests {
         let calls: Arc<Vec<AtomicUsize>> =
             Arc::new((0..NOTES).map(|_| AtomicUsize::new(0)).collect());
         let counted = Arc::clone(&calls);
-        let mut app = App::new();
-        let m = ModelDef::public(
-            "note",
-            vec![
-                ColumnDef::new("owner", ColumnType::Int),
-                ColumnDef::new("text", ColumnType::Str),
-            ],
-        )
-        .with_policy(label_for(
+        let app = note_app_with(vec![label_for(
             "note_counted",
             vec![1],
             |_| vec![Value::from("[private]")],
@@ -349,8 +445,7 @@ mod tests {
                 let obj = args.db.get("note", next).expect("note exists");
                 form::object_field(&obj, 1).map(&mut |text| *text != Value::from("[private]"))
             },
-        ));
-        app.register_model(m).unwrap();
+        )]);
         for i in 0..NOTES {
             let jid = app
                 .create(

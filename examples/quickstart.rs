@@ -10,7 +10,7 @@
 
 use faceted::Faceted;
 use form::faceted_count;
-use jacqueline::{label_for, App, ModelDef, Viewer};
+use jacqueline::{label_for, App, ModelDef, Session, Viewer};
 use microdb::{ColumnDef, ColumnType, Value};
 
 pub fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -90,7 +90,9 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("carol", Viewer::User(carol)),
     ] {
         let obj = app.get("event", party)?;
-        let row = app.show_object(&viewer, &obj).expect("event exists");
+        let row = Session::new(viewer)
+            .view_object(&app, &obj)
+            .expect("event exists");
         println!(
             "{name} sees: {} @ {}",
             row[0].as_str().unwrap(),
@@ -103,11 +105,15 @@ pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     let matches = app.filter_eq("event", "location", Value::from("Schloss Dagstuhl"))?;
     println!(
         "alice's location query finds {} event(s)",
-        app.show_rows(&Viewer::User(alice), &matches).len()
+        Session::new(Viewer::User(alice))
+            .view_rows(&app, &matches)
+            .len()
     );
     println!(
         "carol's location query finds {} event(s)",
-        app.show_rows(&Viewer::User(carol), &matches).len()
+        Session::new(Viewer::User(carol))
+            .view_rows(&app, &matches)
+            .len()
     );
 
     Ok(())

@@ -27,6 +27,11 @@ fn notes_app() -> App {
     app
 }
 
+/// What `viewer` is shown of `obj` by a fresh request session.
+fn shown(app: &App, viewer: Viewer, obj: &form::FacetedObject) -> Vec<Value> {
+    Session::new(viewer).view_object(app, obj).unwrap()
+}
+
 #[test]
 fn stack_round_trip_physical_to_rendered() {
     let app = notes_app();
@@ -38,13 +43,10 @@ fn stack_round_trip_physical_to_rendered() {
     // FORM layer: reconstruction yields a faceted object.
     let obj = app.get("note", jid).unwrap();
     assert!(obj.root_label().is_some());
-    // Framework layer: sinks resolve per viewer.
+    // Framework layer: sessions resolve per viewer.
+    assert_eq!(shown(&app, Viewer::User(1), &obj)[1], Value::from("hello"));
     assert_eq!(
-        app.show_object(&Viewer::User(1), &obj).unwrap()[1],
-        Value::from("hello")
-    );
-    assert_eq!(
-        app.show_object(&Viewer::User(2), &obj).unwrap()[1],
+        shown(&app, Viewer::User(2), &obj)[1],
         Value::from("[private]")
     );
 }
@@ -63,7 +65,15 @@ fn session_and_sink_paths_agree_across_the_stack() {
         Viewer::User(3),
         Viewer::User(99),
     ] {
-        let full: Vec<_> = app.show_rows(&viewer, &rows);
+        // The sink path resolves every label of the result, then
+        // projects the whole list under the view that shows.
+        let mut sink = Session::new(viewer.clone());
+        let view = View::from_labels(rows.labels().into_iter().filter(|&k| sink.resolve(&app, k)));
+        let full: Vec<_> = rows
+            .project(&view)
+            .into_iter()
+            .map(|g| g.fields.clone())
+            .collect();
         let mut session = Session::new(viewer.clone());
         let pruned: Vec<_> = session
             .view_rows(&app, &rows)
@@ -107,11 +117,11 @@ fn lambdajdb_and_framework_agree_on_the_calendar_example() {
         .create("event", vec![Value::from("Carol's surprise party")])
         .unwrap();
     let obj = app.get("event", jid).unwrap();
-    let alice_sees = app.show_object(&Viewer::User(1), &obj).unwrap()[0]
+    let alice_sees = shown(&app, Viewer::User(1), &obj)[0]
         .as_str()
         .unwrap()
         .to_owned();
-    let carol_sees = app.show_object(&Viewer::User(2), &obj).unwrap()[0]
+    let carol_sees = shown(&app, Viewer::User(2), &obj)[0]
         .as_str()
         .unwrap()
         .to_owned();
@@ -169,11 +179,11 @@ fn writes_in_guarded_branches_do_not_leak() {
         .unwrap();
     let after = app.get("note", jid).unwrap();
     assert_eq!(
-        app.show_object(&Viewer::User(1), &after).unwrap()[1],
+        shown(&app, Viewer::User(1), &after)[1],
         Value::from("rewritten")
     );
     assert_eq!(
-        app.show_object(&Viewer::User(2), &after).unwrap()[1],
+        shown(&app, Viewer::User(2), &after)[1],
         Value::from("[private]"),
         "unauthorized viewers still see the public facet"
     );
